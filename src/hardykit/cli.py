@@ -30,7 +30,7 @@ import configparser
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,12 +90,24 @@ class CampaignConfig:
 
 
 def load_config(path: str | None, seed: int, threads: int) -> CampaignConfig:
+    """Defaults overlaid with the file; a section or key that has no
+    default is a ValueError naming it."""
     parser = configparser.ConfigParser()
     parser.read_dict(_DEFAULTS)
     if path is not None:
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(f"config file {path!r} not found")
+    for key in parser.defaults():
+        raise ValueError(f"unknown config key {key!r} in section [DEFAULT]")
+    for section in parser.sections():
+        known = _DEFAULTS.get(section)
+        if known is None:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in known:
+                raise ValueError(
+                    f"unknown config key {key!r} in section [{section}]")
     return CampaignConfig(raw=parser, seed=seed, threads=threads)
 
 
@@ -187,8 +199,7 @@ def build_settings(cfg: CampaignConfig) -> verifier.VerifierSettings:
         nodes_cross=int(q["nodes_cross"]),
         golden_iters=int(q["golden_iters"]),
         error_budget_rel=float(q["error_budget_rel"]),
-        hard_quad_tol=float(hard) if hard else None,
-        seed=cfg.seed)
+        hard_quad_tol=float(hard) if hard else None)
 
 
 def gamma_window(k: kernels.KernelFamily) -> float:
@@ -251,85 +262,130 @@ def cmd_covering(cfg: CampaignConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
+class _ConditionRun:
+    """What the condition runners share: the kernel, covering, settings
+    and gamma of the campaign, and the passes that serve two conditions."""
+
+    def __init__(self, cfg: CampaignConfig, wanted: set[str], map_fn):
+        self.cfg = cfg
+        self.k = build_kernel(cfg)
+        self.cov = build_covering(cfg)
+        self.settings = build_settings(cfg)
+        self.gamma_req = cfg.getfloat("conditions", "gamma")
+        self.gamma, self.clamped = clamp_gamma(self.gamma_req, self.k)
+        self.wanted = wanted
+        self.map_fn = map_fn
+        self._pairs = {}
+
+    def pair(self, family: str):
+        """(prime report or None, weighted reports) of the (A1'/A1) or
+        (A2'/A2) pass, computed once for whichever of the two are wanted."""
+        if family not in self._pairs:
+            estimator = (verifier.complement_reports if family == "a1"
+                         else verifier.comparison_reports)
+            prime = f"{family}prime" in self.wanted
+            reports = estimator(
+                self.k, self.cov, self.settings, self.map_fn, prime=prime,
+                gamma=self.gamma if family in self.wanted else None)
+            self._pairs[family] = (reports[0] if prime else None,
+                                   reports[prime:])
+        return self._pairs[family]
+
+
+def _delta_tagged(name: str, reports) -> list:
+    return [(rep, f"{name}_delta{rep.parameters['delta']:.3f}")
+            for rep in reports]
+
+
+def _schrodinger_D(run: _ConditionRun) -> list:
+    cfg = run.cfg
+    return [(verifier.verify_schrodinger_D(
+        run.k, run.cov, cfg.getfloat("conditions", "rho_target"),
+        cfg.getint("conditions", "n_max"), run.settings), None)]
+
+
+def _schrodinger_K(run: _ConditionRun) -> list:
+    return [(verifier.verify_schrodinger_K(
+        run.k, run.cov, run.cfg.getfloat("conditions", "sigma_target"),
+        run.settings), None)]
+
+
+def _a3_a4(run: _ConditionRun) -> list:
+    part = coverings.partition_of_unity(run.cov)
+    rep3, rep4 = verifier.verify_a3_a4(run.k, run.cov, part, run.settings)
+    return [(rep3, None), (rep4, None)]
+
+
+def _smalltime(run: _ConditionRun) -> list:
+    lo = run.cov.window_box[0][0]
+    hi = run.cov.window_box[1][0]
+    xs = [lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)]
+    return [(verifier.verify_smalltime_limits(run.k, xs, [0.1, 0.5]), None)]
+
+
+def _in_budget(run: _ConditionRun, rep) -> bool:
+    return rep.finite and rep.within_error_budget(run.settings.error_budget_rel)
+
+
+def _finite(run: _ConditionRun, rep) -> bool:
+    return rep.finite
+
+
+def _passed(run: _ConditionRun, rep) -> bool:
+    return bool(rep.parameters["passed"])
+
+
+def _envelope_ok(run: _ConditionRun, rep) -> bool:
+    return rep.finite and \
+        rep.per_cuboid[0].metadata["max_violation_ratio"] <= 1.0 + 1e-9
+
+
+# condition name -> (runner giving [(report, file tag or None)], pass rule)
+CONDITIONS = {
+    "a1prime": (lambda run: [(run.pair("a1")[0], None)], _in_budget),
+    "a2prime": (lambda run: [(run.pair("a2")[0], None)], _in_budget),
+    "a1": (lambda run: _delta_tagged("A1", run.pair("a1")[1]), _in_budget),
+    "a2": (lambda run: _delta_tagged("A2", run.pair("a2")[1]), _in_budget),
+    "a0prime": (lambda run: [(verifier.verify_A0prime(run.k), None)], _finite),
+    "a0gauss": (lambda run: [(verifier.fit_gaussian_envelope(run.k), None)],
+                _finite),
+    "dprime": (_schrodinger_D, _passed),
+    "k": (_schrodinger_K, _passed),
+    "a3a4": (_a3_a4, _finite),
+    "smalltime": (_smalltime, _passed),
+    "laguerre_envelope": (
+        lambda run: [(verifier.verify_laguerre_envelope(run.k), None)],
+        _envelope_ok),
+}
+
+
 def _run_conditions(cfg: CampaignConfig, out: Path) -> tuple[bool, list[str]]:
-    k = build_kernel(cfg)
-    cov = build_covering(cfg)
-    settings = build_settings(cfg)
-    budget = settings.error_budget_rel
     wanted = [c.strip() for c in cfg.get("conditions", "list").split(",")
               if c.strip()]
-    gamma_req = cfg.getfloat("conditions", "gamma")
-    gamma, clamped = clamp_gamma(gamma_req, k)
     pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    map_fn = pool.map if pool else map
     summaries = []
     all_ok = True
-
-    def emit(report, ok, tag=None):
-        nonlocal all_ok
-        name = tag or report.condition_id
-        if clamped:
-            report.notes.append(
-                f"gamma clamped from {gamma_req} to {gamma} (family window)")
-        _write(out / f"{name}.csv", report.to_csv())
-        _write(out / f"{name}.txt", report.to_text())
-        status = "ok" if ok else "FAIL"
-        summaries.append(f"{name}: C={report.sup_constant:.6g} "
-                         f"err={report.max_error:.3g} [{status}]")
-        all_ok = all_ok and ok
-
     try:
+        run = _ConditionRun(cfg, {c.lower() for c in wanted},
+                            pool.map if pool else map)
         for cond in wanted:
-            cname = cond.strip().lower()
-            if cname == "a1prime":
-                rep = verifier.verify_A1prime(k, cov, settings, map_fn=map_fn)
-                emit(rep, rep.finite and rep.within_error_budget(budget))
-            elif cname == "a2prime":
-                rep = verifier.verify_A2prime(k, cov, settings, map_fn=map_fn)
-                emit(rep, rep.finite and rep.within_error_budget(budget))
-            elif cname == "a1":
-                for rep in verifier.verify_A1(k, cov, gamma,
-                                              settings=settings, map_fn=map_fn):
-                    emit(rep, rep.finite and rep.within_error_budget(budget),
-                         tag=f"A1_delta{rep.parameters['delta']:.3f}")
-            elif cname == "a2":
-                for rep in verifier.verify_A2(k, cov, gamma,
-                                              settings=settings, map_fn=map_fn):
-                    emit(rep, rep.finite and rep.within_error_budget(budget),
-                         tag=f"A2_delta{rep.parameters['delta']:.3f}")
-            elif cname == "a0prime":
-                rep = verifier.verify_A0prime(k)
-                emit(rep, rep.finite)
-            elif cname == "a0gauss":
-                rep = verifier.fit_gaussian_envelope(k)
-                emit(rep, rep.finite)
-            elif cname == "dprime":
-                rep = verifier.verify_schrodinger_D(
-                    k, cov, cfg.getfloat("conditions", "rho_target"),
-                    cfg.getint("conditions", "n_max"), settings)
-                emit(rep, bool(rep.parameters["passed"]))
-            elif cname == "k":
-                rep = verifier.verify_schrodinger_K(
-                    k, cov, cfg.getfloat("conditions", "sigma_target"), settings)
-                emit(rep, bool(rep.parameters["passed"]))
-            elif cname == "a3a4":
-                part = coverings.partition_of_unity(cov)
-                rep3, rep4 = verifier.verify_a3_a4(k, cov, part, settings)
-                emit(rep3, rep3.finite)
-                emit(rep4, rep4.finite)
-            elif cname == "smalltime":
-                lo = cov.window_box[0][0]
-                hi = cov.window_box[1][0]
-                xs = [lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)]
-                rep = verifier.verify_smalltime_limits(k, xs, [0.1, 0.5])
-                emit(rep, bool(rep.parameters["passed"]))
-            elif cname == "laguerre_envelope":
-                rep = verifier.verify_laguerre_envelope(k)
-                ok = rep.finite and \
-                    rep.per_cuboid[0].metadata["max_violation_ratio"] <= 1.0 + 1e-9
-                emit(rep, ok)
-            else:
+            entry = CONDITIONS.get(cond.lower())
+            if entry is None:
                 raise ValueError(f"unknown condition {cond!r}")
+            runner, rule = entry
+            for report, tag in runner(run):
+                name = tag or report.condition_id
+                if run.clamped:
+                    report = replace(report, notes=[
+                        *report.notes, f"gamma clamped from {run.gamma_req} "
+                        f"to {run.gamma} (family window)"])
+                _write(out / f"{name}.csv", report.to_csv())
+                _write(out / f"{name}.txt", report.to_text())
+                ok = rule(run, report)
+                summaries.append(f"{name}: C={report.sup_constant:.6g} "
+                                 f"err={report.max_error:.3g} "
+                                 f"[{'ok' if ok else 'FAIL'}]")
+                all_ok = all_ok and ok
     finally:
         if pool:
             pool.shutdown()

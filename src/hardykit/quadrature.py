@@ -147,20 +147,27 @@ def tgrid_for_cuboid(d_q: float, points_per_decade: int = 16,
 
 
 class SupResult(NamedTuple):
-    values: np.ndarray       # sup over t of t^delta * f(t, .), per batch point
-    argmax_t: np.ndarray     # refined maximizer
-    boundary_frac: float     # fraction of points whose argmax hit a grid end
+    values: np.ndarray         # (deltas, N): sup over t of t^delta f(t, .)
+    argmax_t: np.ndarray       # (deltas, N): refined maximizer
+    boundary_frac: np.ndarray  # (deltas,): share of argmaxes at a grid end
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# values per call of ``f`` on the t-grid: a chunk holds max(1, 2**15 // N) times
+_CHUNK_VALUES = 2 ** 15
+
 
 def golden_refine(f: Callable, ts: np.ndarray, idx: np.ndarray,
-                  delta: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
+                  deltas, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section pass in log-t between the grid neighbours of idx.
 
-    Returns (values, maximizers) for t^delta * f(t) per batch point.
+    Row r of ``idx`` (shape (len(deltas), N)) holds the grid argmax of
+    t^deltas[r] * f(t) per batch point; every row is refined in the same
+    calls to ``f``, which receive t of the shape of ``idx``.  Returns
+    (values, maximizers), shaped like ``idx``.
     """
+    deltas = [float(d) for d in np.atleast_1d(deltas)]
     a = np.log(ts[np.maximum(idx - 1, 0)])
     b = np.log(ts[np.minimum(idx + 1, len(ts) - 1)])
     x1 = b - _INV_PHI * (b - a)
@@ -168,7 +175,9 @@ def golden_refine(f: Callable, ts: np.ndarray, idx: np.ndarray,
 
     def g(log_t):
         t = np.exp(log_t)
-        return np.atleast_1d(np.asarray(f(t), dtype=float)) * t ** delta
+        rows = t.reshape(len(deltas), -1)
+        weight = np.stack([row ** dl for row, dl in zip(rows, deltas)])
+        return np.asarray(f(t), dtype=float) * weight.reshape(t.shape)
 
     f1 = g(x1)
     f2 = g(x2)
@@ -184,31 +193,47 @@ def golden_refine(f: Callable, ts: np.ndarray, idx: np.ndarray,
     return refined, t_ref
 
 
-def sup_over_t(f: Callable, grid: TGrid, delta: float = 0.0,
-               golden_iters: int = 18) -> SupResult:
-    """max over the t-grid of t^delta * f(t), refined by golden section.
+def _grid_values(f: Callable, ts: np.ndarray) -> np.ndarray:
+    """(T, N) values of f on the t-grid, evaluated in chunks of times."""
+    first = np.asarray(f(ts[:1, None]), dtype=float)
+    n = first.shape[-1]
+    rows = max(1, _CHUNK_VALUES // n)
+    vals = np.empty((len(ts), n))
+    vals[:1] = first
+    for i in range(1, len(ts), rows):
+        vals[i:i + rows] = f(ts[i:i + rows, None])
+    return vals
 
-    ``f`` must broadcast: called with scalar t it returns the value batch
-    (shape (N,)), called with a (N,) array it pairs elementwise.  The
-    golden-section pass runs in log-t between the grid neighbours of the
-    discrete argmax.
+
+def sup_over_t(f: Callable, grid: TGrid, deltas=(0.0,),
+               golden_iters: int = 18) -> SupResult:
+    """max over the t-grid of t^delta * f(t) for every delta, refined by
+    golden section.
+
+    ``f`` is called with a column of times, shape (rows, 1), and returns
+    the batch values at each of them, shape (rows, N); the golden pass
+    calls it with one time per value, shape (len(deltas), N).  One grid
+    evaluation and one golden pass serve every delta.
     """
     ts = grid.values
-    rows = [np.atleast_1d(np.asarray(f(float(t)), dtype=float)) * (t ** delta)
-            for t in ts]
-    vals = np.stack(rows)               # (T, N)
-    idx = np.argmax(vals, axis=0)
+    deltas = [float(d) for d in deltas]
+    vals = _grid_values(f, ts)
     n = vals.shape[1]
-    best = vals[idx, np.arange(n)]
-    boundary = (idx == 0) | (idx == len(ts) - 1)
+    cols = np.arange(n)
+    idx = np.empty((len(deltas), n), dtype=np.intp)
+    best = np.empty((len(deltas), n))
+    for r, delta in enumerate(deltas):
+        weighted = vals * (ts[:, None] ** delta)
+        idx[r] = np.argmax(weighted, axis=0)
+        best[r] = weighted[idx[r], cols]
+    boundary = np.mean((idx == 0) | (idx == len(ts) - 1), axis=1)
     if golden_iters > 0:
-        refined, t_ref = golden_refine(f, ts, idx, delta, golden_iters)
+        refined, t_ref = golden_refine(f, ts, idx, deltas, golden_iters)
     else:
         refined, t_ref = best, ts[idx]
     improved = refined > best
     return SupResult(np.maximum(best, refined),
-                     np.where(improved, t_ref, ts[idx]),
-                     float(np.mean(boundary)))
+                     np.where(improved, t_ref, ts[idx]), boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +260,6 @@ class SpatialRule:
     """
 
     panels: tuple[Panel, ...]
-    region: str = "box"
 
     @property
     def dimension(self) -> int:
@@ -304,11 +328,10 @@ def rule_for_box(lo, hi, nodes_per_axis) -> SpatialRule:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if np.any(hi <= lo):
-        return SpatialRule(panels=(), region="box")
+        return SpatialRule(panels=())
     if np.isscalar(nodes_per_axis) or isinstance(nodes_per_axis, int):
         nodes_per_axis = (int(nodes_per_axis),) * len(lo)
-    return SpatialRule(panels=(Panel(tuple(lo), tuple(hi), tuple(nodes_per_axis)),),
-                       region="box")
+    return SpatialRule(panels=(Panel(tuple(lo), tuple(hi), tuple(nodes_per_axis)),))
 
 
 def _graded_edges(start: float, end: float, first_width: float,
@@ -380,4 +403,4 @@ def rule_for_complement(window_lo, window_hi, hole_lo, hole_hi,
         panels.append(Panel(tuple(s[0] for s in segs),
                             tuple(s[1] for s in segs),
                             tuple(s[2] for s in segs)))
-    return SpatialRule(panels=tuple(panels), region="complement")
+    return SpatialRule(panels=tuple(panels))

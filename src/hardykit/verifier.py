@@ -28,9 +28,11 @@ from .atoms import Atom
 from .coverings import AdmissibleCovering, Cuboid, PartitionOfUnity
 from .errors import QuadratureError
 from .kernels import KernelFamily, SchrodingerKernel, mass
-from .quadrature import (SpatialRule, TGrid, golden_refine, halton, integrate,
-                         integrate_adaptive, rule_for_box, rule_for_complement,
-                         sup_over_t, tgrid_for_cuboid)
+# golden_refine is unused here; perfbench/tracer.py rebinds it in every
+# module and requires this binding
+from .quadrature import (SpatialRule, TGrid, golden_refine,  # noqa: F401
+                         halton, integrate, integrate_adaptive, rule_for_box,
+                         rule_for_complement, sup_over_t)
 from .specfun import STABLE_DENSITY_NORMALIZATION
 
 
@@ -53,7 +55,6 @@ class VerifierSettings:
     # hard per-integral budget: exceeding it raises QuadratureError
     # (None keeps errors report-only)
     hard_quad_tol: float | None = None
-    seed: int = 0
 
 
 @dataclass
@@ -182,25 +183,6 @@ def _clamped_grid(k: KernelFamily, t_lo: float, t_hi: float,
     return TGrid(t_lo, t_hi, ppd)
 
 
-def _sup_multi(f: Callable, grid: TGrid, deltas: Sequence[float],
-               golden_iters: int) -> list[np.ndarray]:
-    """sup_over_t for several delta exponents, sharing the value grid."""
-    ts = grid.values
-    rows = np.stack([np.atleast_1d(np.asarray(f(float(t)), dtype=float))
-                     for t in ts])
-    out = []
-    for delta in deltas:
-        weighted = rows * (ts[:, None] ** delta)
-        idx = np.argmax(weighted, axis=0)
-        n = weighted.shape[1]
-        best = weighted[idx, np.arange(n)]
-        if golden_iters > 0:
-            refined, _ = golden_refine(f, ts, idx, delta, golden_iters)
-            best = np.maximum(best, refined)
-        out.append(best)
-    return out
-
-
 def _integrate_sup(point_fn: Callable, rule: SpatialRule, grid: TGrid,
                    deltas: Sequence[float], golden_iters: int,
                    hard_tol: float | None = None
@@ -218,7 +200,8 @@ def _integrate_sup(point_fn: Callable, rule: SpatialRule, grid: TGrid,
             levels[level] = {delta: 0.0 for delta in deltas}
             continue
         x = pts[:, 0] if d == 1 else pts
-        sups = _sup_multi(lambda t: point_fn(t, x), grid, deltas, golden_iters)
+        sups = sup_over_t(lambda t: point_fn(t, x), grid, deltas,
+                          golden_iters).values
         levels[level] = {delta: float(np.dot(wts, s))
                          for delta, s in zip(deltas, sups)}
     out = {}
@@ -292,8 +275,8 @@ def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
             norm = d_q ** (-2.0 * delta)
             if value * norm > best[delta][0]:
                 def edge_fn(x, dl=delta):
-                    return _sup_multi(lambda t: k.eval(t, x, y_pt), grid,
-                                      [dl], 0)[0]
+                    return sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
+                                      [dl], 0).values[0]
                 tail = _edge_tail_estimate(edge_fn, win_lo, win_hi,
                                            q.center, d)
                 best[delta] = (value * norm, err * norm, tail * norm)
@@ -310,23 +293,78 @@ def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
     return entries
 
 
+def _weighted_deltas(gamma: float | None,
+                     deltas: Sequence[float] | None) -> tuple[float, ...]:
+    """The (A1)/(A2) exponents: none without gamma, else the given deltas
+    or {0, gamma/2, 0.9 gamma}."""
+    if gamma is None:
+        return ()
+    if not 0.0 < gamma < 1.0 / 3.0:
+        raise ValueError("gamma must lie in (0, 1/3)")
+    return (0.0, gamma / 2.0, 0.9 * gamma) if deltas is None else tuple(deltas)
+
+
+def _paired_reports(entry_fn: Callable, k: KernelFamily,
+                    covering: AdmissibleCovering, map_fn: Callable,
+                    ids: tuple[str, str], prime_params: dict | None,
+                    params: dict, gamma: float | None,
+                    weighted: Sequence[float]) -> list[VerificationReport]:
+    """One entry pass over the covering for delta = 0 (when
+    ``prime_params`` is given) and the weighted deltas.
+
+    Returns the ``ids[0]`` report, built from the delta = 0 entries, then
+    one ``ids[1]`` report per weighted delta.
+    """
+    prime = prime_params is not None
+    deltas = tuple(dict.fromkeys(((0.0,) if prime else ()) + tuple(weighted)))
+    per_delta: dict[float, list[CuboidEntry]] = {d: [] for d in deltas}
+    for row in map_fn(lambda iq: entry_fn(iq[1], iq[0], deltas),
+                      list(enumerate(covering.cuboids))):
+        for e in row:
+            per_delta[e.metadata["delta"]].append(e)
+
+    def report(condition_id, parameters, delta):
+        return VerificationReport(
+            condition_id=condition_id, covering_id=covering_id(covering),
+            kernel_id=k.describe(), parameters=parameters,
+            per_cuboid=per_delta[delta])
+
+    reports = [report(ids[0], prime_params, 0.0)] if prime else []
+    reports += [report(ids[1], {"gamma": gamma, "delta": d, **params}, d)
+                for d in weighted]
+    return reports
+
+
+def complement_reports(k: KernelFamily, covering: AdmissibleCovering,
+                       settings: VerifierSettings = VerifierSettings(),
+                       map_fn: Callable = map, *, prime: bool = True,
+                       gamma: float | None = None,
+                       deltas: Sequence[float] | None = None
+                       ) -> list[VerificationReport]:
+    """(A1') and (A1) from one pass over the covering.
+
+    The pass runs delta = 0 when ``prime`` is set and, when ``gamma`` is
+    given, the (A1) deltas (default {0, gamma/2, 0.9 gamma}).  Returns the
+    A1prime report first, built from the delta = 0 entries, then one A1
+    report per (A1) delta.
+    """
+    a1_deltas = _weighted_deltas(gamma, deltas)
+    if any(not 0.0 <= d < gamma for d in a1_deltas):
+        raise ValueError("every delta must lie in [0, gamma)")
+    params = {"window_factor": settings.window_factor,
+              "tgrid_ppd": settings.tgrid_ppd, "qmc_y": settings.qmc_y,
+              "kappa": covering.kappa}
+    return _paired_reports(
+        lambda q, i, ds: _a1_entry(k, q, i, covering, ds, settings),
+        k, covering, map_fn, ("A1prime", "A1"), params if prime else None,
+        params, gamma, a1_deltas)
+
+
 def verify_A1prime(k: KernelFamily, covering: AdmissibleCovering,
                    settings: VerifierSettings = VerifierSettings(),
                    map_fn: Callable = map) -> VerificationReport:
     """Per cuboid: integral over (Q**)^c of sup_t T_t(x, y), maxed over y."""
-    work = list(enumerate(covering.cuboids))
-    rows = list(map_fn(
-        lambda iq: _a1_entry(k, iq[1], iq[0], covering, [0.0], settings),
-        work))
-    entries = [e for row in rows for e in row]
-    return VerificationReport(
-        condition_id="A1prime", covering_id=covering_id(covering),
-        kernel_id=k.describe(),
-        parameters={"window_factor": settings.window_factor,
-                    "tgrid_ppd": settings.tgrid_ppd,
-                    "qmc_y": settings.qmc_y,
-                    "kappa": covering.kappa},
-        per_cuboid=entries)
+    return complement_reports(k, covering, settings, map_fn)[0]
 
 
 def verify_A1(k: KernelFamily, covering: AdmissibleCovering, gamma: float,
@@ -338,31 +376,8 @@ def verify_A1(k: KernelFamily, covering: AdmissibleCovering, gamma: float,
     One report per delta; the deltas default to {0, gamma/2, 0.9 gamma}
     and every delta shares the single kernel evaluation grid per probe.
     """
-    if not 0.0 < gamma < 1.0 / 3.0:
-        raise ValueError("gamma must lie in (0, 1/3)")
-    if deltas is None:
-        deltas = (0.0, gamma / 2.0, 0.9 * gamma)
-    if any(not 0.0 <= d < gamma for d in deltas):
-        raise ValueError("every delta must lie in [0, gamma)")
-    per_delta: dict[float, list[CuboidEntry]] = {d: [] for d in deltas}
-    work = list(enumerate(covering.cuboids))
-    rows = list(map_fn(
-        lambda iq: _a1_entry(k, iq[1], iq[0], covering, deltas, settings),
-        work))
-    for row in rows:
-        for e in row:
-            per_delta[e.metadata["delta"]].append(e)
-    reports = []
-    for delta in deltas:
-        reports.append(VerificationReport(
-            condition_id="A1", covering_id=covering_id(covering),
-            kernel_id=k.describe(),
-            parameters={"gamma": gamma, "delta": delta,
-                        "window_factor": settings.window_factor,
-                        "tgrid_ppd": settings.tgrid_ppd,
-                        "qmc_y": settings.qmc_y, "kappa": covering.kappa},
-            per_cuboid=per_delta[delta]))
-    return reports
+    return complement_reports(k, covering, settings, map_fn, prime=False,
+                              gamma=gamma, deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -405,56 +420,47 @@ def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
     return entries
 
 
+def comparison_reports(k: KernelFamily, covering: AdmissibleCovering,
+                       settings: VerifierSettings = VerifierSettings(),
+                       map_fn: Callable = map, *, prime: bool = True,
+                       gamma: float | None = None,
+                       deltas: Sequence[float] | None = None,
+                       comparison: KernelFamily | None = None
+                       ) -> list[VerificationReport]:
+    """(A2') and (A2) from one pass over the covering.
+
+    The deltas and the report order are those of
+    :func:`complement_reports`; the comparison kernel defaults to the
+    family's designated tilde kernel.
+    """
+    comp = comparison if comparison is not None else k.comparison()
+    params = {"comparison": comp.describe(), "tgrid_ppd": settings.tgrid_ppd,
+              "qmc_y": settings.qmc_y, "kappa": covering.kappa}
+    prime_params = dict(params) if prime else None
+    if prime and "subordinate" in k.kind:
+        prime_params["stable_normalization"] = STABLE_DENSITY_NORMALIZATION
+    return _paired_reports(
+        lambda q, i, ds: _a2_entry(k, comp, q, i, covering, ds, settings),
+        k, covering, map_fn, ("A2prime", "A2"), prime_params, params, gamma,
+        _weighted_deltas(gamma, deltas))
+
+
 def verify_A2(k: KernelFamily, covering: AdmissibleCovering, gamma: float,
               deltas: Sequence[float] | None = None,
               settings: VerifierSettings = VerifierSettings(),
               comparison: KernelFamily | None = None,
               map_fn: Callable = map) -> list[VerificationReport]:
     """d_Q^{2 delta} int over Q** of sup_{t <= d_Q^2} t^{-delta} |T_t - H_t|."""
-    if not 0.0 < gamma < 1.0 / 3.0:
-        raise ValueError("gamma must lie in (0, 1/3)")
-    if deltas is None:
-        deltas = (0.0, gamma / 2.0, 0.9 * gamma)
-    comp = comparison if comparison is not None else k.comparison()
-    per_delta: dict[float, list[CuboidEntry]] = {d: [] for d in deltas}
-    work = list(enumerate(covering.cuboids))
-    rows = list(map_fn(
-        lambda iq: _a2_entry(k, comp, iq[1], iq[0], covering, deltas, settings),
-        work))
-    for row in rows:
-        for e in row:
-            per_delta[e.metadata["delta"]].append(e)
-    reports = []
-    for delta in deltas:
-        reports.append(VerificationReport(
-            condition_id="A2", covering_id=covering_id(covering),
-            kernel_id=k.describe(),
-            parameters={"gamma": gamma, "delta": delta,
-                        "comparison": comp.describe(),
-                        "tgrid_ppd": settings.tgrid_ppd,
-                        "qmc_y": settings.qmc_y, "kappa": covering.kappa},
-            per_cuboid=per_delta[delta]))
-    return reports
+    return comparison_reports(k, covering, settings, map_fn, prime=False,
+                              gamma=gamma, deltas=deltas,
+                              comparison=comparison)
 
 
 def verify_A2prime(k: KernelFamily, covering: AdmissibleCovering,
                    settings: VerifierSettings = VerifierSettings(),
                    map_fn: Callable = map) -> VerificationReport:
     """The delta = 0 comparison against the family's designated tilde kernel."""
-    comp = k.comparison()
-    work = list(enumerate(covering.cuboids))
-    rows = list(map_fn(
-        lambda iq: _a2_entry(k, comp, iq[1], iq[0], covering, [0.0], settings),
-        work))
-    entries = [e for row in rows for e in row]
-    params = {"comparison": comp.describe(),
-              "tgrid_ppd": settings.tgrid_ppd,
-              "qmc_y": settings.qmc_y, "kappa": covering.kappa}
-    if "subordinate" in k.kind:
-        params["stable_normalization"] = STABLE_DENSITY_NORMALIZATION
-    return VerificationReport(
-        condition_id="A2prime", covering_id=covering_id(covering),
-        kernel_id=k.describe(), parameters=params, per_cuboid=entries)
+    return comparison_reports(k, covering, settings, map_fn)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +486,8 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
             y_pt = y[0] if q.dimension == 1 else y
 
             def integrand(x):
-                return sup_over_t(lambda t: k.eval(t, x, y_pt), grid, 0.0,
-                                  s.golden_iters).values
+                return sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
+                                  golden_iters=s.golden_iters).values[0]
             res = integrate(rule, integrand)
             if res.value > best[0]:
                 best = (res.value, res.error)
@@ -519,8 +525,8 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
                                  d_q * d_q, max(8, s.tgrid_ppd // 2))
 
             def integrand(x):
-                sup = sup_over_t(lambda t: k.eval(t, x, y_pt), grid, 0.0,
-                                 golden_iters=0).values
+                sup = sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
+                                 golden_iters=0).values[0]
                 psi_x = partition.evaluate_all(
                     x if d > 1 else np.asarray(x), strict=False)[i]
                 return sup * np.abs(psi_x - psi_y[i])
@@ -847,12 +853,13 @@ def maximal_norm(k: KernelFamily, atom: Atom,
         x = np.asarray(x, dtype=float)
 
         def tf(t):
-            t_arr = np.asarray(t, dtype=float)
-            if t_arr.ndim == 1:  # per-point times from the golden pass
-                t_arr = t_arr[:, None]
-            kernel_vals = k.eval(t_arr, x[:, None], centers[None, :])
-            return np.abs(kernel_vals @ weights)
-        sup = sup_over_t(tf, grid, 0.0, golden_iters=6).values
+            # one (points x cells) product per time, or per row of
+            # golden-section times (one time per point)
+            return np.stack([
+                np.abs(k.eval(row[0] if row.size == 1 else row[:, None],
+                              x[:, None], centers[None, :]) @ weights)
+                for row in t])
+        sup = sup_over_t(tf, grid, golden_iters=6).values[0]
         floor = np.abs(atom.as_grid_function()(x))
         return np.maximum(sup, floor)
 

@@ -251,3 +251,25 @@ def test_subordinate_check(tmp_path):
 def test_missing_config_errors(tmp_path):
     assert run(["--config", tmp_path / "nope.cfg", "--out", tmp_path,
                 "covering"]) == 1
+
+
+def test_unknown_config_key_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "v.cfg", VERIFY_CFG + "tgrid_pdd = 8\n")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "verify"]) == 1
+    assert "'tgrid_pdd'" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "s.cfg", VERIFY_CFG + "[quadrature_extra]\n")
+    assert run(["--config", cfg, "--out", tmp_path / "out2", "verify"]) == 1
+    assert "quadrature_extra" in capsys.readouterr().err
+
+
+def test_a1prime_shared_with_a1_is_byte_identical(tmp_path):
+    base = VERIFY_CFG.replace("window = -1..1", "window = 0..0")
+    for name, conditions in (("alone", "A1prime"), ("shared", "A1prime,A1")):
+        cfg = write_config(tmp_path / f"{name}.cfg", base.replace(
+            "list = A1prime,A2prime", f"list = {conditions}"))
+        assert run(["--config", cfg, "--out", tmp_path / name, "verify"]) == 0
+    for suffix in ("csv", "txt"):
+        assert (tmp_path / "alone" / f"A1prime.{suffix}").read_bytes() == \
+            (tmp_path / "shared" / f"A1prime.{suffix}").read_bytes()
+    assert not (tmp_path / "alone" / "A1_delta0.000.csv").exists()
+    assert (tmp_path / "shared" / "A1_delta0.180.csv").exists()

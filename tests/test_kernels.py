@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hardykit import kernels as K
-from hardykit.errors import DomainError
+from hardykit.errors import DomainError, QuadratureError
 from hardykit.quadrature import integrate_adaptive
 
 
@@ -165,7 +165,7 @@ def test_comparison_eval_heat_formula():
     b1 = K.BesselKernel(1.0)
     t, x, y = 0.3, 1.0, 1.7
     expected = (4 * math.pi * t) ** -0.5 * math.exp(-(x - y) ** 2 / (4 * t))
-    assert_allclose(K.comparison_eval(b1, t, x, y), expected, rtol=1e-14)
+    assert_allclose(b1.comparison().eval(t, x, y), expected, rtol=1e-14)
 
 
 def test_parameter_domain_errors():
@@ -328,3 +328,29 @@ def test_schrodinger_guards():
         k.eval(25.0, 0.0, 0.0)   # sqrt(t) beyond box/4
     with pytest.raises(DomainError):
         k.eval(0.5, 11.0, 0.0)   # outside the truncation box
+
+
+class _RippledHeat(K.EuclideanHeat):
+    """Heat kernel with a fast ripple above t = 1e8 that no fixed
+    subordination rule resolves."""
+
+    def eval(self, t, x, y):
+        t = np.asarray(t, dtype=float)
+        ripple = np.where(t > 1e8, 0.5 * np.cos(1e3 * np.log(t)), 0.0)
+        return super().eval(t, x, y) * (1.0 + ripple)
+
+
+def test_subordinate_time_column_is_row_by_row():
+    x = np.linspace(-2.0, 2.0, 9)
+    ts = np.geomspace(1e-3, 1e3, 7)
+    for k in (K.SubordinateKernel(K.EuclideanHeat(1), 0.7),
+              K.StableKernel(0.7, 1), K.SubordinateKernel(_RippledHeat(1), 0.5)):
+        column = k.eval(ts[:, None], x, 0.3)
+        rows = np.stack([k.eval(t, x, 0.3) for t in ts])
+        assert np.array_equal(column, rows)
+    # every row keeps its own error check: one rippled row fails the column
+    sub = K.SubordinateKernel(_RippledHeat(1), 0.5)
+    with pytest.raises(QuadratureError):
+        sub.eval(1e9, x, 0.3)
+    with pytest.raises(QuadratureError):
+        sub.eval(np.array([[1e-3], [1.0], [1e9]]), x, 0.3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hardykit import quadrature as q
@@ -30,15 +32,15 @@ def test_sup_over_t_heat_closed_form():
     res = q.sup_over_t(
         lambda t: (4 * math.pi * t) ** -0.5 * np.exp(-rs ** 2 / (4 * t)), grid)
     expected = (2 * math.pi * math.e) ** -0.5 / rs
-    assert np.max(np.abs(res.values - expected) / expected) < 1e-4
-    assert_allclose(res.argmax_t, rs ** 2 / 2, rtol=1e-2)
+    assert np.max(np.abs(res.values[0] - expected) / expected) < 1e-4
+    assert_allclose(res.argmax_t[0], rs ** 2 / 2, rtol=1e-2)
 
 
 def test_sup_over_t_monotone_hits_t_min():
     grid = q.TGrid(1e-6, 1e4, 16)
     res = q.sup_over_t(lambda t: (4 * math.pi * t) ** -0.5 * np.ones(1), grid)
-    assert res.boundary_frac == 1.0
-    assert_allclose(res.values[0], (4 * math.pi * 1e-6) ** -0.5, rtol=1e-12)
+    assert res.boundary_frac[0] == 1.0
+    assert_allclose(res.values[0, 0], (4 * math.pi * 1e-6) ** -0.5, rtol=1e-12)
 
 
 def test_sup_over_t_grid_stability():
@@ -48,8 +50,8 @@ def test_sup_over_t_grid_stability():
     def f(t):
         return (4 * math.pi * t) ** -0.5 * np.exp(-rs ** 2 / (4 * t))
 
-    a = q.sup_over_t(f, q.TGrid(1e-6, 1e4, 16)).values
-    b = q.sup_over_t(f, q.TGrid(1e-6, 1e4, 32)).values
+    a = q.sup_over_t(f, q.TGrid(1e-6, 1e4, 16)).values[0]
+    b = q.sup_over_t(f, q.TGrid(1e-6, 1e4, 32)).values[0]
     assert np.max(np.abs(a - b) / b) < 5e-3
 
 
@@ -145,3 +147,82 @@ def test_golden_refine_quadratic():
     refined, t_ref = q.golden_refine(f, ts, idx, 0.0, 25)
     assert abs(refined[0] - 1.0) < 1e-8
     assert abs(math.log(t_ref[0]) - 0.3) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# The chunked estimator against a per-t reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_sup(f, ts, deltas, iters):
+    """One call of f per grid time, one golden pass per delta."""
+    vals = np.stack([np.asarray(f(t), dtype=float) for t in ts.tolist()])
+    n = vals.shape[1]
+    values, argmax, boundary = [], [], []
+    for delta in deltas:
+        weighted = vals * (ts[:, None] ** delta)
+        idx = np.argmax(weighted, axis=0)
+        best = weighted[idx, np.arange(n)]
+        t_best = ts[idx]
+        boundary.append(np.mean((idx == 0) | (idx == len(ts) - 1)))
+        if iters > 0:
+            a = np.log(ts[np.maximum(idx - 1, 0)])[None, :]
+            b = np.log(ts[np.minimum(idx + 1, len(ts) - 1)])[None, :]
+
+            def g(log_t):
+                t = np.exp(log_t)
+                return np.asarray(f(t), dtype=float) * t ** delta
+
+            x1 = b - q._INV_PHI * (b - a)
+            x2 = a + q._INV_PHI * (b - a)
+            f1, f2 = g(x1), g(x2)
+            for _ in range(iters):
+                left = f1 >= f2
+                b = np.where(left, x2, b)
+                a = np.where(left, a, x1)
+                x1 = b - q._INV_PHI * (b - a)
+                x2 = a + q._INV_PHI * (b - a)
+                f1, f2 = g(x1), g(x2)
+            refined = np.maximum(f1, f2)[0]
+            t_ref = np.exp(np.where(f1 >= f2, x1, x2))[0]
+            t_best = np.where(refined > best, t_ref, t_best)
+            best = np.maximum(best, refined)
+        values.append(best)
+        argmax.append(t_best)
+    return np.array(values), np.array(argmax), np.array(boundary)
+
+
+def _probe_kernel(name, n):
+    from hardykit import kernels as K
+    x = np.geomspace(0.05, 12.0, n)
+    if name == "bessel":
+        return K.BesselKernel(1.0), x, 1.3
+    if name == "laguerre":
+        return K.LaguerreKernel(0.5), x, 0.8
+    if name == "heat":
+        return K.EuclideanHeat(1), x - 6.0, 0.4
+    prod = K.ProductKernel([K.BesselKernel(1.0), K.LaguerreKernel(0.5)])
+    return prod, np.stack([x, x[::-1]], axis=-1), np.array([1.1, 0.7])
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel=st.sampled_from(["bessel", "laguerre", "heat", "product"]),
+       n=st.one_of(st.integers(1, 8), st.integers(900, 3000),
+                   st.integers(2 ** 15 - 1, 2 ** 15 + 3)),
+       log_t_min=st.integers(-5, -1), decades=st.integers(1, 4),
+       ppd=st.integers(1, 9),
+       deltas=st.lists(st.sampled_from([0.0, 0.1, 0.18, -0.1, -0.18]),
+                       min_size=1, max_size=3, unique=True),
+       iters=st.sampled_from([0, 1, 4]))
+def test_sup_over_t_chunks_match_per_t_loop(kernel, n, log_t_min, decades,
+                                            ppd, deltas, iters):
+    k, x, y = _probe_kernel(kernel, n)
+    grid = q.TGrid(10.0 ** log_t_min, 10.0 ** (log_t_min + decades), ppd)
+
+    def f(t):
+        return k.eval(t, x, y)
+
+    res = q.sup_over_t(f, grid, deltas, iters)
+    values, argmax, boundary = _reference_sup(f, grid.values, deltas, iters)
+    assert np.array_equal(res.values, values)
+    assert np.array_equal(res.argmax_t, argmax)
+    assert np.array_equal(res.boundary_frac, boundary)
