@@ -285,29 +285,20 @@ def local_decompose(fq: GridFunction, host: Cuboid, kappa: float,
         pieces = 1 << (g - 1)
         cells_per = n // pieces
         half = cells_per // 2
-        new_approx = approx.copy()
-        for j in range(pieces):
-            a0 = j * cells_per
-            seg = fq.values[a0:a0 + cells_per]
-            avg_l = seg[:half].mean()
-            avg_r = seg[half:].mean()
-            new_approx[a0:a0 + half] = avg_l
-            new_approx[a0 + half:a0 + cells_per] = avg_r
-            delta = avg_l - avg_r
-            if delta == 0.0:
-                continue
-            d_lo = fq.lo + a0 * h
+        # row means sum pairwise, as seg[:half].mean() does: same bits
+        avg = fq.values.reshape(pieces, 2, half).mean(axis=-1)
+        approx = np.repeat(avg.ravel(), half)
+        deltas = avg[:, 0] - avg[:, 1]
+        for j in np.flatnonzero(deltas != 0.0):
+            delta = deltas[j]
+            d_lo = fq.lo + int(j) * cells_per * h
             d_hi = d_lo + cells_per * h
             d_measure = d_hi - d_lo
             sign = 1.0 if delta > 0 else -1.0
-            values = np.concatenate([
-                np.full(half, sign / d_measure),
-                np.full(cells_per - half, -sign / d_measure),
-            ])
+            values = np.repeat([sign / d_measure, -sign / d_measure], half)
             coeff = abs(delta) * d_measure / 2.0
             terms.append((float(coeff),
                           Atom("classical", host, d_lo, d_hi, values)))
-        approx = new_approx
 
     remainder_values = fq.values - approx
     remainder = GridFunction(fq.lo, fq.hi, remainder_values)
@@ -347,7 +338,8 @@ def atom_from_lines(lines: list[str], domain) -> tuple[float, Atom]:
     return float(fields["coeff"]), atom
 
 
-def save_decomposition(path, decomposition: AtomicDecomposition):
+def decomposition_to_lines(decomposition: AtomicDecomposition) -> list[str]:
+    """The terms' atom records, then the remainder record."""
     lines = []
     for coeff, atom in decomposition.terms:
         lines.extend(atom_to_lines(atom, coeff))
@@ -355,8 +347,12 @@ def save_decomposition(path, decomposition: AtomicDecomposition):
     lines.append(f"remainder lo={rem.lo!r} hi={rem.hi!r} cells={rem.cells}")
     lines.append(_format_floats(rem.values))
     lines.append("end")
+    return lines
+
+
+def save_decomposition(path, decomposition: AtomicDecomposition):
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(decomposition_to_lines(decomposition)) + "\n")
 
 
 def load_decomposition(path, domain) -> AtomicDecomposition:

@@ -459,12 +459,7 @@ def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
         rec = dec.reconstruct()
         recon_err += atoms.GridFunction(
             fq.lo, fq.hi, rec.values - fq.values).l1_norm
-        for coeff, atom in dec.terms:
-            lines.extend(atoms.atom_to_lines(atom, coeff))
-        rem = dec.remainder
-        lines.append(f"remainder lo={rem.lo!r} hi={rem.hi!r} cells={rem.cells}")
-        lines.append(",".join(repr(float(v)) for v in rem.values))
-        lines.append("end")
+        lines.extend(atoms.decomposition_to_lines(dec))
     probes = np.linspace(win_lo, win_hi, 2049)[1:-1]
     identity_err = atoms.localize_reconstruction_error(f, partition, probes)
     _write(out / "decomposition.txt", "\n".join(lines) + "\n")

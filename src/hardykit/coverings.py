@@ -81,13 +81,6 @@ class Cuboid:
         return ok
 
 
-def enlarge(q: Cuboid, covering: "AdmissibleCovering", level: int) -> Cuboid:
-    """Q*, Q**, or Q*** for level 1, 2, 3."""
-    if level not in (1, 2, 3):
-        raise ValueError("enlargement level must be 1, 2, or 3")
-    return q.enlarged(covering.kappa, level)
-
-
 # ---------------------------------------------------------------------------
 # Coverings
 # ---------------------------------------------------------------------------
@@ -304,6 +297,39 @@ def _boxes_touch(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     return np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=-1)
 
 
+def _starts_within(lo, hi, starts, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(k, l) for every box k and every l with starts[l] in [lo[k], hi[k]]
+    (side "left") or in (lo[k], hi[k]] (side "right")."""
+    order = np.argsort(starts, kind="stable")
+    ordered = starts[order]
+    first = np.searchsorted(ordered, lo, side=side)
+    count = np.maximum(np.searchsorted(ordered, hi, side="right") - first, 0)
+    k = np.repeat(np.arange(len(lo)), count)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return k, order[np.repeat(first, count) + offset]
+
+
+def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), in lexicographic order, of the closed boxes
+    A_i = [lo_a[i], hi_a[i]] and B_j = [lo_b[j], hi_b[j]] that intersect.
+
+    Sort and sweep on axis 0: a pair is found from whichever box starts
+    first there (A on ties), whose axis-0 extent holds the other's start;
+    the candidates are then filtered on every axis.  Points are boxes
+    with lo = hi.
+    """
+    i1, j1 = _starts_within(lo_a[:, 0], hi_a[:, 0], lo_b[:, 0], "left")
+    j2, i2 = _starts_within(lo_b[:, 0], hi_b[:, 0], lo_a[:, 0], "right")
+    i = np.concatenate([i1, i2])
+    j = np.concatenate([j1, j2])
+    keep = np.ones(len(i), dtype=bool)
+    for la, ha, lb, hb in zip(lo_a.T, hi_a.T, lo_b.T, hi_b.T):
+        keep &= (la[i] <= hb[j]) & (lb[j] <= ha[i])
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
 def _boxes_overlap_measure(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     width = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
     return np.prod(np.maximum(width, 0.0), axis=-1)
@@ -346,6 +372,10 @@ def validate_covering(c: AdmissibleCovering, samples: int = 4096) -> CoveringRep
     Shape/overlap/neighbour checks run exactly on cuboid interval
     arithmetic; window coverage and the Q***-overlap count use Halton
     sampling of the window box.  Reports, never raises, on violations.
+
+    Only pairs whose Q*** boxes meet are examined: Q*** contains Q, so
+    every touching pair of cuboids is among them.  With the sort and
+    sweep of ``_box_pairs`` the cost is O(n log n + pairs), not O(n^2).
     """
     n = len(c.cuboids)
     lo, hi = c.boxes()
@@ -355,40 +385,24 @@ def validate_covering(c: AdmissibleCovering, samples: int = 4096) -> CoveringRep
 
     measured_c1 = float(np.max(r.max(axis=1) / r.min(axis=1)))
 
+    i, j = _box_pairs(lo3, hi3, lo3, hi3)
+    distinct = i < j
+    i, j = i[distinct], j[distinct]
+    touch = _boxes_touch(lo[i], hi[i], lo[j], hi[j])
+    overlap = _boxes_overlap_measure(lo[i], hi[i], lo[j], hi[j])
+    # property 2: positive-measure overlaps between distinct cuboids
+    scale = np.minimum(diam[i], diam[j])
+    bad = np.flatnonzero(overlap > 1e-12 * scale ** lo.shape[1])[:16]
+    overlap_violations = [(int(i[k]), int(j[k]), float(overlap[k]))
+                          for k in bad]
+    # property 4 on touching pairs
     measured_c2 = 1.0
-    overlap_violations = []
-    neighbour_bad = []
-    neighbours_ok = True
-    chunk = 512
-    scale = np.minimum.outer(diam, diam)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        touch = _boxes_touch(lo[sl, None, :], hi[sl, None, :],
-                             lo[None, :, :], hi[None, :, :])
-        overlap = _boxes_overlap_measure(lo[sl, None, :], hi[sl, None, :],
-                                         lo[None, :, :], hi[None, :, :])
-        touch3 = _boxes_touch(lo3[sl, None, :], hi3[sl, None, :],
-                              lo3[None, :, :], hi3[None, :, :])
-        rows = np.arange(sl.start, sl.stop)
-        same = rows[:, None] == np.arange(n)[None, :]
-        # property 2: positive-measure overlaps between distinct cuboids
-        bad = (overlap > 1e-12 * scale[sl] ** lo.shape[1]) & ~same
-        for i, j in zip(*np.nonzero(bad)):
-            if rows[i] < j:
-                overlap_violations.append((int(rows[i]), int(j),
-                                           float(overlap[i, j])))
-        # property 4 on touching pairs
-        ratio = np.maximum(diam[sl, None] / diam[None, :],
-                           diam[None, :] / diam[sl, None])
-        touching = touch & ~same
-        if np.any(touching):
-            measured_c2 = max(measured_c2, float(ratio[touching].max()))
-        # (neighbours): Q1*** meets Q2*** iff Q1 meets Q2
-        mismatch = (touch3 != touch) & ~same
-        for i, j in zip(*np.nonzero(mismatch)):
-            neighbours_ok = False
-            if len(neighbour_bad) < 16 and rows[i] < j:
-                neighbour_bad.append((int(rows[i]), int(j)))
+    if np.any(touch):
+        ratio = np.maximum(diam[i] / diam[j], diam[j] / diam[i])
+        measured_c2 = max(measured_c2, float(ratio[touch].max()))
+    # (neighbours): Q1*** meets Q2*** iff Q1 meets Q2
+    mismatch = np.flatnonzero(~touch)
+    neighbour_bad = [(int(i[k]), int(j[k])) for k in mismatch[:16]]
 
     win_lo = np.asarray(c.window_box[0], dtype=float)
     win_hi = np.asarray(c.window_box[1], dtype=float)
@@ -396,17 +410,8 @@ def validate_covering(c: AdmissibleCovering, samples: int = 4096) -> CoveringRep
     pts = win_lo + margin + halton(samples, len(win_lo)) \
         * (win_hi - win_lo - 2 * margin)
     covered = np.zeros(samples, dtype=bool)
-    count3 = np.zeros(samples, dtype=np.int32)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        inside = np.all((pts[None, :, :] >= lo[sl, :, None].transpose(0, 2, 1))
-                        & (pts[None, :, :] <= hi[sl, :, None].transpose(0, 2, 1)),
-                        axis=2)
-        covered |= inside.any(axis=0)
-        inside3 = np.all((pts[None, :, :] >= lo3[sl, :, None].transpose(0, 2, 1))
-                         & (pts[None, :, :] <= hi3[sl, :, None].transpose(0, 2, 1)),
-                         axis=2)
-        count3 += inside3.sum(axis=0, dtype=np.int32)
+    covered[_box_pairs(pts, pts, lo, hi)[0]] = True
+    count3 = np.bincount(_box_pairs(pts, pts, lo3, hi3)[0], minlength=samples)
     uncovered = [tuple(map(float, p)) for p in pts[~covered][:16]]
 
     return CoveringReport(
@@ -414,8 +419,8 @@ def validate_covering(c: AdmissibleCovering, samples: int = 4096) -> CoveringRep
         measured_c1=measured_c1, measured_c2=measured_c2,
         max_overlap_count=int(count3.max()),
         covers_window=bool(covered.all()), uncovered_points=uncovered,
-        overlap_violations=overlap_violations[:16],
-        neighbours_equivalent=neighbours_ok,
+        overlap_violations=overlap_violations,
+        neighbours_equivalent=not mismatch.size,
         neighbour_counterexamples=neighbour_bad,
         kappa=c.kappa, samples=samples)
 
@@ -439,6 +444,10 @@ class PartitionOfUnity:
         self._z = np.array([q.center for q in covering.cuboids])
         self._r = np.array([q.half_widths for q in covering.cuboids])
         self._kappa = covering.kappa
+        # closed Q* boxes, outside which a bump is exactly 0.0
+        reach = self._kappa * self._r
+        self._star_lo = self._z - reach
+        self._star_hi = self._z + reach
         # probe the window for holes at construction time
         probe = self._window_probe(256)
         sums = self.bump_sum(probe)
@@ -458,13 +467,42 @@ class PartitionOfUnity:
             pts = np.atleast_1d(pts)[:, None]
         return pts
 
+    def _rows_near(self, pts) -> np.ndarray:
+        """Ascending indices of the cuboids whose closed Q* = z +- kappa r
+        meets the bounding box of the points; every other bump is 0.0
+        there.  Rounding keeps the test conservative: a bump is nonzero
+        only where |x - z| < kappa r, and then z - kappa r <= x <= z + kappa r
+        also holds in floating point."""
+        if len(pts) == 0:
+            return np.arange(0)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        # a NaN coordinate leaves its axis unbounded: NaN reaches every bump
+        lo = np.where(np.isnan(lo), -np.inf, lo)
+        hi = np.where(np.isnan(hi), np.inf, hi)
+        return _box_pairs(lo[None], hi[None], self._star_lo, self._star_hi)[1]
+
+    def _bump_rows(self, rows, pts) -> np.ndarray:
+        r = self._r[rows, None, :]
+        dist = np.abs(pts[None, :, :] - self._z[rows, None, :])
+        ramp = (self._kappa * r - dist) / ((self._kappa - 1.0) * r)
+        return np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+
+    def _normalize(self, b, s, strict: bool, pts) -> np.ndarray:
+        if np.any(s <= 0.0):
+            if strict:
+                bad = pts[s <= 0.0][0]
+                raise CoveringHoleError(f"no bump reaches point {tuple(bad)}")
+            safe = np.where(s > 0.0, s, 1.0)
+            return np.where(s > 0.0, b / safe, 0.0)
+        return b / s
+
     def bumps(self, x) -> np.ndarray:
         """Raw bump matrix, shape (n_cuboids, n_points)."""
         pts = self._as_points(x)
-        dist = np.abs(pts[None, :, :] - self._z[:, None, :])
-        ramp = (self._kappa * self._r[:, None, :] - dist) \
-            / ((self._kappa - 1.0) * self._r[:, None, :])
-        return np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+        rows = self._rows_near(pts)
+        out = np.zeros((len(self._z), len(pts)))
+        out[rows] = self._bump_rows(rows, pts)
+        return out
 
     def bump_sum(self, x) -> np.ndarray:
         return self.bumps(x).sum(axis=0)
@@ -476,18 +514,24 @@ class PartitionOfUnity:
         bump reaches) yield psi = 0 instead of raising.
         """
         b = self.bumps(x)
-        s = b.sum(axis=0)
-        if np.any(s <= 0.0):
-            if strict:
-                pts = self._as_points(x)
-                bad = pts[s <= 0.0][0]
-                raise CoveringHoleError(f"no bump reaches point {tuple(bad)}")
-            safe = np.where(s > 0.0, s, 1.0)
-            return np.where(s > 0.0, b / safe[None, :], 0.0)
-        return b / s[None, :]
+        return self._normalize(b, b.sum(axis=0), strict, self._as_points(x))
 
-    def evaluate(self, index: int, x) -> np.ndarray:
-        return self.evaluate_all(x)[index]
+    def evaluate(self, index: int, x, strict: bool = True) -> np.ndarray:
+        """Row ``index`` of ``evaluate_all(x, strict)``, bit for bit.
+
+        Only the bumps that reach the points are summed.  numpy adds the
+        rows of an (n, m > 1) matrix one after another, so leaving out
+        rows of exact zeros changes no bit; a single column (m = 1) is
+        summed pairwise, where the zeros change the grouping, so that
+        column is summed at full length.
+        """
+        pts = self._as_points(x)
+        if len(pts) == 1:
+            b = self.bumps(pts)
+        else:
+            b = self._bump_rows(self._rows_near(pts), pts)
+        return self._normalize(self._bump_rows([index], pts)[0],
+                               b.sum(axis=0), strict, pts)
 
     def derivative_bound(self, index: int, points_per_axis: int = 1000) -> float:
         """max |psi'| over Q* by central differences (1-D coverings).

@@ -57,9 +57,6 @@ class DomainSpec:
         hi = np.minimum(np.asarray(hi, dtype=float), self.upper)
         return lo, hi
 
-    def is_bounded(self) -> bool:
-        return all(math.isfinite(a) and math.isfinite(b) for a, b in self.intervals)
-
 
 def real_line(d: int = 1) -> DomainSpec:
     return DomainSpec(tuple((-math.inf, math.inf) for _ in range(d)))

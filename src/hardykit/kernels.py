@@ -228,7 +228,8 @@ class SubordinationRule:
         g7 = np.tensordot(self.weights_g, vals, axes=(0, 0))
         err = np.max(np.abs(k15 - g7))
         scale = np.max(np.abs(k15))
-        if err > max(rtol * scale, 1e-13):
+        # written so that a NaN estimate (or scale) fails the check
+        if not err <= max(rtol * scale, 1e-13):
             raise QuadratureError("subordination quadrature error above budget",
                                   estimate=float(err), budget=rtol)
         return k15

@@ -527,8 +527,8 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
             def integrand(x):
                 sup = sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
                                  golden_iters=0).values[0]
-                psi_x = partition.evaluate_all(
-                    x if d > 1 else np.asarray(x), strict=False)[i]
+                psi_x = partition.evaluate(
+                    i, x if d > 1 else np.asarray(x), strict=False)
                 return sup * np.abs(psi_x - psi_y[i])
             res = integrate(rule, integrand)
             total += res.value

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hardykit import atoms as at
@@ -201,6 +203,51 @@ def test_decompose_triangle_property(qb, host):
     lfg = at.local_decompose(at.GridFunction(lo, hi, f + g), host, qb.kappa, 5) \
         .coefficient_l1
     assert lfg <= lf + lg + 1e-10
+
+
+def _loop_decompose(fq, depth):
+    """Reference for local_decompose's generations: one segment at a time."""
+    n, h = fq.cells, fq.cell_width
+    terms = []
+    approx = np.full(n, fq.values.mean())
+    for g in range(1, depth + 1):
+        cells_per = n >> (g - 1)
+        half = cells_per // 2
+        new_approx = approx.copy()
+        for a0 in range(0, n, cells_per):
+            seg = fq.values[a0:a0 + cells_per]
+            avg_l, avg_r = seg[:half].mean(), seg[half:].mean()
+            new_approx[a0:a0 + half] = avg_l
+            new_approx[a0 + half:a0 + cells_per] = avg_r
+            delta = avg_l - avg_r
+            if delta != 0.0:
+                d_lo = fq.lo + a0 * h
+                d_measure = (d_lo + cells_per * h) - d_lo
+                sign = 1.0 if delta > 0 else -1.0
+                values = np.concatenate([np.full(half, sign / d_measure),
+                                         np.full(half, -sign / d_measure)])
+                terms.append((float(abs(delta) * d_measure / 2.0), d_lo, values))
+        approx = new_approx
+    return terms, fq.values - approx
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(0, 6), cells=st.sampled_from([64, 256]),
+       seed=st.integers(0, 2 ** 16), zero_frac=st.sampled_from([0.0, 0.5, 0.9]))
+def test_decompose_matches_segment_loop(host, depth, cells, seed, zero_frac):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(cells) * 10.0 ** rng.integers(-6, 6, cells)
+    values[rng.random(cells) < zero_frac] = 0.0
+    fq = at.GridFunction(0.7, 2.3, values)
+    dec = at.local_decompose(fq, host, 1.05, depth)
+    terms, remainder = _loop_decompose(fq, depth)
+    classical = dec.terms[1:] if dec.terms and dec.terms[0][1].kind == "local" \
+        else dec.terms
+    assert len(classical) == len(terms)
+    for (coeff, atom), (ref_coeff, ref_lo, ref_values) in zip(classical, terms):
+        assert coeff == ref_coeff and atom.support_lo == ref_lo
+        assert atom.values.tobytes() == ref_values.tobytes()
+    assert dec.remainder.values.tobytes() == remainder.tobytes()
 
 
 def test_decompose_resolution_error(qb, host):

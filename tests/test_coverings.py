@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hardykit import coverings as cov
 from hardykit.domain import half_line, real_line
 from hardykit.errors import CoveringHoleError, SplitBudgetError
+from hardykit.quadrature import halton
 
 
 def boxes_1d(c):
@@ -86,17 +89,15 @@ def test_uniform_1d_overlap_kappa_1_1():
 def test_enlarge_levels():
     c = cov.covering_bessel((0, 0), kappa=1.1)
     q = cov.Cuboid((1.5,), (0.5,), half_line())
-    star = cov.enlarge(q, c, 1)
+    star = q.enlarged(c.kappa, 1)
     assert_allclose(star.half_widths[0], 0.55)
-    assert_allclose(cov.enlarge(q, c, 3).half_widths[0], 0.5 * 1.1 ** 3)
-    with pytest.raises(ValueError):
-        cov.enlarge(q, c, 4)
+    assert_allclose(q.enlarged(c.kappa, 3).half_widths[0], 0.5 * 1.1 ** 3)
 
 
 def test_enlarge_clips_to_domain():
     c = cov.covering_bessel((0, 0), kappa=1.2)
     q = cov.Cuboid((0.1,), (0.1,), half_line())
-    lo, hi = cov.enlarge(q, c, 1).box()
+    lo, hi = q.enlarged(c.kappa, 1).box()
     assert lo[0] == 0.0
     assert_allclose(hi[0], 0.22)
 
@@ -282,3 +283,213 @@ def test_svg_geometry_deterministic():
     prod = cov.box_product(cov.covering_bessel((-1, 1)),
                            cov.covering_laguerre((-1, 0)))
     assert cov.covering_svg(prod) == cov.covering_svg(prod)
+
+
+# ---------------------------------------------------------------------------
+# Sweep-based validation and partition against dense references
+# ---------------------------------------------------------------------------
+
+def _dense_validate(c, samples):
+    """Reference validate_covering: every pair of cuboids and every
+    (sample, cuboid) pair, as dense matrices."""
+    n = len(c.cuboids)
+    lo, hi = c.boxes()
+    lo3, hi3 = c.enlarged_boxes(3)
+    r = np.array([q.half_widths for q in c.cuboids])
+    diam = np.array([q.diameter for q in c.cuboids])
+    same = np.eye(n, dtype=bool)
+    touch = np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=-1)
+    touch3 = np.all((lo3[:, None] <= hi3[None]) & (lo3[None] <= hi3[:, None]),
+                    axis=-1)
+    width = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
+    overlap = np.prod(np.maximum(width, 0.0), axis=-1)
+    scale = np.minimum.outer(diam, diam)
+    upper = np.triu(~same)
+    bad = (overlap > 1e-12 * scale ** lo.shape[1]) & upper
+    ratio = np.maximum(diam[:, None] / diam[None], diam[None] / diam[:, None])
+    touching = touch & ~same
+    mismatch = (touch3 != touch) & upper
+
+    win_lo = np.asarray(c.window_box[0], dtype=float)
+    win_hi = np.asarray(c.window_box[1], dtype=float)
+    margin = 1e-9 * (win_hi - win_lo)
+    pts = win_lo + margin + halton(samples, len(win_lo)) \
+        * (win_hi - win_lo - 2 * margin)
+    inside = np.all((pts[None] >= lo[:, None]) & (pts[None] <= hi[:, None]), axis=2)
+    inside3 = np.all((pts[None] >= lo3[:, None]) & (pts[None] <= hi3[:, None]),
+                     axis=2)
+    covered = inside.any(axis=0)
+    return cov.CoveringReport(
+        family=c.family, cuboid_count=n,
+        measured_c1=float(np.max(r.max(axis=1) / r.min(axis=1))),
+        measured_c2=max(1.0, float(ratio[touching].max())) if touching.any() else 1.0,
+        max_overlap_count=int(inside3.sum(axis=0).max()),
+        covers_window=bool(covered.all()),
+        uncovered_points=[tuple(map(float, p)) for p in pts[~covered][:16]],
+        overlap_violations=[(int(i), int(j), float(overlap[i, j]))
+                            for i, j in zip(*np.nonzero(bad))][:16],
+        neighbours_equivalent=not mismatch.any(),
+        neighbour_counterexamples=[(int(i), int(j))
+                                   for i, j in zip(*np.nonzero(mismatch))][:16],
+        kappa=c.kappa, samples=samples)
+
+
+def _dense_psi(p, x, strict=True):
+    """Reference partition of unity: every bump at every point."""
+    c = p.covering
+    z = np.array([q.center for q in c.cuboids])
+    r = np.array([q.half_widths for q in c.cuboids])
+    dist = np.abs(x[None, :, :] - z[:, None, :])
+    ramp = (c.kappa * r[:, None, :] - dist) / ((c.kappa - 1.0) * r[:, None, :])
+    b = np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+    s = b.sum(axis=0)
+    if np.any(s <= 0.0):
+        assert not strict
+        return np.where(s > 0.0, b / np.where(s > 0.0, s, 1.0), 0.0)
+    return b / s
+
+
+@st.composite
+def _tiling(draw, half=False):
+    """1-D covering tiled by intervals whose edges are multiples of 1/8,
+    so that neighbours share float edges and enlargements tie."""
+    steps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    edges = (draw(st.integers(0, 8)) + np.concatenate([[0], np.cumsum(steps)])) / 8.0
+    dom = half_line() if half else real_line()
+    cuboids = tuple(cov.Cuboid((float(a + b) / 2,), (float(b - a) / 2,), dom)
+                    for a, b in zip(edges[:-1], edges[1:]))
+    kappa = draw(st.sampled_from([1.05, 1.2, 1.5, 2.0]))
+    return cov.AdmissibleCovering(
+        cuboids=cuboids, kappa=kappa, domain=dom,
+        window_box=((float(edges[0]),), (float(edges[-1]),)),
+        family="tiling", window=())
+
+
+@st.composite
+def _covering(draw):
+    """A 1-D tiling or a box product of two, possibly perturbed by dropped,
+    moved, grown, duplicated or added cuboids (gaps, overlaps and
+    neighbour mismatches)."""
+    c = draw(_tiling(half=draw(st.booleans())))
+    if draw(st.booleans()):
+        c = cov.box_product(c, draw(_tiling(half=draw(st.booleans()))))
+    cuboids = list(c.cuboids)
+    d = c.dimension
+    for op in draw(st.lists(st.sampled_from(["drop", "move", "grow", "dup", "add"]),
+                            max_size=4)):
+        k = draw(st.integers(0, len(cuboids) - 1))
+        q = cuboids[k]
+        if op == "drop" and len(cuboids) > 1:
+            del cuboids[k]
+        elif op == "move":
+            ax = draw(st.integers(0, d - 1))
+            shift = draw(st.sampled_from([-0.125, 0.125, 1e-3, 0.3]))
+            center = list(q.center)
+            center[ax] += shift
+            cuboids[k] = cov.Cuboid(tuple(center), q.half_widths, q.domain)
+        elif op == "grow":
+            cuboids[k] = q.enlarged(draw(st.sampled_from([1.25, 2.0])))
+        elif op == "dup":
+            cuboids.insert(draw(st.integers(0, len(cuboids))), q)
+        elif op == "add":
+            cuboids.append(cov.Cuboid(q.center, tuple(0.1 * h for h in q.half_widths),
+                                      q.domain))
+    return cov.AdmissibleCovering(
+        cuboids=tuple(cuboids), kappa=c.kappa, domain=c.domain,
+        window_box=c.window_box, family=c.family, window=c.window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=_covering(), samples=st.sampled_from([1, 16, 64, 256]))
+def test_validate_matches_dense_reference(c, samples):
+    assert cov.validate_covering(c, samples) == _dense_validate(c, samples)
+
+
+def test_box_pairs_matches_all_pairs():
+    rng = np.random.default_rng(5)
+    lo_a = np.round(rng.uniform(0, 4, (40, 2)), 1)
+    hi_a = lo_a + np.round(rng.uniform(-0.2, 1, (40, 2)), 1)  # some inverted
+    lo_b = np.round(rng.uniform(0, 4, (30, 2)), 1)
+    hi_b = lo_b + np.round(rng.uniform(0, 1, (30, 2)), 1)
+    touch = np.all((lo_a[:, None] <= hi_b[None]) & (lo_b[None] <= hi_a[:, None]),
+                   axis=-1)
+    i, j = cov._box_pairs(lo_a, hi_a, lo_b, hi_b)
+    expect_i, expect_j = np.nonzero(touch)
+    assert np.array_equal(i, expect_i) and np.array_equal(j, expect_j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=_tiling(half=False) | _tiling(half=True).map(
+           lambda a: cov.box_product(a, cov.covering_bessel((0, 1)))),
+       data=st.data())
+def test_partition_evaluate_matches_dense(c, data):
+    p = cov.partition_of_unity(c)
+    n, d = len(c.cuboids), c.dimension
+    i = data.draw(st.integers(0, n - 1))
+    # points around Q_i*, inside and outside it, clipped to the window
+    q = c.cuboids[i]
+    win_lo = np.asarray(c.window_box[0])
+    win_hi = np.asarray(c.window_box[1])
+    m = data.draw(st.sampled_from([1, 2, 5, 40]))
+    u = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m * d,
+                                      max_size=m * d)))
+    x = np.clip(np.asarray(q.center) + u.reshape(m, d) * q.half_widths, win_lo, win_hi)
+    psi = p.evaluate_all(x)
+    assert psi.tobytes() == _dense_psi(p, x).tobytes()
+    assert p.evaluate(i, x).tobytes() == psi[i].tobytes()
+    assert np.max(np.abs(psi.sum(axis=0) - 1.0)) <= 1e-12
+    # beyond the window, where no bump may reach
+    far = x + 3.0 * (win_hi - win_lo)
+    assert p.evaluate(i, far, strict=False).tobytes() \
+        == p.evaluate_all(far, strict=False)[i].tobytes() \
+        == _dense_psi(p, far, strict=False)[i].tobytes()
+
+
+def test_partition_star_edges_match_dense():
+    # points one ulp inside each Q*, where a bump is tiny but not 0.0
+    for c in (cov.covering_laguerre((-2, 1)),
+              cov.box_product(cov.covering_bessel((-1, 1)),
+                              cov.covering_laguerre((-1, 0)))):
+        p = cov.partition_of_unity(c)
+        z = np.array([q.center for q in c.cuboids])
+        reach = c.kappa * np.array([q.half_widths for q in c.cuboids])
+        pts = np.concatenate([np.nextafter(z - reach, z), np.nextafter(z + reach, z)])
+        pts = pts[np.all((pts > c.window_box[0]) & (pts < c.window_box[1]), axis=1)]
+        for x in pts:
+            for xs in (x[None], np.stack([x, x])):
+                dense = _dense_psi(p, xs)
+                assert p.evaluate_all(xs).tobytes() == dense.tobytes()
+                for i in range(len(c.cuboids)):
+                    assert p.evaluate(i, xs).tobytes() == dense[i].tobytes()
+
+
+def test_partition_single_point_sums_like_dense():
+    # one point is summed pairwise over the full column; >= 3 bumps overlap
+    c = cov.covering_uniform(real_line(2), 0.5, ([0.0, 0.0], [2.0, 2.0]), kappa=1.5)
+    p = cov.partition_of_unity(c)
+    for x in halton(64, 2) * 2.0:
+        x = x[None]
+        dense = _dense_psi(p, x)
+        assert p.evaluate_all(x).tobytes() == dense.tobytes()
+        for i in range(len(c.cuboids)):
+            assert p.evaluate(i, x).tobytes() == dense[i].tobytes()
+
+
+def test_partition_nan_point_matches_dense():
+    p = cov.partition_of_unity(cov.covering_bessel((-2, 2)))
+    x = np.array([[1.5], [np.nan], [1.9]])
+    dense = _dense_psi(p, x)
+    assert np.isnan(dense[:, 1]).all()
+    assert np.array_equal(p.evaluate_all(x), dense, equal_nan=True)
+    for i in range(len(p.covering.cuboids)):
+        assert np.array_equal(p.evaluate(i, x), dense[i], equal_nan=True)
+
+
+def test_partition_evaluate_hole_error():
+    p = cov.partition_of_unity(cov.covering_bessel((-2, 2)))
+    with pytest.raises(CoveringHoleError):
+        p.evaluate(0, np.array([100.0]))
+    with pytest.raises(CoveringHoleError):
+        p.evaluate(2, np.array([1.5, 100.0]))
+    assert np.array_equal(p.evaluate(2, np.array([1.5, 100.0]), strict=False),
+                          [1.0, 0.0])

@@ -354,3 +354,18 @@ def test_subordinate_time_column_is_row_by_row():
         sub.eval(1e9, x, 0.3)
     with pytest.raises(QuadratureError):
         sub.eval(np.array([[1e-3], [1.0], [1e9]]), x, 0.3)
+
+
+class _NaNHeat(K.EuclideanHeat):
+    """Heat kernel that returns NaN for t > 10."""
+
+    def eval(self, t, x, y):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 10.0, np.nan, super().eval(t, x, y))
+
+
+def test_subordinate_nan_base_raises():
+    # a NaN error estimate compares False with any budget; it must fail
+    sub = K.SubordinateKernel(_NaNHeat(1), 0.5)
+    with pytest.raises(QuadratureError):
+        sub.eval(1.0, np.array([0.0, 1.0]), 0.0)
