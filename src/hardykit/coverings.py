@@ -8,7 +8,7 @@ overlap in measure zero, side lengths within one cuboid are comparable
 by kappa, kappa^2, kappa^3 and are always intersected with X.
 
 Countable families are materialized over finite index windows; the
-family name and window are retained so windows can be widened.
+family name and window are retained to identify the covering in reports.
 """
 
 from __future__ import annotations
@@ -59,26 +59,11 @@ class Cuboid:
         r = np.array(self.half_widths)
         return self.domain.clip_box(z - r, z + r)
 
-    @property
-    def measure(self) -> float:
-        lo, hi = self.box()
-        return float(np.prod(np.maximum(hi - lo, 0.0)))
-
     def enlarged(self, kappa: float, level: int = 1) -> "Cuboid":
         factor = kappa ** level
         return Cuboid(self.center,
                       tuple(factor * r for r in self.half_widths),
                       self.domain)
-
-    def contains(self, x) -> np.ndarray:
-        lo, hi = self.box()
-        pts = np.asarray(x, dtype=float)
-        if self.dimension == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., None]
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for j in range(self.dimension):
-            ok &= (pts[..., j] >= lo[j]) & (pts[..., j] <= hi[j])
-        return ok
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +100,17 @@ class AdmissibleCovering:
         return self.cuboids[0].dimension
 
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        los, his = zip(*(q.box() for q in self.cuboids))
-        return np.stack(los), np.stack(his)
+        """(n, d) arrays of the cuboids' boxes, as ``Cuboid.box`` gives them."""
+        z = np.array([q.center for q in self.cuboids], dtype=float)
+        r = np.array([q.half_widths for q in self.cuboids], dtype=float)
+        return self.domain.clip_box(z - r, z + r)
 
     def enlarged_boxes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        los, his = zip(*(q.enlarged(self.kappa, level).box()
-                         for q in self.cuboids))
-        return np.stack(los), np.stack(his)
+        """(n, d) arrays of the boxes of ``q.enlarged(kappa, level)``."""
+        z = np.array([q.center for q in self.cuboids], dtype=float)
+        r = self.kappa ** level * np.array(
+            [q.half_widths for q in self.cuboids], dtype=float)
+        return self.domain.clip_box(z - r, z + r)
 
 
 def covering_bessel(window: tuple[int, int],
@@ -276,17 +265,6 @@ def box_product(a: AdmissibleCovering, b: AdmissibleCovering,
         window_box=((*wa_lo, *wb_lo), (*wa_hi, *wb_hi)),
         family=f"({a.family})x({b.family})", window=(a.window, b.window),
         c1=None, c2=None)
-
-
-def widen(covering: AdmissibleCovering, extra: int) -> AdmissibleCovering:
-    """Rebuild the covering on a window extended by ``extra`` indices."""
-    if covering.family == "bessel":
-        n_lo, n_hi = covering.window
-        return covering_bessel((n_lo - extra, n_hi + extra), covering.kappa)
-    if covering.family == "laguerre":
-        n_lo, n_hi = covering.window
-        return covering_laguerre((n_lo - extra, n_hi + extra), covering.kappa)
-    raise ValueError(f"no window generator retained for family {covering.family}")
 
 
 # ---------------------------------------------------------------------------

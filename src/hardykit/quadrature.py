@@ -8,8 +8,9 @@ Three pieces used throughout the package:
 * product midpoint rules over boxes, box complements, and windows, with
   two-level Richardson refinement and a reported error estimate;
 
-* 15-point Gauss-Kronrod panels plus an adaptive 1-D driver for the
-  subordination and mass integrals.
+* 15-point Gauss-Kronrod panels plus ``integrate_adaptive``, the one
+  adaptive 1-D driver (the stable-density contour and clipped mass
+  integrals).
 """
 
 from __future__ import annotations
@@ -133,17 +134,6 @@ class TGrid:
         decades = math.log10(self.t_max / self.t_min)
         count = max(2, int(round(decades * self.points_per_decade)) + 1)
         return np.geomspace(self.t_min, self.t_max, count)
-
-
-def tgrid_for_cuboid(d_q: float, points_per_decade: int = 16,
-                     span: tuple[float, float] = (1e-8, 1e4)) -> TGrid:
-    """Default per-cuboid grid [1e-8 d_Q^2, 1e4 d_Q^2].
-
-    Beyond the upper end the kernels' envelope in t is monotone
-    decreasing for the exponents used here, so the truncated range
-    dominates the genuine supremum up to the envelope constant.
-    """
-    return TGrid(span[0] * d_q * d_q, span[1] * d_q * d_q, points_per_decade)
 
 
 class SupResult(NamedTuple):

@@ -5,9 +5,9 @@ Two families live here:
 * the modified Bessel function of the first kind ``I_tau`` for orders
   ``tau >= -1/2``, evaluated through an ascending power series for small
   arguments and the large-argument asymptotic expansion above a per-order
-  switch point.  Kernels always consume the exponentially scaled form
-  ``e^{-z} I_tau(z)`` so that the Gaussian factors of the kernels can
-  cancel the exponential growth without overflow;
+  switch point.  Kernels consume the log of the exponentially scaled form,
+  ``log(e^{-z} I_tau(z))`` from ``log z``, so that the Gaussian factors of
+  the kernels cancel the exponential growth without overflow;
 
 * the density ``g_nu`` of the one-sided nu-stable subordinator, i.e. the
   probability density on (0, inf) whose Laplace transform is
@@ -23,21 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, QuadratureError
 from .quadrature import gauss_kronrod_15 as _gk15
+from .quadrature import integrate_adaptive
 
 # The contour representation of g_nu is normalized so that g_nu is a
 # probability density; the 1/pi factor was fixed by enforcing
 # integral(g_nu) = 1 and is echoed into verification report metadata.
 STABLE_DENSITY_NORMALIZATION = 1.0 / math.pi
-
-# exp(z) overflows doubles near z = 709.78; keep a safety margin
-_UNSCALED_Z_LIMIT = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -49,75 +46,6 @@ def _bessel_switch_point(tau: float) -> float:
     # asymptotic series needs z well past tau^2, the power series is
     # cancellation-free (all terms positive) at any z.
     return max(30.0, 1.5 * tau * tau)
-
-
-def _bessel_series_scaled(tau: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_tau(z) by the ascending series; intended for z <= switch."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    zero = z == 0.0
-    if tau == 0.0:
-        out[zero] = 1.0
-    pos = ~zero
-    if not np.any(pos):
-        return out
-    zp = z[pos]
-    # first term (z/2)^tau / Gamma(tau+1), folded with e^{-z}
-    term = np.exp(tau * np.log(zp / 2.0) - gammaln(tau + 1.0) - zp)
-    total = term.copy()
-    q = zp * zp / 4.0
-    for k in range(500):
-        term = term * q / ((k + 1.0) * (tau + k + 1.0))
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    out[pos] = total
-    return out
-
-
-def _bessel_asymptotic_scaled(tau: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_tau(z) by the large-argument expansion; needs z >> tau^2.
-
-    The expansion is divergent; summation stops at the smallest term.  The
-    reflected e^{-2z} contribution is below 1e-26 relative for z >= 30 and
-    is dropped.
-    """
-    z = np.asarray(z, dtype=float)
-    mu = 4.0 * tau * tau
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones_like(z, dtype=bool)
-    for k in range(40):
-        factor = -(mu - (2 * k + 1.0) ** 2) / (8.0 * (k + 1.0) * z)
-        new_term = term * factor
-        # stop where terms no longer shrink (divergent tail)
-        grow = np.abs(new_term) >= np.abs(term)
-        active = active & ~grow
-        term = np.where(active, new_term, 0.0)
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-            break
-    return total / np.sqrt(2.0 * math.pi * z)
-
-
-def bessel_i_scaled(tau: float, z):
-    """Exponentially scaled modified Bessel function e^{-z} I_tau(z).
-
-    Vectorized over z.  Raises DomainError for tau < -1/2 or z < 0.
-    """
-    if tau < -0.5:
-        raise DomainError(f"order tau={tau} below -1/2")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or not np.all(np.isfinite(z)):
-        raise DomainError("argument z must be finite and nonnegative")
-    z0 = _bessel_switch_point(tau)
-    out = np.empty_like(z)
-    small = z <= z0
-    if np.any(small):
-        out[small] = _bessel_series_scaled(tau, z[small])
-    if np.any(~small):
-        out[~small] = _bessel_asymptotic_scaled(tau, z[~small])
-    return out if out.ndim else float(out)
 
 
 def log_bessel_i_scaled(tau: float, log_z):
@@ -170,25 +98,6 @@ def log_bessel_i_scaled(tau: float, log_z):
                 break
         out[~small] = -0.5 * (math.log(2.0 * math.pi) + lz) + np.log(total)
     return out if out.ndim else float(out)
-
-
-class BesselResult(NamedTuple):
-    value: float
-    scaled: bool
-
-
-def bessel_i(tau: float, z: float) -> BesselResult:
-    """I_tau(z) for tau >= -1/2, z >= 0.
-
-    Returns the plain value for z <= 700.  Beyond that the unscaled value
-    would overflow the double range, so the exponentially scaled value
-    e^{-z} I_tau(z) is returned with ``scaled=True`` rather than silently
-    saturating to inf.
-    """
-    scaled_value = float(bessel_i_scaled(tau, z))
-    if z <= _UNSCALED_Z_LIMIT:
-        return BesselResult(scaled_value * math.exp(z), False)
-    return BesselResult(scaled_value, True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +173,10 @@ def _stable_contour(nu: float, s: float, theta: float,
                     rtol: float = 1e-9, max_panels: int = 20000) -> float:
     """g_nu(s) by quadrature of the contour integral along arg w = theta.
 
-    Panels follow the local oscillation of the phase
-    (s w - w^nu) sin(theta); the tail is truncated where the joint
-    damping factor drops below 1e-16.
+    The seed panels follow the local oscillation of the phase
+    (s w - w^nu) sin(theta), and ``integrate_adaptive`` bisects them until
+    the error budget holds; the tail is truncated where the joint damping
+    factor drops below 1e-16.
     """
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
@@ -295,31 +205,9 @@ def _stable_contour(nu: float, s: float, theta: float,
             raise QuadratureError(
                 "stable density contour produced too many oscillation panels",
                 budget=max_panels)
-    edges.append(w_max)
-
-    panels = [_gk15(integrand, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    total = math.fsum(v for v, _ in panels)
-    err = math.fsum(e for _, e in panels)
-    # adaptive bisection of the worst panels until the error budget holds
-    intervals = [(e, a, b, v) for (v, e), a, b in
-                 zip(panels, edges[:-1], edges[1:])]
-    budget = max_panels - len(intervals)
-    while err > rtol * max(abs(total), 1e-3) and budget > 0:
-        intervals.sort(key=lambda r: r[0])
-        worst = intervals.pop()
-        _, a, b, v_old = worst
-        m = 0.5 * (a + b)
-        left = _gk15(integrand, a, m)
-        right = _gk15(integrand, m, b)
-        intervals.append((left[1], a, m, left[0]))
-        intervals.append((right[1], m, b, right[0]))
-        total = math.fsum(r[3] for r in intervals)
-        err = math.fsum(r[0] for r in intervals)
-        budget -= 1
-    if err > rtol * max(abs(total), 1e-3) and err > 1e-12:
-        raise QuadratureError(
-            "stable density contour quadrature did not converge",
-            estimate=err, budget=max_panels)
+    total, _ = integrate_adaptive(integrand, 0.0, w_max, rtol=rtol,
+                                  atol=rtol * 1e-3, breakpoints=edges[1:],
+                                  max_panels=max_panels)
     return total * STABLE_DENSITY_NORMALIZATION
 
 

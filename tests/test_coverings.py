@@ -189,13 +189,6 @@ def test_neighbours_equivalence_exact():
         assert cov.validate_covering(family).neighbours_equivalent
 
 
-def test_widen():
-    c = cov.covering_bessel((-1, 1))
-    wide = cov.widen(c, 2)
-    assert wide.window == (-3, 3)
-    assert len(wide.cuboids) == 7
-
-
 # ---------------------------------------------------------------------------
 # Partition of unity
 # ---------------------------------------------------------------------------

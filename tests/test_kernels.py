@@ -320,6 +320,19 @@ def test_schrodinger_constant_potential_mass(schrodinger_v1):
     assert abs(K.mass(schrodinger_v1, 2.0, 0.3) - math.exp(-2.0)) < 1e-4
 
 
+@pytest.mark.parametrize("name", ["schrodinger_v1", "schrodinger_x2"])
+def test_schrodinger_box_mass_is_node_sum(name, request):
+    # the kernel is piecewise linear in y with zeros at +-R, so its
+    # integral over the box is h times the sum of its node values
+    k = request.getfixturevalue(name)
+    for t in (1e-4, 1e-2, 0.25, 1.0, 4.0, k.max_valid_time()):
+        for x in (-3.0, 0.0, 0.37, 2.5):
+            exact = k.h * math.fsum(k.eval(t, x, k.grid))
+            assert abs(K.mass(k, t, x) - exact) <= 1e-12 * exact
+            wide = K.mass(k, t, x, 2.0 * k.box_half_width)
+            assert abs(wide - exact) <= 1e-12 * exact
+
+
 def test_schrodinger_guards():
     with pytest.raises(DomainError):
         K.schrodinger_build(lambda x: -np.ones_like(x), 10.0, 200)

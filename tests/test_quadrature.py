@@ -19,12 +19,6 @@ def test_tgrid_invariants():
         q.TGrid(1.0, 0.5)
 
 
-def test_tgrid_for_cuboid_span():
-    grid = q.tgrid_for_cuboid(2.0)
-    assert_allclose(grid.t_min, 1e-8 * 4.0)
-    assert_allclose(grid.t_max, 1e4 * 4.0)
-
-
 def test_sup_over_t_heat_closed_form():
     # sup_t (4 pi t)^{-1/2} exp(-r^2/4t) = (2 pi e)^{-1/2} / r at t = r^2/2
     rs = np.array([0.5, 1.0, 2.0, 5.0])

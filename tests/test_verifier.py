@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -199,6 +200,45 @@ def test_dprime_mehler_decay(schrodinger_x2):
     report = V.verify_schrodinger_D(schrodinger_x2, qs, rho_target=2.0,
                                     settings=TINY)
     assert report.parameters["passed"]
+
+
+def test_dprime_needs_no_kernel_evaluation(schrodinger_v1, monkeypatch):
+    # every (D') mass is a full-box mass, an exact eigen sum
+    qs = cov.covering_uniform(real_line(1), 1.0, ([-1.0], [1.0]))
+    expected = V.verify_schrodinger_D(schrodinger_v1, qs, settings=TINY)
+
+    def no_eval(*args):
+        raise AssertionError("SchrodingerKernel.eval called")
+    monkeypatch.setattr(K.SchrodingerKernel, "eval", no_eval)
+    report = V.verify_schrodinger_D(schrodinger_v1, qs, settings=TINY)
+    assert report.to_text() == expected.to_text()
+
+
+def test_heat_time_integral_closed_form():
+    # int_0^t (4 pi s)^{-1/2} e^{-r^2/4s} ds = sqrt(t/pi) e^{-u^2} - |r|/2
+    # erfc(u), u = |r|/(2 sqrt t), at 60 digits; values below the smallest
+    # normal double cannot hold a relative accuracy and are checked
+    # absolutely
+    mpmath.mp.dps = 60
+    tiny = np.finfo(float).tiny
+    ts = np.geomspace(1.0 / 4096.0, 25.0, 25)
+    rs = np.linspace(-3.0, 3.0, 61)
+    got = V._heat_time_integral(ts[:, None], rs[None, :])
+    for i, t in enumerate(ts):
+        for j, r in enumerate(rs):
+            tm, rm = mpmath.mpf(float(t)), abs(mpmath.mpf(float(r)))
+            u = rm / (2 * mpmath.sqrt(tm))
+            ref = float(mpmath.sqrt(tm / mpmath.pi) * mpmath.exp(-u * u)
+                        - rm / 2 * mpmath.erfc(u))
+            if ref >= tiny:
+                assert abs(got[i, j] - ref) <= 1e-12 * ref, (t, r)
+            else:
+                assert abs(got[i, j] - ref) <= tiny, (t, r)
+    # and the integral itself, by quadrature
+    t, r = 0.3, 0.7
+    quad = mpmath.quad(lambda s: (4 * mpmath.pi * s) ** -0.5
+                       * mpmath.exp(-r * r / (4 * s)), [0, t])
+    assert_allclose(V._heat_time_integral(t, r), float(quad), rtol=1e-12)
 
 
 def test_k_constant_potential(schrodinger_v1):
