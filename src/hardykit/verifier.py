@@ -402,7 +402,9 @@ def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
         y_pt = y[0] if d == 1 else y
 
         def diff(t, x):
-            return np.abs(k.eval(t, x, y_pt) - comp.eval(t, x, y_pt))
+            # a kernel that is its own comparison is evaluated once
+            v = k.eval(t, x, y_pt)
+            return np.abs(v - (v if comp is k else comp.eval(t, x, y_pt)))
 
         results = _integrate_sup(diff, rule, grid, neg, s.golden_iters,
                                  s.hard_quad_tol)

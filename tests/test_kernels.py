@@ -116,6 +116,45 @@ def test_stable_natural_time():
                     rtol=1e-12)
 
 
+# SubordinateKernel(base, 0.7).eval(t, x, y) computed before the stable
+# density returned an exact 0 in its left tail, when the subordination rule
+# still carried the inner panels whose weights are contour noise
+_HEAT_07 = {
+    1e-3: [0.14176633054831597, 0.8818380581516347, 0.004446308436079895,
+           0.00021558617102081484],
+    0.05: [0.9451547846165482, 1.1945679837112795, 0.09037704123972763,
+           0.0035377721804333274],
+    1.0: [0.28530775583902646, 0.2889031183359873, 0.2245275622643446,
+          0.03791874721092931],
+    20.0: [0.06481737812704827, 0.0648581133941176, 0.06400982210718995,
+           0.05529521138488879],
+}
+_BESSEL_07 = {
+    1e-3: [0.004527654130283108, 0.1401033925146618, 0.04943436948740702,
+           0.00046837213598957853],
+    0.05: [0.09780419590655101, 0.914325234924021, 0.6543367238555856,
+           0.008223755738401893],
+    1.0: [0.025922707829589945, 0.11719682377450366, 0.17217059416787978,
+          0.07042185994136806],
+    20.0: [0.00037517139973088597, 0.0018634467581819171,
+           0.003650575324255005, 0.007913412072416904],
+}
+
+
+def test_subordinate_values_without_noise_panels():
+    heat = K.SubordinateKernel(K.EuclideanHeat(1), 0.7)
+    bessel = K.SubordinateKernel(K.BesselKernel(1.0), 0.7)
+    for t, expected in _HEAT_07.items():
+        assert_allclose(heat.eval(t, np.array([0.0, 0.3, 1.0, 3.0]), 0.2),
+                        expected, rtol=1e-11, atol=0.0)
+    for t, expected in _BESSEL_07.items():
+        assert_allclose(bessel.eval(t, np.array([0.1, 0.5, 1.0, 2.5]), 0.7),
+                        expected, rtol=1e-11, atol=0.0)
+    # the 43 inner panels below s*(0.7) ~ 1.26e-2 are no longer built
+    assert heat.rule.panel_count == 67
+    assert K.SubordinationRule(0.5).nodes.size == 1080
+
+
 def test_stable_scaling_covariance():
     # P_{u,nu}(x, y) = u^{-d/(2 nu)} phi(|x-y| u^{-1/(2 nu)}); in the
     # substituted time this reads eval(4t, 2x, 2y) = eval(t, x, y) / 2
@@ -154,6 +193,9 @@ def test_product_kernel():
 def test_comparison_designations():
     assert isinstance(K.BesselKernel(1.0).comparison(), K.EuclideanHeat)
     assert isinstance(K.LaguerreKernel(0.5).comparison(), K.EuclideanHeat)
+    for own in (K.SubordinateKernel(K.EuclideanHeat(1), 0.7),
+                K.StableKernel(0.7, 1)):
+        assert own.comparison() is own
     sub_comp = K.SubordinateKernel(K.BesselKernel(1.0), 0.5).comparison()
     assert isinstance(sub_comp, K.SubordinateKernel)
     assert isinstance(sub_comp.base, K.EuclideanHeat)

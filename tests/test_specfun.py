@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 from scipy.special import ive
 from scipy.stats import levy_stable
 
@@ -111,6 +113,76 @@ def test_density_half_closed_form():
 def test_density_vanishes_at_zero():
     p = sf.StableDensityParams(0.5)
     assert sf.stable_density(p, 1e-4) < 1e-100
+
+
+def _zero_threshold(nu):
+    """s*(nu): the bound log(P(S <= 2s)/s) equals log(1e-300) there."""
+    def excess(log_s):
+        return (float(sf._stable_left_tail_log_bound(nu, math.exp(log_s)))
+                - math.log(1e-300))
+    return math.exp(brentq(excess, math.log(1e-300), math.log(0.5)))
+
+
+def test_zero_branch_at_half_matches_closed_form():
+    # the closed form runs first at nu = 1/2; wherever the zero branch
+    # would apply, the closed form is below 1e-300 as well
+    s = np.geomspace(1e-12, 1.0, 2001)
+    zeroed = sf._stable_left_tail_log_bound(0.5, s) < math.log(1e-300)
+    assert 0 < zeroed.sum() < len(s)
+    log_closed = -0.25 / s - math.log(2.0 * math.sqrt(math.pi)) - 1.5 * np.log(s)
+    assert np.all(log_closed[zeroed] < math.log(1e-300))
+    assert_allclose(_zero_threshold(0.5), 1.8e-4, rtol=0.01)
+    assert_allclose(_zero_threshold(0.7), 1.26e-2, rtol=0.01)
+
+
+@pytest.mark.parametrize("nu", [0.2, 0.3, 0.5, 0.7, 0.9])
+def test_left_tail_bound_dominates_levy_stable(nu):
+    # g(s) <= P(S <= 2s)/s holds where 2s lies below the mode
+    s_star = _zero_threshold(nu)
+    p = sf.StableDensityParams(nu)
+    grid = np.geomspace(s_star, 5.0, 301)
+    mode = grid[np.argmax(sf.stable_density(p, grid))]
+    assert 2.0 * s_star < mode
+    scale = math.cos(math.pi * nu / 2.0) ** (1.0 / nu)
+    law = levy_stable(nu, 1.0, loc=0.0, scale=scale)
+    s = np.geomspace(s_star, 0.5 * mode, 40)
+    pdf = law.pdf(s)
+    resolved = pdf >= 1e-12
+    # at nu = 0.9 the density stays below 1e-23 up to mode/2
+    assert resolved.sum() >= (5 if nu < 0.9 else 0)
+    bound = np.exp(sf._stable_left_tail_log_bound(nu, s[resolved]))
+    assert np.all(bound >= pdf[resolved])
+    # the Chernoff step alone, P(S <= x) <= exp(-B x^{-nu/(1-nu)}), up to
+    # the mode: exp(log bound at x/2) * x/2
+    x = np.geomspace(2.0 * s_star, mode, 40)
+    cdf = law.cdf(x)
+    resolved = cdf >= 1e-12
+    assert resolved.sum() >= 3
+    x = x[resolved]
+    chernoff = np.exp(sf._stable_left_tail_log_bound(nu, 0.5 * x)) * 0.5 * x
+    assert np.all(chernoff >= cdf[resolved])
+
+
+def test_zero_branch_skips_the_contour(monkeypatch):
+    nu = 0.7
+    s_star = _zero_threshold(nu)
+    below = np.geomspace(1e-6, 0.999 * s_star, 9)
+
+    def no_contour(*args, **kwargs):
+        raise AssertionError("contour evaluated in the zero region")
+
+    monkeypatch.setattr(sf, "_stable_contour", no_contour)
+    p = sf.StableDensityParams(nu)
+    assert np.array_equal(sf.stable_density(p, below), np.zeros_like(below))
+    assert sf.stable_density(p, 0.5 * s_star) == 0.0
+
+
+def test_left_tail_bound_overflows_to_minus_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf._stable_left_tail_log_bound(0.9999, 0.1) == -math.inf
+        assert sf._stable_left_tail_log_bound(0.9999, 0.4) == -math.inf
+        assert np.isfinite(sf._stable_left_tail_log_bound(0.9999, 2.0))
 
 
 def test_density_domain_error():

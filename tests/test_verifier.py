@@ -122,6 +122,33 @@ def test_a2prime_identical_kernels_zero(heat1):
     assert report.sup_constant == 0.0
 
 
+class _CountingSubordinate(K.SubordinateKernel):
+    """Subordinated kernel that counts its eval calls."""
+
+    def __init__(self, base, nu):
+        super().__init__(base, nu)
+        self.calls = 0
+
+    def eval(self, t, x, y):
+        self.calls += 1
+        return super().eval(t, x, y)
+
+
+def test_a2prime_self_comparison_evaluates_once():
+    qu = cov.covering_uniform(real_line(1), 1.0, ([0.0], [1.0]))
+    settings = V.VerifierSettings(tgrid_ppd=4, qmc_y=1, golden_iters=4)
+    own = _CountingSubordinate(K.EuclideanHeat(1), 0.7)
+    assert own.comparison() is own
+    mine = V.comparison_reports(own, qu, settings, gamma=0.2)
+    k = _CountingSubordinate(K.EuclideanHeat(1), 0.7)
+    comp = _CountingSubordinate(K.EuclideanHeat(1), 0.7)
+    explicit = V.comparison_reports(k, qu, settings, gamma=0.2, comparison=comp)
+    assert [r.to_text() for r in mine] == [r.to_text() for r in explicit]
+    # one comp.eval per diff call, so these count the diff calls
+    assert comp.calls > 0 and k.calls == comp.calls
+    assert own.calls == comp.calls
+
+
 def test_a2_bessel_deltas(bessel1, qb_small):
     reports = V.verify_A2(bessel1, qb_small, gamma=0.2, settings=FAST)
     for r in reports:
