@@ -100,16 +100,19 @@ def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
     out = np.empty((n, dim))
+    index = np.arange(start, start + n, dtype=np.int64)
     for j in range(dim):
         base = _PRIMES[j]
-        for i in range(n):
-            k = i + start
-            value, denom = 0.0, 1.0
-            while k > 0:
-                k, digit = divmod(k, base)
-                denom *= base
-                value += digit / denom
-            out[i, j] = value
+        k = index
+        value = np.zeros(n)
+        denom = 1.0
+        # one pass per digit position, all points at once; a point whose
+        # digits are used up adds 0.0, which leaves its value unchanged
+        while np.any(k > 0):
+            k, digit = np.divmod(k, base)
+            denom *= base
+            value += digit / denom
+        out[:, j] = value
     return out
 
 
@@ -302,7 +305,7 @@ def integrate(rule: SpatialRule, f, tol: float | None = None) -> IntegralResult:
     def apply(level):
         pts, wts = rule.nodes_and_weights(level)
         x = pts[:, 0] if d == 1 else pts
-        return float(np.dot(wts, np.asarray(f(x), dtype=float)))
+        return float(np.sum(wts * np.asarray(f(x), dtype=float)))
 
     coarse = apply(1)
     fine = apply(2)

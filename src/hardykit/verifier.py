@@ -203,7 +203,7 @@ def _integrate_sup(point_fn: Callable, rule: SpatialRule, grid: TGrid,
         x = pts[:, 0] if d == 1 else pts
         sups = sup_over_t(lambda t: point_fn(t, x), grid, deltas,
                           golden_iters).values
-        levels[level] = {delta: float(np.dot(wts, s))
+        levels[level] = {delta: float(np.sum(wts * s))
                          for delta, s in zip(deltas, sups)}
     out = {}
     for delta in deltas:
@@ -223,7 +223,8 @@ def _edge_tail_estimate(integrand: Callable, win_lo, win_hi, hole_center,
 
     Probes the integrand at the window edges and extrapolates a ~r^{-2}
     decay; negligible for kernels with genuine spatial decay, an O(1)
-    honesty signal for kernels without it.
+    honesty signal for kernels without it.  A probe value that is not
+    finite raises QuadratureError.
     """
     probes = []
     for j in range(d):
@@ -238,6 +239,9 @@ def _edge_tail_estimate(integrand: Callable, win_lo, win_hi, hole_center,
     pts = np.array(probes)
     x = pts[:, 0] if d == 1 else pts
     vals = np.asarray(integrand(x), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError(
+            "integrand not finite at the truncation window edge")
     half_extent = 0.5 * float(np.max(win_hi - win_lo))
     return float(np.sum(np.abs(vals)) * half_extent)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from hardykit import atoms
@@ -111,6 +116,38 @@ def test_verify_threads_match_serial(tmp_path):
     assert run(["--config", cfg, "--out", out1, "verify"]) == 0
     assert run(["--config", cfg, "--out", out2, "--threads", 3, "verify"]) == 0
     assert (out1 / "A1prime.csv").read_bytes() == (out2 / "A1prime.csv").read_bytes()
+
+
+def test_verify_independent_of_blas_threads(tmp_path):
+    # the product rule has more nodes than OpenBLAS's threading threshold
+    # for a dot product, so a BLAS reduction would sum in another order
+    cfg = write_config(tmp_path / "v.cfg", """
+[kernel]
+kind = product
+factors = bessel:1.0, bessel:1.0
+[covering]
+family = bessel-box
+window = 0..0
+[conditions]
+list = A1prime
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 0
+golden_iters = 0
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardykit.cli", "--config", cfg,
+             "--out", str(out), "verify"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "A1prime.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_maximal_command(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hardykit import kernels as K
@@ -66,6 +69,34 @@ def test_bessel_kernel_formula_point():
     assert_allclose(K.BesselKernel(1.0).eval(t, x, y), expected, rtol=1e-12)
     # equals the closed form as well
     assert_allclose(expected, bessel1_closed_form(t, x, y), rtol=1e-12)
+
+
+_HALF_LINE_POINT = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_HALF_LINE_POINT, y=_HALF_LINE_POINT, log10_t=st.floats(-3.0, 3.0))
+def test_bessel_beta1_is_reflected_heat(x, y, log10_t):
+    # the kernel is exp of a sum of logs, so its relative error is about
+    # eps times the size of those logs; points in {0} U [1e-3, 20] and a
+    # Gaussian exponent up to 100 keep them below about 130
+    t = 10.0 ** log10_t
+    assume((x - y) ** 2 / (4.0 * t) <= 100.0)
+    got = K.BesselKernel(1.0).eval(t, x, y)
+    assert_allclose(got, bessel1_closed_form(t, x, y), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kernel", [
+    K.BesselKernel(0.5), K.BesselKernel(1.0), K.BesselKernel(2.0),
+    K.LaguerreKernel(0.5), K.LaguerreKernel(1.0)], ids=lambda k: k.kind)
+def test_half_line_kernels_vanish_at_zero(kernel):
+    t = np.array([[1e-3], [0.5], [40.0]])
+    pts = np.array([0.0, 0.25, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_x0 = kernel.eval(t, 0.0, pts)
+        at_y0 = kernel.eval(t, pts, 0.0)
+    assert np.all(at_x0 == 0.0) and np.all(at_y0 == 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])

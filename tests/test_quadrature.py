@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -131,6 +131,34 @@ def test_halton_deterministic():
     assert np.array_equal(a, b)
     assert_allclose(a[0], [0.5, 1.0 / 3.0])
     assert np.all((a >= 0) & (a < 1))
+
+
+def _halton_reference(n, dim, start=1):
+    """Point-by-point radical inverse, the loop the vectorised halton
+    must reproduce bit for bit."""
+    out = np.empty((n, dim))
+    for j in range(dim):
+        base = q._PRIMES[j]
+        for i in range(n):
+            k = i + start
+            value, denom = 0.0, 1.0
+            while k > 0:
+                k, digit = divmod(k, base)
+                denom *= base
+                value += digit / denom
+            out[i, j] = value
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 5000), dim=st.integers(1, len(q._PRIMES)),
+       start=st.one_of(st.integers(0, 3), st.integers(0, 10 ** 7)))
+@example(n=5000, dim=len(q._PRIMES), start=1)
+def test_halton_matches_point_loop(n, dim, start):
+    got = q.halton(n, dim, start)
+    ref = _halton_reference(n, dim, start)
+    assert got.shape == (n, dim)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_golden_refine_quadratic():

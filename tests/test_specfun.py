@@ -88,6 +88,76 @@ def test_log_bessel_matches_linear():
         assert_allclose(via_log, direct, rtol=0, atol=1e-12)
 
 
+def test_half_order_against_mpmath():
+    # the closed form log(-expm1(-2z)) - log(2 pi z)/2 against 40 digits
+    mpmath.mp.dps = 40
+    log_z = np.linspace(-30.0, 8.0, 381)
+    got = sf.log_bessel_i_scaled(0.5, log_z)
+    ref = []
+    for lz in log_z:
+        z = mpmath.exp(mpmath.mpf(float(lz)))
+        ref.append(float(mpmath.log(mpmath.besseli(0.5, z)) - z))
+    assert np.max(np.abs(got - np.array(ref))) < 1e-14
+
+
+def test_half_order_underflow_band():
+    # from z = e^{-30} down to exact underflow the value is the lead
+    # (log z - log(pi/2))/2 minus z < 1e-13
+    log_z = np.linspace(-800.0, -30.0, 771)
+    lead = 0.5 * (log_z - math.log(0.5 * math.pi))
+    got = sf.log_bessel_i_scaled(0.5, log_z)
+    assert_allclose(got, lead, rtol=1e-15, atol=1e-13)
+    assert np.all(np.isfinite(got))
+
+
+def test_half_order_at_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.log_bessel_i_scaled(0.5, -math.inf) == -math.inf
+        got = sf.log_bessel_i_scaled(0.5, np.array([-math.inf, 0.0, 800.0]))
+    assert got[0] == -math.inf
+    assert np.all(np.isfinite(got[1:]))
+
+
+# log_bessel_i_scaled at the general orders, recorded as float.hex from the
+# power-series/asymptotic implementation; the closed form at tau = 1/2
+# must leave these bits alone
+_GENERAL_ORDER_LOG_Z = [-math.inf, -800.0, -30.0, -4.0, -0.5, 0.0, 1.5, 3.4,
+                        3.5, 5.0, 8.0, 20.0]
+_GENERAL_ORDER_BITS = {
+    0.0: ["0x0.0p+0", "0x0.0p+0", "-0x1.a56e0c2ac7f75p-44",
+          "-0x1.2ab59b5523e93p-6", "-0x1.087edc9c2ab9ep-1",
+          "-0x1.87363bb31c152p-1", "-0x1.a2fd6be75e718p+0",
+          "-0x1.4eae50f21ccb8p+1", "-0x1.552228fef5ed3p+1",
+          "-0x1.b58415e8ffd63p+1", "-0x1.3acf33a83358fp+2",
+          "-0x1.5d67f1c84155ap+3"],
+    0.3: ["-inf", "-0x1.e03314f7b0eacp+7", "-0x1.23314f7b0eb00p+3",
+          "-0x1.5169ca2875553p+0", "-0x1.92becbc56d4fap-1",
+          "-0x1.d47181053f119p-1", "-0x1.a5fe4ac95e690p+0",
+          "-0x1.4ee0611387f30p+1", "-0x1.554f6213b3613p+1",
+          "-0x1.b58e0e080230dp+1", "-0x1.3acf72fbee865p+2",
+          "-0x1.5d67f1c84e151p+3"],
+    1.5: ["-inf", "-0x1.2c54c3077d890p+10", "-0x1.729860efb1238p+5",
+          "-0x1.d5ee902530d9dp+2", "-0x1.5279a7a818a6cp+1",
+          "-0x1.1ce6bb25aa131p+1", "-0x1.ebd509efb125ep+0",
+          "-0x1.53919e217aae0p+1", "-0x1.598c88a356045p+1",
+          "-0x1.b67d506877138p+1", "-0x1.3ad562d578aeap+2",
+          "-0x1.5d67f1c980071p+3"],
+    2.5: ["-inf", "-0x1.f4bbc40f5d3f5p+10", "-0x1.37bc40f5d3f51p+6",
+          "-0x1.9e77e01c1dfccp+3", "-0x1.30e82eef3c479p+2",
+          "-0x1.ee75cf46773e3p+1", "-0x1.33a460980e4a8p+1",
+          "-0x1.5c40bfb4c5c40p+1", "-0x1.61650e68165edp+1",
+          "-0x1.b8386057ddfe5p+1", "-0x1.3ae0615eccadep+2",
+          "-0x1.5d67f1cbb697ep+3"],
+}
+
+
+@pytest.mark.parametrize("tau", sorted(_GENERAL_ORDER_BITS))
+def test_general_orders_bit_identical(tau):
+    got = sf.log_bessel_i_scaled(tau, np.array(_GENERAL_ORDER_LOG_Z))
+    assert [float(v).hex() for v in got] == _GENERAL_ORDER_BITS[tau]
+
+
 # ---------------------------------------------------------------------------
 # Stable subordinator density
 # ---------------------------------------------------------------------------

@@ -59,6 +59,20 @@ def test_a1prime_heat_uniform_finite(heat1):
         <= 0.02 * report2.sup_constant
 
 
+def test_a1prime_nan_at_window_edge_raises():
+    # the Bessel window is clipped at 0, where the edge probe sits; the
+    # midpoint rule never evaluates x = 0, so only the probe sees the NaN
+    class NanAtOrigin(K.BesselKernel):
+        def eval(self, t, x, y):
+            v = super().eval(t, x, y)
+            return np.where(np.asarray(x) == 0.0, np.nan, v)
+
+    k = NanAtOrigin(1.0)
+    qb = cov.covering_bessel((0, 0))
+    with pytest.raises(QuadratureError, match="window edge"):
+        V.verify_A1prime(k, qb, TINY)
+
+
 def test_a1_delta_zero_matches_a1prime(bessel1, qb_small):
     ref = V.verify_A1prime(bessel1, qb_small, FAST)
     reports = V.verify_A1(bessel1, qb_small, gamma=0.2, settings=FAST)
