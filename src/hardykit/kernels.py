@@ -140,12 +140,16 @@ class BesselKernel(KernelFamily):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_xy = np.log(x) + np.log(y)
-        log_z = log_xy - np.log(2.0 * t)
-        log_k = (0.5 * log_xy - np.log(2.0 * t)
-                 + specfun.log_bessel_i_scaled(self.tau, log_z)
-                 - (x - y) ** 2 / (4.0 * t))
+            log_z = log_xy - np.log(2.0 * t)
+            log_k = (0.5 * log_xy - np.log(2.0 * t)
+                     + specfun.log_bessel_i_scaled(self.tau, log_z)
+                     - (x - y) ** 2 / (4.0 * t))
+        if self.tau < 0.0:
+            # the kernel is (xy)^{tau+1/2} times a bounded factor, an exact
+            # 0 at x = 0 or y = 0, where its log form meets inf - inf
+            log_k = np.where(log_xy == -math.inf, -math.inf, log_k)
         return np.exp(log_k)
 
     def comparison(self) -> "KernelFamily":
@@ -166,16 +170,18 @@ class LaguerreKernel(KernelFamily):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            log_xy = np.log(x) + np.log(y)
         ls = _log_sinh(2.0 * t)
-        log_z = log_xy - ls
         # z - coth(2t)(x^2+y^2)/2 rewritten to stay finite for all t
         exponent = (-(x - y) ** 2 * np.exp(-ls) / 2.0
                     - np.tanh(t) * (x * x + y * y) / 2.0)
-        log_k = (0.5 * log_xy - ls
-                 + specfun.log_bessel_i_scaled(self.alpha, log_z)
-                 + exponent)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_xy = np.log(x) + np.log(y)
+            log_z = log_xy - ls
+            log_k = (0.5 * log_xy - ls
+                     + specfun.log_bessel_i_scaled(self.alpha, log_z)
+                     + exponent)
+        if self.alpha < 0.0:   # an exact 0 at the origin, as for Bessel
+            log_k = np.where(log_xy == -math.inf, -math.inf, log_k)
         return np.exp(log_k)
 
     def comparison(self) -> "KernelFamily":
@@ -193,8 +199,8 @@ class SubordinationRule:
     evaluated once per node at construction.  Panels whose density values
     are all below 1e-300 are dropped.  Those include every inner panel
     inside the region s < s*(nu) where ``specfun.stable_density`` returns
-    an exact 0 without a contour integral (s* is about 1.26e-2 at
-    nu = 0.7, which leaves 67 of 110 panels; at nu = 1/2 the closed form
+    an exact 0 without Kanter's integral (s* is about 2.5e-2 at
+    nu = 0.7, which leaves 66 of 110 panels; at nu = 1/2 the closed form
     leaves 72), so such panels cost no kernel evaluation in ``apply``.
     The polynomial right tail is truncated at exp(60), beyond which the
     kernel factor (t s)^{-d/2} makes the remainder negligible at the

@@ -34,7 +34,6 @@ from .kernels import KernelFamily, SchrodingerKernel, mass
 from .quadrature import (SpatialRule, TGrid, golden_refine,  # noqa: F401
                          halton, integrate, rule_for_box, rule_for_complement,
                          sup_over_t)
-from .specfun import STABLE_DENSITY_NORMALIZATION
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +443,6 @@ def comparison_reports(k: KernelFamily, covering: AdmissibleCovering,
     params = {"comparison": comp.describe(), "tgrid_ppd": settings.tgrid_ppd,
               "qmc_y": settings.qmc_y, "kappa": covering.kappa}
     prime_params = dict(params) if prime else None
-    if prime and "subordinate" in k.kind:
-        prime_params["stable_normalization"] = STABLE_DENSITY_NORMALIZATION
     return _paired_reports(
         lambda q, i, ds: _a2_entry(k, comp, q, i, covering, ds, settings),
         k, covering, map_fn, ("A2prime", "A2"), prime_params, params, gamma,

@@ -80,17 +80,15 @@ def test_03_stable_density():
     sup_sg = 0.0
     worst_cross = 0.0
     for nu in (0.3, 0.5, 0.7, 0.9):
-        p = sf.StableDensityParams(nu)
-        g = sf.stable_density(p, s_grid)
+        g = sf.stable_density(sf.StableDensityParams(nu), s_grid)
         sup_sg = max(sup_sg, float(np.max(s_grid * g)))
         assert np.isfinite(sup_sg)
         s1 = sf.stable_series_switch(nu)
         band = np.linspace(0.9 * s1, 1.1 * s1, 5)
         series = sf._stable_series(nu, band)
-        contour = np.array([sf._stable_contour(nu, float(s), p.theta_nu)
-                            for s in band])
+        kanter = np.array([sf._stable_kanter(nu, float(s)) for s in band])
         worst_cross = max(worst_cross,
-                          float(np.max(np.abs(series - contour)
+                          float(np.max(np.abs(series - kanter)
                                        / np.abs(series))))
     assert worst_cross < 1e-6
     report_line(3, f"total mass err {worst_mass:.2e} <= 1e-4, "

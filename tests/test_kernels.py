@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from hardykit import kernels as K
 from hardykit.errors import DomainError, QuadratureError
@@ -87,8 +88,9 @@ def test_bessel_beta1_is_reflected_heat(x, y, log10_t):
 
 
 @pytest.mark.parametrize("kernel", [
-    K.BesselKernel(0.5), K.BesselKernel(1.0), K.BesselKernel(2.0),
-    K.LaguerreKernel(0.5), K.LaguerreKernel(1.0)], ids=lambda k: k.kind)
+    K.BesselKernel(0.25), K.BesselKernel(0.5), K.BesselKernel(1.0),
+    K.BesselKernel(2.0), K.LaguerreKernel(-0.25), K.LaguerreKernel(0.5),
+    K.LaguerreKernel(1.0)], ids=lambda k: k.kind)
 def test_half_line_kernels_vanish_at_zero(kernel):
     t = np.array([[1e-3], [0.5], [40.0]])
     pts = np.array([0.0, 0.25, 3.0])
@@ -147,28 +149,27 @@ def test_stable_natural_time():
                     rtol=1e-12)
 
 
-# SubordinateKernel(base, 0.7).eval(t, x, y) computed before the stable
-# density returned an exact 0 in its left tail, when the subordination rule
-# still carried the inner panels whose weights are contour noise
+# SubordinateKernel(base, 0.7).eval(t, x, y), recorded with the stable
+# density from Kanter's integral
 _HEAT_07 = {
-    1e-3: [0.14176633054831597, 0.8818380581516347, 0.004446308436079895,
+    1e-3: [0.1417663305483158, 0.8818380581499236, 0.004446308436079895,
            0.00021558617102081484],
-    0.05: [0.9451547846165482, 1.1945679837112795, 0.09037704123972763,
+    0.05: [0.9451547846071712, 1.194567983698566, 0.09037704123963404,
            0.0035377721804333274],
-    1.0: [0.28530775583902646, 0.2889031183359873, 0.2245275622643446,
-          0.03791874721092931],
-    20.0: [0.06481737812704827, 0.0648581133941176, 0.06400982210718995,
-           0.05529521138488879],
+    1.0: [0.28530775583593115, 0.2889031183328396, 0.22452756226207418,
+          0.037918747210813245],
+    20.0: [0.06481737812634097, 0.06485811339340955, 0.06400982210649478,
+           0.05529521138431321],
 }
 _BESSEL_07 = {
-    1e-3: [0.004527654130283108, 0.1401033925146618, 0.04943436948740702,
+    1e-3: [0.004527654130283108, 0.14010339251466164, 0.04943436948740702,
            0.00046837213598957853],
-    0.05: [0.09780419590655101, 0.914325234924021, 0.6543367238555856,
+    0.05: [0.09780419590598936, 0.9143252349146447, 0.6543367238497617,
            0.008223755738401893],
-    1.0: [0.025922707829589945, 0.11719682377450366, 0.17217059416787978,
-          0.07042185994136806],
-    20.0: [0.00037517139973088597, 0.0018634467581819171,
-           0.003650575324255005, 0.007913412072416904],
+    1.0: [0.025922707829243753, 0.11719682377294827, 0.1721705941656686,
+          0.07042185994072764],
+    20.0: [0.00037517139972543693, 0.0018634467581548518,
+           0.0036505753242033192, 0.007913412072309913],
 }
 
 
@@ -181,9 +182,26 @@ def test_subordinate_values_without_noise_panels():
     for t, expected in _BESSEL_07.items():
         assert_allclose(bessel.eval(t, np.array([0.1, 0.5, 1.0, 2.5]), 0.7),
                         expected, rtol=1e-11, atol=0.0)
-    # the 43 inner panels below s*(0.7) ~ 1.26e-2 are no longer built
-    assert heat.rule.panel_count == 67
+    # the 44 inner panels below s*(0.7) ~ 2.5e-2 are not built
+    assert heat.rule.panel_count == 66
     assert K.SubordinationRule(0.5).nodes.size == 1080
+
+
+def test_subordinate_heat_against_fourier_inversion():
+    # eval(t, x, y) = (1/pi) int_0^inf cos(xi r) exp(-t^nu xi^{2 nu}) dxi,
+    # the inverse transform of E exp(-t S xi^2) = exp(-(t xi^2)^nu); the
+    # integrand is below e^{-40} beyond xi_max.  The rule's K15/G7 check
+    # holds its error to 1e-6 relative.
+    nu = 0.7
+    heat = K.SubordinateKernel(K.EuclideanHeat(1), nu)
+    for t in (1e-3, 0.05, 1.0, 20.0):
+        a = t ** nu
+        xi_max = (40.0 / a) ** (1.0 / (2.0 * nu))
+        for x in (0.0, 0.3, 1.0, 3.0):
+            val, _ = quad(lambda xi: math.exp(-a * xi ** (2.0 * nu)), 0.0,
+                          xi_max, weight="cos", wvar=abs(x - 0.2),
+                          epsabs=0.0, epsrel=1e-10, limit=500)
+            assert_allclose(heat.eval(t, x, 0.2), val / math.pi, rtol=1e-6)
 
 
 def test_stable_scaling_covariance():

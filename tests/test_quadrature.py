@@ -118,6 +118,22 @@ def test_adaptive_gk():
     assert abs(val - 1.0) < 1e-8
 
 
+def test_adaptive_gk_error_scales_with_integrand():
+    # the K15/G7 estimate is homogeneous of degree 1 in the integrand, so
+    # c * f bisects the same panels at every scale c and the reported
+    # error bounds the true one
+    exact = math.atan(10.0)
+    rel_true, rel_reported = [], []
+    for c in 10.0 ** np.arange(-16, 7, 2):
+        val, err = q.integrate_adaptive(lambda x: c / (1.0 + x * x),
+                                        0.0, 10.0, rtol=1e-8)
+        assert abs(val - c * exact) <= err
+        rel_true.append(abs(val - c * exact) / (c * exact))
+        rel_reported.append(err / (c * exact))
+    assert max(rel_true) < 1e-13
+    assert_allclose(rel_reported, rel_reported[0], rtol=1e-6)
+
+
 def test_adaptive_gk_budget_error():
     with pytest.raises(QuadratureError) as info:
         q.integrate_adaptive(lambda x: np.sin(1e4 * x) ** 2, 0.0, 1.0,

@@ -53,7 +53,7 @@ def test_bessel_against_scipy_grid(tau):
     assert_allclose(mine, ref, rtol=5e-13)
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.5, 1.5, 3.0])
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.5, 3.0])
 def test_bessel_branch_crossover(tau):
     # the series serves log z <= log z0, the asymptotic expansion above
     log_z0 = math.log(sf._bessel_switch_point(tau))
@@ -163,9 +163,7 @@ def test_general_orders_bit_identical(tau):
 # ---------------------------------------------------------------------------
 
 def test_params_invariants():
-    p = sf.StableDensityParams(0.5)
-    assert math.pi / 2 < p.theta_nu < math.pi
-    assert math.cos(p.theta_nu) < 0
+    assert sf.StableDensityParams(0.5).nu == 0.5
     with pytest.raises(DomainError):
         sf.StableDensityParams(1.0)
     with pytest.raises(DomainError):
@@ -186,62 +184,86 @@ def test_density_vanishes_at_zero():
 
 
 def _zero_threshold(nu):
-    """s*(nu): the bound log(P(S <= 2s)/s) equals log(1e-300) there."""
+    """s*(nu): the log bound equals log(1e-300) there."""
     def excess(log_s):
-        return (float(sf._stable_left_tail_log_bound(nu, math.exp(log_s)))
+        return (float(sf._stable_log_bound(nu, math.exp(log_s)))
                 - math.log(1e-300))
-    return math.exp(brentq(excess, math.log(1e-300), math.log(0.5)))
+    return math.exp(brentq(excess, math.log(1e-300),
+                           math.log(sf.stable_series_switch(nu))))
 
 
 def test_zero_branch_at_half_matches_closed_form():
     # the closed form runs first at nu = 1/2; wherever the zero branch
     # would apply, the closed form is below 1e-300 as well
     s = np.geomspace(1e-12, 1.0, 2001)
-    zeroed = sf._stable_left_tail_log_bound(0.5, s) < math.log(1e-300)
+    zeroed = sf._stable_log_bound(0.5, s) < math.log(1e-300)
     assert 0 < zeroed.sum() < len(s)
     log_closed = -0.25 / s - math.log(2.0 * math.sqrt(math.pi)) - 1.5 * np.log(s)
     assert np.all(log_closed[zeroed] < math.log(1e-300))
-    assert_allclose(_zero_threshold(0.5), 1.8e-4, rtol=0.01)
-    assert_allclose(_zero_threshold(0.7), 1.26e-2, rtol=0.01)
+    assert_allclose(_zero_threshold(0.5), 3.54e-4, rtol=0.01)
+    assert_allclose(_zero_threshold(0.7), 2.52e-2, rtol=0.01)
 
 
 @pytest.mark.parametrize("nu", [0.2, 0.3, 0.5, 0.7, 0.9])
 def test_left_tail_bound_dominates_levy_stable(nu):
-    # g(s) <= P(S <= 2s)/s holds where 2s lies below the mode
+    # g(s) <= p B s^{-1/(1-nu)} e^{-B s^{-p}} wherever B s^{-p} >= 1
     s_star = _zero_threshold(nu)
-    p = sf.StableDensityParams(nu)
-    grid = np.geomspace(s_star, 5.0, 301)
-    mode = grid[np.argmax(sf.stable_density(p, grid))]
-    assert 2.0 * s_star < mode
+    p = nu / (1.0 - nu)
+    s_edge = nu * (1.0 - nu) ** (1.0 / p)    # B s^{-p} = 1
+    s = np.geomspace(s_star, 0.999 * s_edge, 60)
+    bound = np.exp(sf._stable_log_bound(nu, s))
+    assert np.all(np.isfinite(bound))
+    kanter = np.array([sf._stable_kanter(nu, float(si)) for si in s])
+    assert np.all(bound >= kanter)
     scale = math.cos(math.pi * nu / 2.0) ** (1.0 / nu)
-    law = levy_stable(nu, 1.0, loc=0.0, scale=scale)
-    s = np.geomspace(s_star, 0.5 * mode, 40)
-    pdf = law.pdf(s)
+    pdf = levy_stable.pdf(s, nu, 1.0, loc=0.0, scale=scale)
     resolved = pdf >= 1e-12
-    # at nu = 0.9 the density stays below 1e-23 up to mode/2
-    assert resolved.sum() >= (5 if nu < 0.9 else 0)
-    bound = np.exp(sf._stable_left_tail_log_bound(nu, s[resolved]))
-    assert np.all(bound >= pdf[resolved])
-    # the Chernoff step alone, P(S <= x) <= exp(-B x^{-nu/(1-nu)}), up to
-    # the mode: exp(log bound at x/2) * x/2
-    x = np.geomspace(2.0 * s_star, mode, 40)
-    cdf = law.cdf(x)
-    resolved = cdf >= 1e-12
-    assert resolved.sum() >= 3
-    x = x[resolved]
-    chernoff = np.exp(sf._stable_left_tail_log_bound(nu, 0.5 * x)) * 0.5 * x
-    assert np.all(chernoff >= cdf[resolved])
+    assert resolved.sum() >= 5
+    assert np.all(bound[resolved] >= pdf[resolved])
+    # beyond s_edge the bound does not hold and is not used
+    assert sf._stable_log_bound(nu, 1.01 * s_edge) == math.inf
 
 
-def test_zero_branch_skips_the_contour(monkeypatch):
+def _kanter_mpmath(nu, s):
+    """Kanter's integral in 40-digit arithmetic, straight from A(phi)."""
+    with mpmath.workdps(40):
+        nu, s = mpmath.mpf(nu), mpmath.mpf(s)
+        p = nu / (1 - nu)
+        x = s ** -p
+        width = mpmath.sqrt(2 / (x * (1 - nu) * nu ** p * nu))
+
+        def integrand(phi):
+            a = (mpmath.sin(nu * phi) ** nu * mpmath.sin((1 - nu) * phi) ** (1 - nu)
+                 / mpmath.sin(phi)) ** (1 / (1 - nu))
+            return a * mpmath.exp(-x * a)
+
+        cuts = [k * mpmath.pi / 8 for k in range(9)]
+        cuts += [width * 2 ** k for k in range(12) if width * 2 ** k < mpmath.pi]
+        total = mpmath.quad(integrand, sorted(cuts))
+        return float(p / mpmath.pi * s ** (-1 / (1 - nu)) * total)
+
+
+@pytest.mark.parametrize("nu", [0.2, 0.3, 0.6, 0.7, 0.79, 0.9, 0.95])
+def test_kanter_against_mpmath(nu):
+    s = np.geomspace(_zero_threshold(nu), sf.stable_series_switch(nu), 13)[:-1]
+    checked = 0
+    for si in s:
+        ref = _kanter_mpmath(nu, si)
+        if ref >= 1e-30:
+            assert_allclose(sf._stable_kanter(nu, float(si)), ref, rtol=1e-12)
+            checked += 1
+    assert checked >= 4
+
+
+def test_zero_branch_skips_kanter(monkeypatch):
     nu = 0.7
     s_star = _zero_threshold(nu)
     below = np.geomspace(1e-6, 0.999 * s_star, 9)
 
-    def no_contour(*args, **kwargs):
-        raise AssertionError("contour evaluated in the zero region")
+    def no_kanter(*args, **kwargs):
+        raise AssertionError("Kanter's integral evaluated in the zero region")
 
-    monkeypatch.setattr(sf, "_stable_contour", no_contour)
+    monkeypatch.setattr(sf, "_stable_kanter", no_kanter)
     p = sf.StableDensityParams(nu)
     assert np.array_equal(sf.stable_density(p, below), np.zeros_like(below))
     assert sf.stable_density(p, 0.5 * s_star) == 0.0
@@ -250,9 +272,10 @@ def test_zero_branch_skips_the_contour(monkeypatch):
 def test_left_tail_bound_overflows_to_minus_inf():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sf._stable_left_tail_log_bound(0.9999, 0.1) == -math.inf
-        assert sf._stable_left_tail_log_bound(0.9999, 0.4) == -math.inf
-        assert np.isfinite(sf._stable_left_tail_log_bound(0.9999, 2.0))
+        assert sf._stable_log_bound(0.9999, 0.1) == -math.inf
+        assert sf._stable_log_bound(0.9999, 0.4) == -math.inf
+        assert np.isfinite(sf._stable_log_bound(0.9999, 0.998))
+        assert sf._stable_log_bound(0.9999, 2.0) == math.inf
 
 
 def test_density_domain_error():
@@ -268,13 +291,11 @@ def test_density_total_mass(nu):
 
 @pytest.mark.parametrize("nu", [0.2, 0.3, 0.6, 0.75, 0.9])
 def test_density_branch_crossover(nu):
-    p = sf.StableDensityParams(nu)
     s1 = sf.stable_series_switch(nu)
     band = np.linspace(0.85 * s1, 1.15 * s1, 7)
     series = sf._stable_series(nu, band)
-    contour = np.array([sf._stable_contour(nu, float(s), p.theta_nu)
-                        for s in band])
-    assert np.max(np.abs(series - contour) / np.abs(series)) < 1e-6
+    kanter = np.array([sf._stable_kanter(nu, float(s)) for s in band])
+    assert np.max(np.abs(series - kanter) / np.abs(series)) < 1e-6
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.7])
