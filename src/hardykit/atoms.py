@@ -116,11 +116,11 @@ def make_local_atom(q: Cuboid, cells: int = 256) -> Atom:
 
 
 def random_classical_atom(q: Cuboid, kappa: float, seed: int,
-                          cells: int = 256, margin: float = 0.95) -> Atom:
+                          cells: int = 256) -> Atom:
     """Seed-deterministic mean-zero atom on a random sub-cube K of Q*.
 
     Values are a balanced sign pattern with at most three sign changes,
-    scaled to ``margin`` of the size bound |K|^{-1}; the exact balance
+    scaled to 0.95 of the size bound |K|^{-1}; the exact balance
     makes the cancellation condition hold identically.
     """
     if cells % 2:
@@ -140,7 +140,7 @@ def random_classical_atom(q: Cuboid, kappa: float, seed: int,
         flip = np.where(signs > 0)[0] if excess > 0 else np.where(signs < 0)[0]
         signs[flip[-abs(excess):]] *= -1.0
     measure = 2.0 * half
-    values = signs * (margin / measure)
+    values = signs * (0.95 / measure)
     return Atom("classical", q, center - half, center + half, values)
 
 

@@ -511,8 +511,8 @@ class PartitionOfUnity:
         return self._normalize(self._bump_rows([index], pts)[0],
                                b.sum(axis=0), strict, pts)
 
-    def derivative_bound(self, index: int, points_per_axis: int = 1000) -> float:
-        """max |psi'| over Q* by central differences (1-D coverings).
+    def derivative_bound(self, index: int) -> float:
+        """max |psi'| over Q*, central differences at 1000 points (1-D only).
 
         The scan stays inside the covered window; outside it the finite
         family has no bumps and psi is undefined.
@@ -524,10 +524,10 @@ class PartitionOfUnity:
         kr = self._kappa * r
         win_lo = self.covering.window_box[0][0]
         win_hi = self.covering.window_box[1][0]
-        h = 2.0 * kr / points_per_axis * 1e-3
+        h = 2.0 * kr / 1000 * 1e-3
         lo = max(z - kr, win_lo + 2 * h)
         hi = min(z + kr, win_hi - 2 * h)
-        u = np.linspace(lo, hi, points_per_axis)
+        u = np.linspace(lo, hi, 1000)
         psi_p = self.evaluate(index, u + h)
         psi_m = self.evaluate(index, u - h)
         return float(np.max(np.abs(psi_p - psi_m) / (2.0 * h)))

@@ -207,14 +207,11 @@ class SubordinationRule:
     accuracies used here.
     """
 
-    def __init__(self, nu: float, inner_levels: int = 50, outer_levels: int = 60):
+    def __init__(self, nu: float):
         params = specfun.StableDensityParams(nu)
         self.nu = nu
-        edges: list[tuple[float, float]] = []
-        for k in range(inner_levels):
-            edges.append((2.0 ** (-k - 1), 2.0 ** (-k)))
-        for u in range(outer_levels):
-            edges.append((math.exp(u), math.exp(u + 1.0)))
+        edges = [(2.0 ** (-k - 1), 2.0 ** (-k)) for k in range(50)]
+        edges += [(math.exp(u), math.exp(u + 1.0)) for u in range(60)]
         nodes, wk, wg = [], [], []
         for a, b in edges:
             h = 0.5 * (b - a)

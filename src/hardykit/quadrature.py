@@ -6,7 +6,8 @@ Three pieces used throughout the package:
   vectorized golden-section refinement pass around the discrete argmax;
 
 * product midpoint rules over boxes, box complements, and windows, with
-  two-level Richardson refinement and a reported error estimate;
+  two-level Richardson refinement and a reported error estimate, for
+  integrands of one value or of rows of values per node;
 
 * 15-point Gauss-Kronrod panels plus ``integrate_adaptive``, the one
   adaptive 1-D driver (the stable density's Kanter integral and clipped
@@ -28,18 +29,22 @@ from .errors import QuadratureError
 # ---------------------------------------------------------------------------
 
 _GK_NODES = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
 ])
 _GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 ])
 _GK_WG = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277,
-    0.0, 0.381830050505119, 0.0, 0.417959183673469,
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
 ])
 GK15_X = np.concatenate([-_GK_NODES[:-1], _GK_NODES[::-1]])
 GK15_WK = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
@@ -296,16 +301,19 @@ class SpatialRule:
 
 
 class IntegralResult(NamedTuple):
-    value: float
-    error: float
+    value: float | list[float]
+    error: float | list[float]
 
 
 def integrate(rule: SpatialRule, f, tol: float | None = None) -> IntegralResult:
     """Weighted sum with two-level Richardson refinement.
 
-    ``f`` receives nodes of shape (N,) in one dimension, (N, d) above.
-    The reported error is the coarse-fine difference; when ``tol`` is set
-    and exceeded, a QuadratureError carrying the estimate is raised.
+    ``f`` receives nodes of shape (N,) in one dimension, (N, d) above, and
+    returns N values, or rows of N values.  Each row is summed as a call
+    for that row alone would sum it, so value and error are floats, or
+    lists with one float per row.  The reported error is the coarse-fine
+    difference; when ``tol`` is set and any row's error exceeds it, a
+    QuadratureError carrying the largest estimate is raised.
     """
     if not rule.panels:
         return IntegralResult(0.0, 0.0)
@@ -314,16 +322,16 @@ def integrate(rule: SpatialRule, f, tol: float | None = None) -> IntegralResult:
     def apply(level):
         pts, wts = rule.nodes_and_weights(level)
         x = pts[:, 0] if d == 1 else pts
-        return float(np.sum(wts * np.asarray(f(x), dtype=float)))
+        return np.sum(wts * np.asarray(f(x), dtype=float), axis=-1)
 
     coarse = apply(1)
     fine = apply(2)
     value = fine + (fine - coarse) / 3.0
-    error = abs(fine - coarse)
-    if tol is not None and error > tol:
+    error = np.abs(fine - coarse)
+    if tol is not None and np.any(error > tol):
         raise QuadratureError("spatial integral error estimate above tolerance",
-                              estimate=error, budget=tol)
-    return IntegralResult(value, error)
+                              estimate=float(np.nanmax(error)), budget=tol)
+    return IntegralResult(value.tolist(), error.tolist())
 
 
 def rule_for_box(lo, hi, nodes_per_axis) -> SpatialRule:
@@ -336,26 +344,9 @@ def rule_for_box(lo, hi, nodes_per_axis) -> SpatialRule:
     return SpatialRule(panels=(Panel(tuple(lo), tuple(hi), tuple(nodes_per_axis)),))
 
 
-def _graded_edges(start: float, end: float, first_width: float,
-                  growth: float = 2.0) -> list[float]:
-    """Edges from start toward end with geometrically growing spacing."""
-    if end == start:
-        return [start]
-    sign = 1.0 if end > start else -1.0
-    edges = [start]
-    w = first_width
-    pos = start
-    while sign * (end - pos) > 1.5 * w:
-        pos += sign * w
-        edges.append(pos)
-        w *= growth
-    edges.append(end)
-    return edges
-
-
 def rule_for_complement(window_lo, window_hi, hole_lo, hole_hi,
-                        nodes_near: int = 32, nodes_cross: int = 24,
-                        growth: float = 2.0) -> SpatialRule:
+                        nodes_near: int = 32, nodes_cross: int = 24
+                        ) -> SpatialRule:
     """Window minus hole as a graded tensor decomposition.
 
     Every axis is cut into the hole range plus geometrically growing
@@ -374,26 +365,27 @@ def rule_for_complement(window_lo, window_hi, hole_lo, hole_hi,
     n_graded = nodes_near if d == 1 else max(6, nodes_cross // 2)
     n_inside = nodes_cross
     first_frac = 8.0 if d == 1 else 2.0
-    grow = growth if d == 1 else max(growth, 2.5)
+    grow = 2.0 if d == 1 else 2.5
+
+    def graded(start, end, first):
+        """Segments from start toward end with geometrically growing widths."""
+        sign = 1.0 if end > start else -1.0
+        edges = [start]
+        w = first
+        while sign * (end - edges[-1]) > 1.5 * w:
+            edges.append(edges[-1] + sign * w)
+            w *= grow
+        edges.append(end)
+        return [(min(a, b), max(a, b), n_graded, False)
+                for a, b in zip(edges[:-1], edges[1:]) if a != b]
 
     axis_segments: list[list[tuple[float, float, int, bool]]] = []
     for j in range(d):
         width = hole_hi[j] - hole_lo[j]
         first = max(width / first_frac, 1e-12)
-        segs: list[tuple[float, float, int, bool]] = []
-        edges = _graded_edges(hole_lo[j], window_lo[j], first, grow)
-        for a, b in zip(edges[:-1], edges[1:]):
-            lo_j, hi_j = min(a, b), max(a, b)
-            if hi_j > lo_j:
-                segs.append((lo_j, hi_j, n_graded, False))
-        if width > 0:
-            segs.append((hole_lo[j], hole_hi[j], n_inside, True))
-        edges = _graded_edges(hole_hi[j], window_hi[j], first, grow)
-        for a, b in zip(edges[:-1], edges[1:]):
-            lo_j, hi_j = min(a, b), max(a, b)
-            if hi_j > lo_j:
-                segs.append((lo_j, hi_j, n_graded, False))
-        axis_segments.append(segs)
+        inside = [(hole_lo[j], hole_hi[j], n_inside, True)] if width > 0 else []
+        axis_segments.append(graded(hole_lo[j], window_lo[j], first) + inside
+                             + graded(hole_hi[j], window_hi[j], first))
 
     panels: list[Panel] = []
     index_mesh = np.meshgrid(*[np.arange(len(s)) for s in axis_segments],

@@ -306,8 +306,3 @@ def stable_laplace_check(params: StableDensityParams, x: float) -> float:
     else:
         tail = 0.0  # bounded by e^{-x s_cut} <= e^{-46}
     return lower + upper + tail
-
-
-def stable_total_mass(params: StableDensityParams) -> float:
-    """integral_0^inf g_nu(s) ds; equals 1 for a correctly normalized density."""
-    return stable_laplace_check(params, 0.0)

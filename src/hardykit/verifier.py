@@ -11,8 +11,8 @@ Suprema over y in Q* are replaced by maxima over deterministic sample
 sets (center, corners, quasi-random interior points); suprema over t use
 the geometric grids from :mod:`hardykit.quadrature`.  Complement
 integrals are truncated at a configurable multiple of the cuboid
-diameter, with an empirical edge-decay tail estimate added to the error
-and recorded separately in the entry metadata.
+diameter; the empirical edge-decay tail beyond the window is recorded in
+the entry metadata and is not part of the reported error.
 """
 
 from __future__ import annotations
@@ -40,17 +40,19 @@ from .quadrature import (SpatialRule, TGrid, golden_refine,  # noqa: F401
 # Settings and reports
 # ---------------------------------------------------------------------------
 
+# ends of the condition t-grids, in units of d_Q^2
+_TGRID_SPAN = (1e-8, 1e4)
+
+
 @dataclass(frozen=True)
 class VerifierSettings:
     tgrid_ppd: int = 16
-    tgrid_span: tuple[float, float] = (1e-8, 1e4)
     qmc_y: int = 8
     nodes_near: int = 48
     nodes_cross: int = 20
     box_nodes: int = 96
     window_factor: float = 50.0
     golden_iters: int = 15
-    growth: float = 2.0
     error_budget_rel: float = 0.05
     # hard per-integral budget: exceeding it raises QuadratureError
     # (None keeps errors report-only)
@@ -183,37 +185,31 @@ def _clamped_grid(k: KernelFamily, t_lo: float, t_hi: float,
     return TGrid(t_lo, t_hi, ppd)
 
 
-def _integrate_sup(point_fn: Callable, rule: SpatialRule, grid: TGrid,
-                   deltas: Sequence[float], golden_iters: int,
-                   hard_tol: float | None = None
-                   ) -> dict[float, tuple[float, float]]:
-    """Two-level Richardson of int sup_t t^delta point_fn(t, x) dx for
-    every delta at once, evaluating the kernel grid once per level.
+def _max_over_y(point_fn: Callable, q: Cuboid, kappa: float,
+                rule: SpatialRule, grid: TGrid, powers: Sequence[float],
+                norms: Sequence[float], s: VerifierSettings,
+                tol: float | None
+                ) -> list[tuple[float, float, float | np.ndarray | None]]:
+    """max over y in Q* of norm * int sup_t t^power point_fn(t, x, y) dx.
 
-    ``point_fn(t, x)`` must broadcast over both arguments.
+    One (norm * value, norm * error, y) per (power, norm) pair, with y the
+    first sample that attains the maximum; (0.0, 0.0, None) when no sample
+    gives a positive value.  A value that is not finite raises
+    QuadratureError.  ``point_fn`` must broadcast over t and x.
     """
-    d = rule.dimension
-    levels = {}
-    for level in (1, 2):
-        pts, wts = rule.nodes_and_weights(level)
-        if pts.shape[0] == 0:
-            levels[level] = {delta: 0.0 for delta in deltas}
-            continue
-        x = pts[:, 0] if d == 1 else pts
-        sups = sup_over_t(lambda t: point_fn(t, x), grid, deltas,
-                          golden_iters).values
-        levels[level] = {delta: float(np.sum(wts * s))
-                         for delta, s in zip(deltas, sups)}
-    out = {}
-    for delta in deltas:
-        coarse, fine = levels[1][delta], levels[2][delta]
-        err = abs(fine - coarse)
-        if hard_tol is not None and err > hard_tol:
-            raise QuadratureError(
-                "condition integral error estimate above the hard budget",
-                estimate=err, budget=hard_tol)
-        out[delta] = (fine + (fine - coarse) / 3.0, err)
-    return out
+    best = [(0.0, 0.0, None)] * len(powers)
+    if not rule.panels:
+        return best
+    for y in y_samples(q, kappa, s.qmc_y):
+        y_pt = y[0] if q.dimension == 1 else y
+        res = integrate(rule, lambda x: sup_over_t(
+            lambda t: point_fn(t, x, y_pt), grid, powers,
+            s.golden_iters).values, tol)
+        if not all(map(math.isfinite, res.value)):
+            raise QuadratureError(f"sup integral not finite at y = {y_pt}")
+        best = [(v * n, e * n, y_pt) if v * n > b[0] else b
+                for v, e, n, b in zip(res.value, res.error, norms, best)]
+    return best
 
 
 def _edge_tail_estimate(integrand: Callable, win_lo, win_hi, hole_center,
@@ -256,37 +252,29 @@ def _complement_rule(q: Cuboid, covering: AdmissibleCovering,
     hole_lo, hole_hi = hole.box()
     rule = rule_for_complement(win_lo, win_hi, hole_lo, hole_hi,
                                nodes_near=s.nodes_near,
-                               nodes_cross=s.nodes_cross, growth=s.growth)
+                               nodes_cross=s.nodes_cross)
     return rule, win_lo, win_hi
 
 
 def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
               covering: AdmissibleCovering, deltas: Sequence[float],
-              s: VerifierSettings, t_span=None) -> list[CuboidEntry]:
+              s: VerifierSettings) -> list[CuboidEntry]:
     d_q = q.diameter
     rule, win_lo, win_hi = _complement_rule(q, covering, s)
-    span = t_span or s.tgrid_span
-    grid = _clamped_grid(k, span[0] * d_q * d_q, span[1] * d_q * d_q,
-                         s.tgrid_ppd)
-    d = q.dimension
-    best = {delta: (0.0, 0.0, 0.0) for delta in deltas}
-    for y in y_samples(q, covering.kappa, s.qmc_y):
-        y_pt = y[0] if d == 1 else y
-        results = _integrate_sup(lambda t, x: k.eval(t, x, y_pt), rule,
-                                 grid, deltas, s.golden_iters, s.hard_quad_tol)
-        for delta in deltas:
-            value, err = results[delta]
-            norm = d_q ** (-2.0 * delta)
-            if value * norm > best[delta][0]:
-                def edge_fn(x, dl=delta):
-                    return sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
-                                      [dl], 0).values[0]
-                tail = _edge_tail_estimate(edge_fn, win_lo, win_hi,
-                                           q.center, d)
-                best[delta] = (value * norm, err * norm, tail * norm)
+    grid = _clamped_grid(k, _TGRID_SPAN[0] * d_q * d_q,
+                         _TGRID_SPAN[1] * d_q * d_q, s.tgrid_ppd)
+    norms = [d_q ** (-2.0 * delta) for delta in deltas]
+    best = _max_over_y(k.eval, q, covering.kappa, rule, grid, deltas, norms,
+                       s, s.hard_quad_tol)
     entries = []
-    for delta in deltas:
-        value, err, tail = best[delta]
+    for delta, norm, (value, err, y_pt) in zip(deltas, norms, best):
+        tail = 0.0
+        if y_pt is not None:
+            def edge_fn(x):
+                return sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
+                                  [delta], 0).values[0]
+            tail = _edge_tail_estimate(edge_fn, win_lo, win_hi, q.center,
+                                       q.dimension) * norm
         # the error column is the quadrature estimate on the probed
         # window; the truncation tail is disclosed separately
         entries.append(CuboidEntry(
@@ -392,38 +380,26 @@ def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
               covering: AdmissibleCovering, deltas: Sequence[float],
               s: VerifierSettings) -> list[CuboidEntry]:
     d_q = q.diameter
-    hole = q.enlarged(covering.kappa, 2)
-    lo, hi = hole.box()
-    d = q.dimension
-    nodes = s.box_nodes if d == 1 else max(24, s.box_nodes // 3)
+    lo, hi = q.enlarged(covering.kappa, 2).box()
+    nodes = s.box_nodes if q.dimension == 1 else max(24, s.box_nodes // 3)
     rule = rule_for_box(lo, hi, nodes)
-    grid = _clamped_grid(k, s.tgrid_span[0] * d_q * d_q, d_q * d_q,
+    grid = _clamped_grid(k, _TGRID_SPAN[0] * d_q * d_q, d_q * d_q,
                          s.tgrid_ppd)
-    best = {delta: (0.0, 0.0) for delta in deltas}
-    neg = [-delta for delta in deltas]
-    for y in y_samples(q, covering.kappa, s.qmc_y):
-        y_pt = y[0] if d == 1 else y
 
-        def diff(t, x):
-            # a kernel that is its own comparison is evaluated once
-            v = k.eval(t, x, y_pt)
-            return np.abs(v - (v if comp is k else comp.eval(t, x, y_pt)))
+    def diff(t, x, y):
+        # a kernel that is its own comparison is evaluated once
+        v = k.eval(t, x, y)
+        return np.abs(v - (v if comp is k else comp.eval(t, x, y)))
 
-        results = _integrate_sup(diff, rule, grid, neg, s.golden_iters,
-                                 s.hard_quad_tol)
-        for delta in deltas:
-            value, err = results[-delta]
-            norm = d_q ** (2.0 * delta)
-            if value * norm > best[delta][0]:
-                best[delta] = (value * norm, err * norm)
-    entries = []
-    for delta in deltas:
-        value, err = best[delta]
-        entries.append(CuboidEntry(
-            index=index, label=f"Q{index} d={d_q:g}",
-            constant=value, error=err,
-            metadata={"delta": delta, "d_q": d_q, "quad_error": err}))
-    return entries
+    best = _max_over_y(diff, q, covering.kappa, rule, grid,
+                       [-delta for delta in deltas],
+                       [d_q ** (2.0 * delta) for delta in deltas], s,
+                       s.hard_quad_tol)
+    return [CuboidEntry(index=index, label=f"Q{index} d={d_q:g}",
+                        constant=value, error=err,
+                        metadata={"delta": delta, "d_q": d_q,
+                                  "quad_error": err})
+            for delta, (value, err, _) in zip(deltas, best)]
 
 
 def comparison_reports(k: KernelFamily, covering: AdmissibleCovering,
@@ -480,20 +456,15 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
     entries_a3 = []
     for i, q in enumerate(covering.cuboids):
         d_q = q.diameter
-        hole = q.enlarged(covering.kappa, 2)
-        lo, hi = hole.box()
+        lo, hi = q.enlarged(covering.kappa, 2).box()
         rule = rule_for_box(lo, hi, s.box_nodes)
-        grid = _clamped_grid(k, d_q * d_q, s.tgrid_span[1] * d_q * d_q,
+        grid = _clamped_grid(k, d_q * d_q, _TGRID_SPAN[1] * d_q * d_q,
                              s.tgrid_ppd)
-        best = (0.0, 0.0)
-        for y in y_samples(q, covering.kappa, s.qmc_y):
-            y_pt = y[0] if q.dimension == 1 else y
-            value, err = _integrate_sup(lambda t, x: k.eval(t, x, y_pt), rule,
-                                        grid, [0.0], s.golden_iters)[0.0]
-            if value > best[0]:
-                best = (value, err)
+        # report-only: no hard quadrature budget
+        [(value, err, _)] = _max_over_y(k.eval, q, covering.kappa, rule, grid,
+                                        [0.0], [1.0], s, None)
         entries_a3.append(CuboidEntry(
-            index=i, label=f"Q{i} d={d_q:g}", constant=best[0], error=best[1],
+            index=i, label=f"Q{i} d={d_q:g}", constant=value, error=err,
             metadata={"d_q": d_q}))
     report_a3 = VerificationReport(
         condition_id="a3", covering_id=covering_id(covering),
@@ -522,7 +493,7 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
             lo = np.maximum(lo, win_lo)
             hi = np.minimum(hi, win_hi)
             rule = rule_for_box(lo, hi, max(24, s.box_nodes // 2))
-            grid = _clamped_grid(k, s.tgrid_span[0] * d_q * d_q,
+            grid = _clamped_grid(k, _TGRID_SPAN[0] * d_q * d_q,
                                  d_q * d_q, max(8, s.tgrid_ppd // 2))
 
             def integrand(x):
@@ -817,14 +788,15 @@ def verify_laguerre_envelope(k: KernelFamily, n_probes: int = 10000,
 # ---------------------------------------------------------------------------
 
 def maximal_norm(k: KernelFamily, atom: Atom,
-                 settings: VerifierSettings = VerifierSettings(),
-                 tgrid_ppd: int = 10) -> tuple[float, float, dict]:
+                 settings: VerifierSettings = VerifierSettings()
+                 ) -> tuple[float, float, dict]:
     """L^1 norm over the truncated window of sup_t |T_t a|.
 
-    The time grid starts at the square of half an atom cell; below that
-    the step-function atom is invariant under the semigroup up to grid
-    resolution, so the small-time end is realized by the |a(x)| floor
-    (the t -> 0 limit).
+    The time grid (10 points per decade) starts at the square of half an
+    atom cell; below that the step-function atom is invariant under the
+    semigroup up to grid resolution, so the small-time end is realized by
+    the |a(x)| floor (the t -> 0 limit).  A norm that is not finite raises
+    QuadratureError.
     """
     q = atom.host
     d_q = q.diameter
@@ -835,12 +807,11 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     in_hi = np.minimum(in_hi, win_hi)
     rule_in = rule_for_box(in_lo, in_hi, 192)
     rule_out = rule_for_complement(win_lo, win_hi, in_lo, in_hi,
-                                   nodes_near=24, nodes_cross=16,
-                                   growth=settings.growth)
+                                   nodes_near=24, nodes_cross=16)
     h = atom.cell_width
     centers = atom.as_grid_function().centers
     weights = np.full(atom.cells, h) * atom.values
-    grid = _clamped_grid(k, (h / 2.0) ** 2, 1e4 * d_q * d_q, tgrid_ppd)
+    grid = _clamped_grid(k, (h / 2.0) ** 2, 1e4 * d_q * d_q, 10)
 
     def max_fn(x):
         x = np.asarray(x, dtype=float)
@@ -860,6 +831,8 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     res_out = integrate(rule_out, max_fn)
     value = res_in.value + res_out.value
     error = res_in.error + res_out.error
+    if not math.isfinite(value):
+        raise QuadratureError("maximal-function norm not finite")
     meta = {"window": (float(win_lo[0]), float(win_hi[0])),
             "t_min": grid.t_min, "t_max": grid.t_max,
             "atom_l1": atom.l1_norm}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hardykit import atoms
+from hardykit import atoms, cli, kernels
 from hardykit.cli import main
 
 
@@ -171,6 +171,28 @@ cells = 64
     for row in rows:
         value = float(row.split(",")[3])
         assert value >= 1.0
+
+
+def test_maximal_nan_norm_exit_2(tmp_path, monkeypatch):
+    # a kernel that is NaN for x > 5 makes the norm NaN; it must not be
+    # dropped by the running maximum into max_maximal_norm = 0.0
+    class NanBeyond5(kernels.BesselKernel):
+        def eval(self, t, x, y):
+            v = super().eval(t, x, y)
+            return np.where(np.asarray(x) > 5.0, np.nan, v)
+
+    monkeypatch.setattr(cli, "build_kernel", lambda cfg: NanBeyond5(1.0))
+    cfg = write_config(tmp_path / "m.cfg", """
+[covering]
+family = bessel
+window = 0..0
+[maximal]
+atoms_per_cuboid = 1
+cells = 32
+""")
+    out = tmp_path / "m"
+    assert run(["--config", cfg, "--out", out, "maximal"]) == 2
+    assert not (out / "maximal.txt").exists()
 
 
 def test_decompose_roundtrip(tmp_path):

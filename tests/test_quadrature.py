@@ -106,6 +106,43 @@ def test_integrate_hard_tolerance_raises():
         q.integrate(rule, lambda x: np.abs(np.sin(40 * x)), tol=1e-14)
 
 
+def _row_rule(dim, complement):
+    if complement:
+        return q.rule_for_complement([-4.0] * dim, [4.0] * dim, [0.5] * dim,
+                                     [1.5] * dim, nodes_near=12, nodes_cross=8)
+    return q.rule_for_box([-1.0] * dim, [2.0] * dim, 17)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), complement=st.booleans(),
+       rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_integrate_rows_match_per_row_calls(dim, complement, rows, seed):
+    rule = _row_rule(dim, complement)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, rows)
+    rate = rng.uniform(0.1, 5.0, rows)
+
+    def row(r, x):
+        z = x if dim == 1 else np.sum(x, axis=-1)
+        return scale[r] * np.exp(-rate[r] * z * z) * (1.0 + np.sin(3.0 * z))
+
+    def f(x):
+        return np.stack([row(r, x) for r in range(rows)])
+
+    stacked = q.integrate(rule, f)
+    single = [q.integrate(rule, lambda x, r=r: row(r, x)) for r in range(rows)]
+    assert all(type(v) is float for s in single for v in s)
+    # bit for bit, one float per row
+    assert [v.hex() for v in stacked.value] == [s.value.hex() for s in single]
+    assert [e.hex() for e in stacked.error] == [s.error.hex() for s in single]
+    # a tolerance that only the worst row exceeds raises; its error does not
+    top = max(stacked.error)
+    rest = max((e for e in stacked.error if e < top), default=0.0)
+    with pytest.raises(QuadratureError):
+        q.integrate(rule, f, tol=0.5 * (top + rest))
+    assert q.integrate(rule, f, tol=top) == stacked
+
+
 def test_adaptive_gk():
     val, err = q.integrate_adaptive(lambda x: np.exp(-x), 0.0, 40.0, rtol=1e-12)
     assert abs(val - 1.0) < 1e-11
@@ -139,6 +176,21 @@ def test_adaptive_gk_budget_error():
         q.integrate_adaptive(lambda x: np.sin(1e4 * x) ** 2, 0.0, 1.0,
                              rtol=1e-14, max_panels=8)
     assert info.value.estimate is not None
+
+
+def test_gauss_kronrod_constants_full_precision():
+    # QUADPACK's qk15 nodes and weights to 33 digits: both weight sets sum
+    # to 2, K15 is exact on x^k for k <= 22 and G7 for k <= 13 up to
+    # rounding, and a smooth integral on one panel is correctly rounded
+    assert math.fsum(q.GK15_WK) == 2.0 and math.fsum(q.GK15_WG) == 2.0
+    for weights, degree in ((q.GK15_WK, 22), (q.GK15_WG, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(weights * q.GK15_X ** k) - exact) <= 4e-16
+    for f, exact in ((lambda x: x ** 6, 1.0 / 7.0),
+                     (np.exp, math.e - 1.0)):
+        val, _ = q.integrate_adaptive(f, 0.0, 1.0)
+        assert abs(val - exact) <= 4e-16 * exact
 
 
 def test_halton_deterministic():

@@ -285,7 +285,7 @@ def test_density_domain_error():
 
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.7, 0.9])
 def test_density_total_mass(nu):
-    mass = sf.stable_total_mass(sf.StableDensityParams(nu))
+    mass = sf.stable_laplace_check(sf.StableDensityParams(nu), 0.0)
     assert abs(mass - 1.0) <= 1e-4
 
 

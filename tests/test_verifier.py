@@ -403,6 +403,33 @@ def test_negative_control_distorted_covering(bessel1):
     assert report.spread() > 1.2    # flagged by the stability check
 
 
+class _NanAboveY(K.EuclideanHeat):
+    """Heat kernel that is NaN for y > 0.45."""
+
+    def eval(self, t, x, y):
+        v = super().eval(t, x, y)
+        return np.where(np.asarray(y) > 0.45, np.nan, v)
+
+
+@pytest.mark.parametrize("condition", ["A1prime", "A2prime", "A2", "a3"])
+def test_nan_at_one_y_sample_raises(condition):
+    # the centre y = 0.5 and further samples are NaN, y = 0 is finite; a
+    # NaN sample must not drop out of the maximum over y
+    k = _NanAboveY(1)
+    qu = cov.covering_uniform(real_line(1), 1.0, ([0.0], [1.0]))
+    s = V.VerifierSettings(tgrid_ppd=4, qmc_y=2, nodes_near=16,
+                           golden_iters=2, window_factor=10.0, box_nodes=32)
+    run = {
+        "A1prime": lambda: V.verify_A1prime(k, qu, s),
+        "A2prime": lambda: V.verify_A2prime(k, qu, s),
+        "A2": lambda: V.verify_A2(k, qu, 0.2, settings=s,
+                                  comparison=K.EuclideanHeat(1)),
+        "a3": lambda: V.verify_a3_a4(k, qu, cov.partition_of_unity(qu), s),
+    }[condition]
+    with pytest.raises(QuadratureError, match="not finite"):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
