@@ -30,7 +30,7 @@ import configparser
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +54,8 @@ _DEFAULTS = {
         "list": "A1prime,A2prime", "gamma": "0.2", "rho_target": "2.0",
         "sigma_target": "0.1", "n_max": "8",
     },
-    "quadrature": {
-        "tgrid_ppd": "16", "qmc_y": "8", "window_factor": "50.0",
-        "box_nodes": "96", "nodes_near": "48", "nodes_cross": "20",
-        "golden_iters": "15", "error_budget_rel": "0.05",
-        "hard_quad_tol": "",
-    },
+    "quadrature": {f.name: "" if f.default is None else str(f.default)
+                   for f in fields(verifier.VerifierSettings)},
     "maximal": {"atoms_per_cuboid": "4", "cells": "128"},
     "decompose": {"depth": "8", "cells": "1024"},
 }
@@ -190,16 +186,17 @@ def build_kernel(cfg: CampaignConfig) -> kernels.KernelFamily:
 
 
 def build_settings(cfg: CampaignConfig) -> verifier.VerifierSettings:
+    """Each [quadrature] key parsed as the type of its default; a key whose
+    default is None takes a float, or None when blank."""
     q = cfg.raw["quadrature"]
-    hard = q["hard_quad_tol"].strip()
-    return verifier.VerifierSettings(
-        tgrid_ppd=int(q["tgrid_ppd"]), qmc_y=int(q["qmc_y"]),
-        window_factor=float(q["window_factor"]),
-        box_nodes=int(q["box_nodes"]), nodes_near=int(q["nodes_near"]),
-        nodes_cross=int(q["nodes_cross"]),
-        golden_iters=int(q["golden_iters"]),
-        error_budget_rel=float(q["error_budget_rel"]),
-        hard_quad_tol=float(hard) if hard else None)
+    values = {}
+    for f in fields(verifier.VerifierSettings):
+        text = q[f.name].strip()
+        if f.default is None:
+            values[f.name] = float(text) if text else None
+        else:
+            values[f.name] = type(f.default)(text)
+    return verifier.VerifierSettings(**values)
 
 
 def gamma_window(k: kernels.KernelFamily) -> float:

@@ -12,11 +12,13 @@ Implemented families:
 
 * ``LaguerreKernel(alpha)`` on (0, inf):
   sqrt(xy)/sinh(2t) I_alpha(xy/sinh 2t) exp(-coth(2t)(x^2+y^2)/2),
-  also in log space, stable down to t ~ 1e-12 and up to overflow times;
+  the Bessel form at time sinh(2t)/2 times exp(-tanh(t)(x^2+y^2)/2);
+  both run one log-space body (``_log_space_kernel``), stable down to
+  t ~ 1e-12 and up to overflow times;
 
 * ``SchrodingerKernel``: eigen-expansion of the second-order finite
   difference discretization of -Delta + V on a truncation box with zero
-  boundary values (``schrodinger_build``);
+  boundary values (``schrodinger_build``), one broadcast eigen sum;
 
 * ``SubordinateKernel(base, nu)``: the subordinated semigroup evaluated
   at the substituted time, eval(t) = integral_0^inf base(t s) g_nu(s) ds.
@@ -28,14 +30,15 @@ Implemented families:
 
 * ``ProductKernel(factors)``: coordinate-wise product at a shared t.
 
-All evaluators broadcast over numpy arrays in t, x, y.
+All evaluators broadcast over numpy arrays in t, x, y, and give the same
+bits for a single time, a column of times (rows, 1) and one time per
+point.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -53,20 +56,25 @@ def _log_sinh(u):
     return u + np.log1p(-np.exp(-2.0 * u)) - math.log(2.0)
 
 
-def _time_power(base, e: float):
-    """base ** e for a factor that depends on the time alone.
+def _dist2(x, y, d: int):
+    """|x - y|^2, with the coordinates on the last axis when d > 1."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return diff ** 2 if d == 1 else np.sum(diff ** 2, axis=-1)
 
-    numpy computes ``float ** e`` with the C library's pow and
-    ``array ** e`` with its own SIMD pow, and the two differ in the last
-    bit for a few per cent of arguments.  A column of times, shape
-    (rows, 1), is raised one time at a time the scalar way, so that
-    ``eval(ts[:, None], x, y)`` equals the stacked ``eval(t, x, y)`` bit for
-    bit.
-    """
-    if np.ndim(base) == 2 and np.shape(base)[1] == 1:
-        return np.fromiter(map(pow, base[:, 0].tolist(), repeat(e)), float,
-                           len(base)).reshape(base.shape)
-    return base ** e
+
+def _log_space_kernel(tau: float, x, y, log_s, gauss):
+    """sqrt(xy)/S I_tau(z) e^{G-z}, z = xy/S, the Bessel and Laguerre
+    form, as exp(log(xy)/2 - log S + log(e^{-z} I_tau(z)) + G).  For
+    tau < 0 it is (xy)^{tau+1/2} times a bounded factor: an exact 0 at
+    x = 0 or y = 0, where the log form meets inf - inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_xy = np.log(x) + np.log(y)
+        log_k = (0.5 * log_xy - log_s
+                 + specfun.log_bessel_i_scaled(tau, log_xy - log_s)
+                 + gauss)
+    if tau < 0.0:
+        log_k = np.where(log_xy == -math.inf, -math.inf, log_k)
+    return np.exp(log_k)
 
 
 class KernelFamily:
@@ -113,13 +121,9 @@ class EuclideanHeat(KernelFamily):
         self._check_time(t)
         t = np.asarray(t, dtype=float)
         d = self.dimension
-        if d == 1:
-            r2 = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2
-        else:
-            r2 = np.sum((np.asarray(x, dtype=float)
-                         - np.asarray(y, dtype=float)) ** 2, axis=-1)
-        return (_time_power(4.0 * math.pi * t, -d / 2.0)
-                * np.exp(-r2 / (4.0 * t)))
+        # np.power, a ufunc, gives the same bits for every shape of t
+        return (np.power(4.0 * math.pi * t, -d / 2.0)
+                * np.exp(-_dist2(x, y, d) / (4.0 * t)))
 
     def comparison(self) -> "KernelFamily":
         return self
@@ -140,17 +144,8 @@ class BesselKernel(KernelFamily):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_xy = np.log(x) + np.log(y)
-            log_z = log_xy - np.log(2.0 * t)
-            log_k = (0.5 * log_xy - np.log(2.0 * t)
-                     + specfun.log_bessel_i_scaled(self.tau, log_z)
-                     - (x - y) ** 2 / (4.0 * t))
-        if self.tau < 0.0:
-            # the kernel is (xy)^{tau+1/2} times a bounded factor, an exact
-            # 0 at x = 0 or y = 0, where its log form meets inf - inf
-            log_k = np.where(log_xy == -math.inf, -math.inf, log_k)
-        return np.exp(log_k)
+        return _log_space_kernel(self.tau, x, y, np.log(2.0 * t),
+                                 -(x - y) ** 2 / (4.0 * t))
 
     def comparison(self) -> "KernelFamily":
         return EuclideanHeat(1)
@@ -174,15 +169,7 @@ class LaguerreKernel(KernelFamily):
         # z - coth(2t)(x^2+y^2)/2 rewritten to stay finite for all t
         exponent = (-(x - y) ** 2 * np.exp(-ls) / 2.0
                     - np.tanh(t) * (x * x + y * y) / 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_xy = np.log(x) + np.log(y)
-            log_z = log_xy - ls
-            log_k = (0.5 * log_xy - ls
-                     + specfun.log_bessel_i_scaled(self.alpha, log_z)
-                     + exponent)
-        if self.alpha < 0.0:   # an exact 0 at the origin, as for Bessel
-            log_k = np.where(log_xy == -math.inf, -math.inf, log_k)
-        return np.exp(log_k)
+        return _log_space_kernel(self.alpha, x, y, ls, exponent)
 
     def comparison(self) -> "KernelFamily":
         return EuclideanHeat(1)
@@ -250,8 +237,9 @@ def _per_time_row(fn, t, x, y):
     Applies when t carries its own leading axis of times, one that the
     points x and y do not vary along (a t-grid chunk of shape (rows, 1) or
     one golden-section time per value, (deltas, N)).  Each row then costs
-    one (nodes x values) temporary and one K15/G7 check, as a call per time
-    would; any other t goes to fn whole.
+    one temporary of the size of a single-time call: (nodes x values) and
+    one K15/G7 check for a subordinated kernel, (values x modes) for the
+    Schrodinger eigen sum.  Any other t goes to fn whole.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim == 2 and np.ndim(x) < 2 and np.ndim(y) < 2:
@@ -311,11 +299,7 @@ class StableKernel(SubordinateKernel):
 def poisson_kernel(t, x, y, d: int = 1):
     """Closed-form P_{t, 1/2}; the nu = 1/2 oracle for subordination."""
     t = np.asarray(t, dtype=float)
-    if d == 1:
-        r2 = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2
-    else:
-        r2 = np.sum((np.asarray(x, dtype=float)
-                     - np.asarray(y, dtype=float)) ** 2, axis=-1)
+    r2 = _dist2(x, y, d)
     c = math.gamma((d + 1) / 2.0) / math.pi ** ((d + 1) / 2.0)
     return c * t / (t * t + r2) ** ((d + 1) / 2.0)
 
@@ -415,17 +399,15 @@ class SchrodingerKernel(KernelFamily):
         return ((1.0 - w)[..., None] * self._vp[idx, :k_max]
                 + w[..., None] * self._vp[idx + 1, :k_max])
 
-    def _modes_and_weights(self, t: float, x):
-        """phi_k(x) and e^{-t lambda_k} for the modes k < k_max that
-        contribute above the double underflow at time t."""
-        weights = np.exp(-t * self.eigvals)
-        k_max = int(np.searchsorted(t * self.eigvals, 746.0)) or 1
-        return self._interp_modes(x, k_max), weights[:k_max]
-
-    def _eval_scalar_t(self, t: float, x, y):
-        phi_x, weights = self._modes_and_weights(t, x)
-        phi_y = self._interp_modes(y, len(weights))
-        return np.einsum("...k,...k,k->...", phi_x, phi_y, weights) / self.h
+    def _modes_and_weights(self, t, x):
+        """phi_k(x) and e^{-t lambda_k}, shape t.shape + (k_max,), for the
+        modes k < k_max that contribute above the double underflow at the
+        smallest t."""
+        t = np.asarray(t, dtype=float)
+        k_max = int(np.searchsorted(t.min(initial=math.inf) * self.eigvals,
+                                    746.0)) or 1
+        weights = np.exp(np.multiply.outer(-t, self.eigvals[:k_max]))
+        return self._interp_modes(x, k_max), weights
 
     def _box_mass(self, t: float, x: float) -> float:
         """Exact integral of eval(t, x, .) over the truncation box [-R, R]:
@@ -435,21 +417,15 @@ class SchrodingerKernel(KernelFamily):
         phi_x, weights = self._modes_and_weights(t, x)
         return float(np.dot(phi_x * weights, self._col_sums[:len(weights)]))
 
+    def _eigen_sum(self, t, x, y):
+        phi_x, weights = self._modes_and_weights(t, x)
+        phi_y = self._interp_modes(y, weights.shape[-1])
+        return np.einsum("...k,...k,...k->...", phi_x, phi_y, weights) / self.h
+
     def eval(self, t, x, y):
         self._check_time(t)
         self._check_validity(t)
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return self._eval_scalar_t(float(t_arr), x, y)
-        shape = np.broadcast_shapes(t_arr.shape, np.shape(x), np.shape(y))
-        t_b = np.broadcast_to(t_arr, shape)
-        x_b = np.broadcast_to(np.asarray(x, dtype=float), shape)
-        y_b = np.broadcast_to(np.asarray(y, dtype=float), shape)
-        out = np.empty(shape)
-        for tv in np.unique(t_b):
-            mask = t_b == tv
-            out[mask] = self._eval_scalar_t(float(tv), x_b[mask], y_b[mask])
-        return out
+        return _per_time_row(lambda tr: self._eigen_sum(tr, x, y), t, x, y)
 
     def comparison(self) -> "KernelFamily":
         return EuclideanHeat(1)

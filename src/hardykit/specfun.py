@@ -115,13 +115,12 @@ def log_bessel_i_scaled(tau: float, log_z):
         mu = 4.0 * tau * tau
         total = np.ones_like(lz)
         term = np.ones_like(lz)
-        active = np.ones_like(lz, dtype=bool)
+        # above the switch point z > max(30, 1.5 tau^2), so every factor
+        # |mu - (2k+1)^2| / (8(k+1)z) with k < 40 is at most
+        # max(79^2 / (8 * 40 * 30), 1/3) < 1: each term is below the last
         for k in range(40):
             factor = -(mu - (2 * k + 1.0) ** 2) * inv_z / (8.0 * (k + 1.0))
-            new_term = term * factor
-            grow = np.abs(new_term) >= np.abs(term)
-            active = active & ~grow
-            term = np.where(active, new_term, 0.0)
+            term = term * factor
             total += term
             if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
                 break

@@ -529,7 +529,9 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
 
     The fitted constant per cuboid is rho_hat = exp(-slope) from the
     least-squares fit of log(mass) against n; the report passes when
-    every cuboid achieves rho_hat >= rho_target.
+    every cuboid achieves rho_hat >= rho_target.  A mass that is not
+    positive (an eigen sum that has sunk to its roundoff) has no log and
+    raises QuadratureError.
     """
     entries = []
     t_cap = (k.box_half_width / 4.0) ** 2
@@ -544,7 +546,10 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
             t = 2.0 ** n * d_q * d_q
             m = max(mass(k, t, float(y[0]), math.inf, rtol=1e-8)
                     for y in y_samples(q, covering.kappa, settings.qmc_y))
-            masses.append(max(m, 1e-280))
+            if not m > 0.0:
+                raise QuadratureError(f"(D') mass not positive at cuboid {i} "
+                                      f"(center {q.center}), n = {n}: {m:g}")
+            masses.append(m)
         log_m = np.log(masses)
         slope = np.polyfit(np.array(ns, dtype=float), log_m, 1)[0]
         rho_hat = math.exp(-slope)
@@ -820,8 +825,8 @@ def maximal_norm(k: KernelFamily, atom: Atom,
             # one (points x cells) product per time, or per row of
             # golden-section times (one time per point)
             return np.stack([
-                np.abs(k.eval(row[0] if row.size == 1 else row[:, None],
-                              x[:, None], centers[None, :]) @ weights)
+                np.abs(k.eval(row[:, None], x[:, None], centers[None, :])
+                       @ weights)
                 for row in t])
         sup = sup_over_t(tf, grid, golden_iters=6).values[0]
         floor = np.abs(atom.as_grid_function()(x))

@@ -150,6 +150,32 @@ golden_iters = 0
     assert csvs[0] == csvs[1]
 
 
+def test_dprime_roundoff_mass_exits_2(tmp_path):
+    # near the edge of the x^2 box every D' mass of this cuboid is
+    # eigen-sum roundoff, negative at one BLAS thread (-7.7e-34 at n = 0)
+    cfg = write_config(tmp_path / "d.cfg", """
+[kernel]
+kind = schrodinger
+potential = x2
+[covering]
+family = uniform
+window = -19..-18
+[conditions]
+list = Dprime
+[quadrature]
+qmc_y = 2
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hardykit.cli", "--config", cfg,
+         "--out", str(tmp_path / "out"), "verify"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "cuboid 0 (center (-18.5,)), n = 0: -" in proc.stderr
+
+
 def test_maximal_command(tmp_path):
     cfg = write_config(tmp_path / "m.cfg", """
 [kernel]

@@ -48,6 +48,19 @@ def test_heat_2d_factorizes():
                     rtol=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_heat_time_column_is_row_by_row(d):
+    # np.power raises a column of times with the loop a single time takes
+    rng = np.random.default_rng(d)
+    ts = np.exp(rng.uniform(-40.0, 20.0, 400))
+    x = rng.uniform(-3.0, 3.0, (50, d)) if d > 1 else rng.uniform(-3, 3, 50)
+    y = np.full(d, 0.4) if d > 1 else 0.4
+    heat = K.EuclideanHeat(d)
+    column = heat.eval(ts[:, None], x, y)
+    rows = np.stack([heat.eval(t, x, y) for t in ts])
+    assert np.array_equal(column, rows)
+
+
 def test_bessel_beta1_closed_form_grid():
     b1 = K.BesselKernel(1.0)
     rng = np.random.default_rng(1)
@@ -113,6 +126,19 @@ def test_laguerre_against_mpmath(alpha):
                          * mpmath.exp(-mpmath.cosh(2 * t) / (2 * s)
                                       * (x * x + y * y)))
         assert_allclose(lag.eval(t, x, y), expected, rtol=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.sampled_from([-0.25, 0.0, 0.5, 1.0, 2.3]),
+       t=st.floats(1e-3, 6.0), x=st.floats(1e-3, 6.0), y=st.floats(1e-3, 6.0))
+def test_laguerre_is_bessel_at_mehler_time(alpha, t, x, y):
+    # Laguerre(alpha) at t is Bessel(alpha + 1/2) at sinh(2t)/2 times
+    # e^{-tanh(t)(x^2+y^2)/2}: coth(2t) - 1/sinh(2t) = tanh(t)
+    got = K.LaguerreKernel(alpha).eval(t, x, y)
+    assume(got >= 1e-280)
+    ref = (K.BesselKernel(alpha + 0.5).eval(math.sinh(2.0 * t) / 2.0, x, y)
+           * math.exp(-math.tanh(t) * (x * x + y * y) / 2.0))
+    assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 def test_laguerre_small_time_matches_heat():
@@ -422,6 +448,21 @@ def test_schrodinger_box_mass_is_node_sum(name, request):
             assert abs(K.mass(k, t, x) - exact) <= 1e-12 * exact
             wide = K.mass(k, t, x, 2.0 * k.box_half_width)
             assert abs(wide - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("name", ["schrodinger_v1", "schrodinger_x2"])
+def test_schrodinger_time_shapes_match_single_times(name, request):
+    # one broadcast eigen sum serves a single time, a column of times and
+    # one time per point
+    k = request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-15.0, 15.0, 200)
+    ts = np.geomspace(1e-4, k.max_valid_time(), 31)
+    column = k.eval(ts[:, None], x, 0.7)
+    assert np.array_equal(column, np.stack([k.eval(t, x, 0.7) for t in ts]))
+    per_point = rng.choice(ts, size=(1, len(x)))
+    single = [k.eval(t, xi, 0.7) for t, xi in zip(per_point[0], x)]
+    assert np.array_equal(k.eval(per_point, x, 0.7)[0], single)
 
 
 def test_schrodinger_guards():

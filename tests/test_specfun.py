@@ -66,6 +66,16 @@ def test_bessel_branch_crossover(tau):
     assert np.max(np.abs(got - ref) / ref) < 1e-9
 
 
+def test_asymptotic_terms_shrink_above_switch():
+    # the asymptotic series runs at z > z0(tau) = max(30, 1.5 tau^2), where
+    # every ratio of consecutive terms is below 1, so no term is dropped
+    for tau in np.linspace(-0.5, 60.0, 1211):
+        z0 = sf._bessel_switch_point(tau)
+        k = np.arange(40.0)
+        factor = np.abs(4 * tau * tau - (2 * k + 1) ** 2) / (8 * (k + 1) * z0)
+        assert factor.max() < 1.0
+
+
 def test_bessel_positive_and_monotone():
     z = np.geomspace(1e-6, 600.0, 400)
     for tau in (0.0, 0.5, 2.0):

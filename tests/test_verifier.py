@@ -242,6 +242,15 @@ def test_dprime_mehler_decay(schrodinger_x2):
     assert report.parameters["passed"]
 
 
+def test_dprime_nonpositive_mass_raises(schrodinger_v1, monkeypatch):
+    # log(mass) has no value to fit; a clamp would fit noise
+    qs = cov.covering_uniform(real_line(1), 1.0, ([-2.0], [2.0]))
+    monkeypatch.setattr(V, "mass", lambda k, t, *args, **kw:
+                        1e-3 if t < 2.0 else -7.7e-34)
+    with pytest.raises(QuadratureError, match=r"cuboid 0 .*, n = 1: -7.7e-34"):
+        V.verify_schrodinger_D(schrodinger_v1, qs, settings=TINY)
+
+
 def test_dprime_needs_no_kernel_evaluation(schrodinger_v1, monkeypatch):
     # every (D') mass is a full-box mass, an exact eigen sum
     qs = cov.covering_uniform(real_line(1), 1.0, ([-1.0], [1.0]))
