@@ -42,7 +42,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import specfun
 from .domain import DomainSpec, half_line, product_domain, real_line
@@ -449,6 +448,9 @@ def schrodinger_build(potential, box_half_width: float = 20.0,
             raise ValueError(f"potential samples must have shape {grid.shape}")
     if np.any(v < 0.0):
         raise DomainError("schrodinger_build requires a nonnegative potential")
+    # scipy loads on first use, so importing hardykit does not pay for it
+    from scipy.linalg import eigh_tridiagonal
+
     diag = 2.0 / h ** 2 + v
     off = np.full(n_points - 1, -1.0 / h ** 2)
     try:

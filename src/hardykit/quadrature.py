@@ -171,8 +171,10 @@ def golden_refine(f: Callable, ts: np.ndarray, idx: np.ndarray,
 
     Row r of ``idx`` (shape (len(deltas), N)) holds the grid argmax of
     t^deltas[r] * f(t) per batch point; every row is refined in the same
-    calls to ``f``, which receive t of the shape of ``idx``.  Returns
-    (values, maximizers), shaped like ``idx``.
+    calls to ``f``, which receive t of the shape of ``idx``: 2 + iters
+    calls in all, as each iteration shrinks the bracket by 1/phi and
+    evaluates one new point.  Returns (values, maximizers), shaped like
+    ``idx``.
     """
     deltas = [float(d) for d in np.atleast_1d(deltas)]
     a = np.log(ts[np.maximum(idx - 1, 0)])
@@ -189,12 +191,18 @@ def golden_refine(f: Callable, ts: np.ndarray, idx: np.ndarray,
     f1 = g(x1)
     f2 = g(x2)
     for _ in range(iters):
+        # the surviving interior point is the new bracket's other interior
+        # point (Kiefer 1953), so each step evaluates one new point
         take_left = f1 >= f2
         b = np.where(take_left, x2, b)
         a = np.where(take_left, a, x1)
-        x1 = b - _INV_PHI * (b - a)
-        x2 = a + _INV_PHI * (b - a)
-        f1, f2 = g(x1), g(x2)
+        x_new = np.where(take_left, b - _INV_PHI * (b - a),
+                         a + _INV_PHI * (b - a))
+        f_new = g(x_new)
+        x1, x2 = (np.where(take_left, x_new, x2),
+                  np.where(take_left, x1, x_new))
+        f1, f2 = (np.where(take_left, f_new, f2),
+                  np.where(take_left, f1, f_new))
     refined = np.maximum(f1, f2)
     t_ref = np.exp(np.where(f1 >= f2, x1, x2))
     return refined, t_ref

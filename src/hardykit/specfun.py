@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .quadrature import gauss_kronrod_15 as _gk15
@@ -93,6 +92,9 @@ def log_bessel_i_scaled(tau: float, log_z):
 
     small = log_z <= log_z0
     if np.any(small):
+        # scipy loads on first use: tau = 1/2 never reaches this branch
+        from scipy.special import gammaln
+
         lz = log_z[small]
         z = np.exp(lz)
         # correction series sum_k (z^2/4)^k / (k! (tau+1)_k), all positive
@@ -181,6 +183,8 @@ def _stable_series(nu: float, s: np.ndarray) -> np.ndarray:
     Standard large-argument expansion of the one-sided stable density;
     convergent for every s > 0, numerically usable for s >= switch.
     """
+    from scipy.special import gammaln
+
     s = np.asarray(s, dtype=float)
     total = np.zeros_like(s)
     log_s = np.log(s)
@@ -260,6 +264,8 @@ def stable_density(params: StableDensityParams, s):
 
 def _stable_series_tail_integral(nu: float, s_cut: float) -> float:
     """Exact integral of the series representation over [s_cut, inf)."""
+    from scipy.special import gammaln
+
     total = 0.0
     for k in range(1, 400):
         log_mag = gammaln(nu * k + 1.0) - gammaln(k + 1.0) - nu * k * math.log(s_cut)

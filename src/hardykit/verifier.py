@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfcx
 
 from .atoms import Atom
 from .coverings import AdmissibleCovering, Cuboid, PartitionOfUnity
@@ -57,6 +56,20 @@ class VerifierSettings:
     # hard per-integral budget: exceeding it raises QuadratureError
     # (None keeps errors report-only)
     hard_quad_tol: float | None = None
+
+    def __post_init__(self):
+        for name in ("tgrid_ppd", "nodes_near", "nodes_cross", "box_nodes"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("golden_iters", "qmc_y"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be at least 0")
+        for name in ("window_factor", "error_budget_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
+        if self.hard_quad_tol is not None and not self.hard_quad_tol > 0.0:
+            raise ValueError("hard_quad_tol must be positive or blank")
 
 
 @dataclass
@@ -189,26 +202,37 @@ def _max_over_y(point_fn: Callable, q: Cuboid, kappa: float,
                 rule: SpatialRule, grid: TGrid, powers: Sequence[float],
                 norms: Sequence[float], s: VerifierSettings,
                 tol: float | None
-                ) -> list[tuple[float, float, float | np.ndarray | None]]:
+                ) -> list[tuple[float, float, float | np.ndarray | None,
+                                float]]:
     """max over y in Q* of norm * int sup_t t^power point_fn(t, x, y) dx.
 
-    One (norm * value, norm * error, y) per (power, norm) pair, with y the
-    first sample that attains the maximum; (0.0, 0.0, None) when no sample
+    One (norm * value, norm * error, y, boundary_frac) per (power, norm)
+    pair, with y the first sample that attains the maximum and
+    boundary_frac the share of the fine-level nodes whose t-grid argmax
+    lies at a grid end at that y; (0.0, 0.0, None, nan) when no sample
     gives a positive value.  A value that is not finite raises
     QuadratureError.  ``point_fn`` must broadcast over t and x.
     """
-    best = [(0.0, 0.0, None)] * len(powers)
+    best = [(0.0, 0.0, None, math.nan)] * len(powers)
     if not rule.panels:
         return best
     for y in y_samples(q, kappa, s.qmc_y):
         y_pt = y[0] if q.dimension == 1 else y
-        res = integrate(rule, lambda x: sup_over_t(
-            lambda t: point_fn(t, x, y_pt), grid, powers,
-            s.golden_iters).values, tol)
+        boundary = []
+
+        def sup_values(x):
+            sup = sup_over_t(lambda t: point_fn(t, x, y_pt), grid, powers,
+                             s.golden_iters)
+            # integrate evaluates the fine level last
+            boundary[:] = sup.boundary_frac.tolist()
+            return sup.values
+
+        res = integrate(rule, sup_values, tol)
         if not all(map(math.isfinite, res.value)):
             raise QuadratureError(f"sup integral not finite at y = {y_pt}")
-        best = [(v * n, e * n, y_pt) if v * n > b[0] else b
-                for v, e, n, b in zip(res.value, res.error, norms, best)]
+        best = [(v * n, e * n, y_pt, bf) if v * n > b[0] else b
+                for v, e, n, bf, b in zip(res.value, res.error, norms,
+                                          boundary, best)]
     return best
 
 
@@ -267,7 +291,7 @@ def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
     best = _max_over_y(k.eval, q, covering.kappa, rule, grid, deltas, norms,
                        s, s.hard_quad_tol)
     entries = []
-    for delta, norm, (value, err, y_pt) in zip(deltas, norms, best):
+    for delta, norm, (value, err, y_pt, bf) in zip(deltas, norms, best):
         tail = 0.0
         if y_pt is not None:
             def edge_fn(x):
@@ -281,7 +305,7 @@ def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
             index=index, label=f"Q{index} d={d_q:g}",
             constant=value, error=err,
             metadata={"delta": delta, "d_q": d_q, "quad_error": err,
-                      "tail_estimate": tail}))
+                      "tail_estimate": tail, "boundary_frac": bf}))
     return entries
 
 
@@ -398,8 +422,8 @@ def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
     return [CuboidEntry(index=index, label=f"Q{index} d={d_q:g}",
                         constant=value, error=err,
                         metadata={"delta": delta, "d_q": d_q,
-                                  "quad_error": err})
-            for delta, (value, err, _) in zip(deltas, best)]
+                                  "quad_error": err, "boundary_frac": bf})
+            for delta, (value, err, _, bf) in zip(deltas, best)]
 
 
 def comparison_reports(k: KernelFamily, covering: AdmissibleCovering,
@@ -461,11 +485,11 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
         grid = _clamped_grid(k, d_q * d_q, _TGRID_SPAN[1] * d_q * d_q,
                              s.tgrid_ppd)
         # report-only: no hard quadrature budget
-        [(value, err, _)] = _max_over_y(k.eval, q, covering.kappa, rule, grid,
-                                        [0.0], [1.0], s, None)
+        [(value, err, _, bf)] = _max_over_y(k.eval, q, covering.kappa, rule,
+                                            grid, [0.0], [1.0], s, None)
         entries_a3.append(CuboidEntry(
             index=i, label=f"Q{i} d={d_q:g}", constant=value, error=err,
-            metadata={"d_q": d_q}))
+            metadata={"d_q": d_q, "boundary_frac": bf}))
     report_a3 = VerificationReport(
         condition_id="a3", covering_id=covering_id(covering),
         kernel_id=k.describe(),
@@ -574,6 +598,9 @@ def _heat_time_integral(t, r):
 
     Broadcasts over t > 0 and r.
     """
+    # scipy loads on first use, so importing hardykit does not pay for it
+    from scipy.special import erfcx
+
     sqrt_t = np.sqrt(t)
     u = np.abs(r) / (2.0 * sqrt_t)
     return sqrt_t * np.exp(-u * u) * (1.0 / math.sqrt(math.pi) - u * erfcx(u))

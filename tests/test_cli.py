@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hardykit import atoms, cli, kernels
 from hardykit.cli import main
@@ -107,6 +108,43 @@ def test_verify_numerical_failure_exit_2(tmp_path):
     cfg = write_config(tmp_path / "v.cfg", VERIFY_CFG + "hard_quad_tol = 1e-18\n")
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", out, "verify"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tgrid_ppd", "0"), ("nodes_near", "0"), ("nodes_cross", "-1"),
+    ("box_nodes", "0"), ("golden_iters", "-3"), ("qmc_y", "-1"),
+    ("window_factor", "0"), ("window_factor", "inf"),
+    ("error_budget_rel", "nan"), ("error_budget_rel", "-0.05"),
+    ("hard_quad_tol", "0"),
+])
+def test_verify_out_of_range_setting_exit_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "v.cfg", f"""
+[kernel]
+kind = bessel
+beta = 1.0
+[covering]
+family = bessel
+window = -1..1
+[conditions]
+list = A1prime
+[quadrature]
+{key} = {value}
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "verify"]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "A1prime.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hardykit.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_threads_match_serial(tmp_path):

@@ -239,6 +239,33 @@ def test_golden_refine_quadratic():
     assert abs(math.log(t_ref[0]) - 0.3) < 1e-4
 
 
+@pytest.mark.parametrize("iters", [0, 1, 6, 15])
+@pytest.mark.parametrize("deltas", [[0.0], [0.0, 0.1], [0.0, 0.1, -0.18]])
+def test_golden_refine_one_call_per_iteration(iters, deltas):
+    ts = np.geomspace(0.1, 10.0, 9)
+    x = np.linspace(-0.5, 0.5, 7)
+    shapes = []
+
+    def f(t):
+        shapes.append(np.shape(t))
+        return np.exp(-(np.log(t) - x) ** 2)
+
+    idx = np.tile(np.argmax(np.stack([f(t) for t in ts]), axis=0),
+                  (len(deltas), 1))
+    shapes.clear()
+    q.golden_refine(f, ts, idx, deltas, iters)
+    assert shapes == [(len(deltas), len(x))] * (2 + iters)
+
+
+def test_golden_refine_long_run_stays_on_peak():
+    ts = np.geomspace(0.1, 10.0, 33)
+    f = lambda t: -(np.log(np.atleast_1d(t)) - 0.3) ** 2 + 1.0
+    idx = np.argmax(np.stack([f(t) for t in ts]), axis=0)[None, :]
+    refined, t_ref = q.golden_refine(f, ts, idx, 0.0, 40)
+    assert abs(refined[0, 0] - 1.0) <= 1e-14
+    assert abs(math.log(t_ref[0, 0]) - 0.3) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # The chunked estimator against a per-t reference loop
 # ---------------------------------------------------------------------------
@@ -269,9 +296,11 @@ def _reference_sup(f, ts, deltas, iters):
                 left = f1 >= f2
                 b = np.where(left, x2, b)
                 a = np.where(left, a, x1)
-                x1 = b - q._INV_PHI * (b - a)
-                x2 = a + q._INV_PHI * (b - a)
-                f1, f2 = g(x1), g(x2)
+                x_new = np.where(left, b - q._INV_PHI * (b - a),
+                                 a + q._INV_PHI * (b - a))
+                f_new = g(x_new)
+                x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+                f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
             refined = np.maximum(f1, f2)[0]
             t_ref = np.exp(np.where(f1 >= f2, x1, x2))[0]
             t_best = np.where(refined > best, t_ref, t_best)

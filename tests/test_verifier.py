@@ -11,7 +11,8 @@ from hardykit import kernels as K
 from hardykit import verifier as V
 from hardykit.domain import real_line
 from hardykit.errors import QuadratureError
-from hardykit.quadrature import integrate_adaptive
+from hardykit.quadrature import (TGrid, integrate_adaptive, rule_for_box,
+                                 sup_over_t)
 from tests.conftest import FAST
 
 TINY = V.VerifierSettings(tgrid_ppd=6, qmc_y=2, nodes_near=24,
@@ -209,6 +210,31 @@ def test_a3_a4_heat_uniform(heat1):
         d_q = e.metadata["d_q"]
         bound = (4 * math.pi) ** -0.5 * 2.2 * d_q / d_q
         assert e.constant <= bound * 1.05
+
+
+def test_boundary_frac_is_fine_level_share(heat1):
+    # for t >= 1 the heat kernel peaks at the grid start when
+    # |x - y|^2 < 2 (1 - 2 delta) and inside the grid beyond, so the share
+    # lies strictly between 0 and 1 and differs between the two levels
+    qu = cov.covering_uniform(real_line(1), 1.0, ([-1.0], [1.0]))
+    rule = rule_for_box([-4.0], [4.0], 15)
+    grid = TGrid(1.0, 1e4, 6)
+    powers = [0.0, 0.2]
+    best = V._max_over_y(heat1.eval, qu.cuboids[0], qu.kappa, rule, grid,
+                         powers, [1.0, 1.0], TINY, None)
+    for r, (_, _, y, frac) in enumerate(best):
+        x = rule.nodes_and_weights(2)[0][:, 0]
+        direct = sup_over_t(lambda t: heat1.eval(t, x, y), grid, powers,
+                            TINY.golden_iters)
+        assert 0.0 < frac < 1.0
+        assert frac == direct.boundary_frac[r]
+    bessel, qb = K.BesselKernel(1.0), cov.covering_bessel((0, 0))
+    reports = V.complement_reports(bessel, qb, TINY, gamma=0.2)
+    reports += V.comparison_reports(bessel, qb, TINY, gamma=0.2)
+    reports += V.verify_a3_a4(heat1, qu, cov.partition_of_unity(qu), TINY)[:1]
+    for report in reports:
+        for e in report.per_cuboid:
+            assert 0.0 <= e.metadata["boundary_frac"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
