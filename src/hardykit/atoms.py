@@ -35,6 +35,10 @@ class GridFunction:
     hi: float
     values: np.ndarray
 
+    def __post_init__(self):
+        if len(self.values) < 1:
+            raise ValueError("cells must be at least 1, got 0")
+
     @property
     def cells(self) -> int:
         return len(self.values)
@@ -70,41 +74,23 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Atom:
-    """Grid realization of a classical or local atom."""
+class Atom(GridFunction):
+    """Grid realization of a classical or local atom tied to a host cuboid.
 
-    kind: str                  # "classical" | "local"
+    The atom is the step function on its support [lo, hi]; ``kind`` is
+    "classical" or "local" and ``host`` is the covering cuboid Q.
+    """
+
+    kind: str
     host: Cuboid
-    support_lo: float
-    support_hi: float
-    values: np.ndarray
 
     @property
     def measure(self) -> float:
-        return self.support_hi - self.support_lo
-
-    @property
-    def cells(self) -> int:
-        return len(self.values)
-
-    @property
-    def cell_width(self) -> float:
-        return self.measure / self.cells
+        return self.hi - self.lo
 
     @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    @property
-    def integral(self) -> float:
-        return float(self.cell_width * self.values.sum())
-
-    @property
-    def l1_norm(self) -> float:
-        return float(self.cell_width * np.abs(self.values).sum())
-
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(self.support_lo, self.support_hi, self.values)
 
 
 def make_local_atom(q: Cuboid, cells: int = 256) -> Atom:
@@ -112,7 +98,7 @@ def make_local_atom(q: Cuboid, cells: int = 256) -> Atom:
     lo, hi = q.box()
     lo, hi = float(lo[0]), float(hi[0])
     value = 1.0 / (hi - lo)
-    return Atom("local", q, lo, hi, np.full(cells, value))
+    return Atom(lo, hi, np.full(cells, value), "local", q)
 
 
 def random_classical_atom(q: Cuboid, kappa: float, seed: int,
@@ -141,7 +127,7 @@ def random_classical_atom(q: Cuboid, kappa: float, seed: int,
         signs[flip[-abs(excess):]] *= -1.0
     measure = 2.0 * half
     values = signs * (0.95 / measure)
-    return Atom("classical", q, center - half, center + half, values)
+    return Atom(center - half, center + half, values, "classical", q)
 
 
 @dataclass
@@ -168,11 +154,11 @@ def validate_atom(a: Atom, kappa: float) -> AtomReport:
     slo, shi = star.box()
     slo, shi = float(slo[0]), float(shi[0])
     tol = 1e-12 * max(1.0, abs(shi - slo))
-    support_ok = (a.support_lo >= slo - tol) and (a.support_hi <= shi + tol)
+    support_ok = (a.lo >= slo - tol) and (a.hi <= shi + tol)
     if a.kind == "local":
         qlo, qhi = a.host.box()
         boxes = ((float(qlo[0]), float(qhi[0])), (slo, shi))
-        on_box = any(abs(a.support_lo - lo) <= tol and abs(a.support_hi - hi) <= tol
+        on_box = any(abs(a.lo - lo) <= tol and abs(a.hi - hi) <= tol
                      for lo, hi in boxes)
         expected = 1.0 / a.measure
         exact = bool(np.all(np.abs(a.values - expected) <= 1e-12 * expected))
@@ -202,16 +188,15 @@ def localize(f: Callable, partition: PartitionOfUnity,
         star = q.enlarged(covering.kappa, 1)
         lo, hi = star.box()
         lo, hi = float(lo[0]), float(hi[0])
-        g = GridFunction(lo, hi, np.zeros(cells))
-        x = g.centers
+        piece = GridFunction(lo, hi, np.zeros(cells))
+        x = piece.centers
         win_lo = covering.window_box[0][0]
         win_hi = covering.window_box[1][0]
         inside = (x >= win_lo) & (x <= win_hi)
-        vals = np.zeros(cells)
         if np.any(inside):
             psi = partition.evaluate(i, x[inside])
-            vals[inside] = psi * np.asarray(f(x[inside]), dtype=float)
-        out.append((q, GridFunction(lo, hi, vals)))
+            piece.values[inside] = psi * np.asarray(f(x[inside]), dtype=float)
+        out.append((q, piece))
     return out
 
 
@@ -230,8 +215,11 @@ def localize_reconstruction_error(f: Callable, partition: PartitionOfUnity,
 @dataclass
 class AtomicDecomposition:
     terms: list[tuple[float, Atom]]
-    residual_norm: float
     remainder: GridFunction
+
+    @property
+    def residual_norm(self) -> float:
+        return self.remainder.l1_norm
 
     @property
     def coefficient_l1(self) -> float:
@@ -241,13 +229,9 @@ class AtomicDecomposition:
         """Exact reconstruction on the source grid."""
         base = self.remainder
         total = np.zeros_like(base.values)
-        h = base.cell_width
+        x = base.centers
         for coeff, atom in self.terms:
-            start = int(round((atom.support_lo - base.lo) / h))
-            stop = int(round((atom.support_hi - base.lo) / h))
-            per_cell = np.repeat(atom.values,
-                                 max(1, (stop - start) // atom.cells))
-            total[start:stop] += coeff * per_cell[: stop - start]
+            total += coeff * atom(x)
         if include_remainder:
             total += base.values
         return GridFunction(base.lo, base.hi, total)
@@ -275,8 +259,8 @@ def local_decompose(fq: GridFunction, host: Cuboid, kappa: float,
     mean = fq.values.mean()
     coeff0 = mean * box_measure  # equals the integral of fq
     if coeff0 != 0.0:
-        local = Atom("local", host, fq.lo, fq.hi,
-                     np.full(n, 1.0 / box_measure))
+        local = Atom(fq.lo, fq.hi, np.full(n, 1.0 / box_measure), "local",
+                     host)
         terms.append((float(coeff0), local))
 
     approx = np.full(n, mean)
@@ -298,102 +282,91 @@ def local_decompose(fq: GridFunction, host: Cuboid, kappa: float,
             values = np.repeat([sign / d_measure, -sign / d_measure], half)
             coeff = abs(delta) * d_measure / 2.0
             terms.append((float(coeff),
-                          Atom("classical", host, d_lo, d_hi, values)))
+                          Atom(d_lo, d_hi, values, "classical", host)))
 
-    remainder_values = fq.values - approx
-    remainder = GridFunction(fq.lo, fq.hi, remainder_values)
-    return AtomicDecomposition(terms=terms,
-                               residual_norm=remainder.l1_norm,
-                               remainder=remainder)
+    remainder = GridFunction(fq.lo, fq.hi, fq.values - approx)
+    return AtomicDecomposition(terms, remainder)
 
 
 # ---------------------------------------------------------------------------
 # Serialization (line-oriented text with CSV value blocks)
 # ---------------------------------------------------------------------------
 
-def _format_floats(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _record(tag: str, fields: dict, values) -> list[str]:
+    """One record: the tag and key=value fields, the values, then "end".
+
+    A float field formats as its repr, so every record reads back exactly.
+    """
+    head = " ".join([tag] + [f"{k}={v}" for k, v in fields.items()])
+    return [head, ",".join(repr(float(v)) for v in values), "end"]
 
 
-def atom_to_lines(a: Atom, coeff: float = 1.0) -> list[str]:
-    head = (f"atom kind={a.kind} "
-            f"host_center={a.host.center[0]!r} "
-            f"host_half={a.host.half_widths[0]!r} "
-            f"support_lo={a.support_lo!r} support_hi={a.support_hi!r} "
-            f"cells={a.cells} coeff={coeff!r}")
-    return [head, _format_floats(a.values), "end"]
+def _parse_record(lines: list[str]) -> tuple[str, dict, np.ndarray]:
+    """Inverse of ``_record``: the tag, the fields as text, the values."""
+    tag, *parts = lines[0].split()
+    fields = dict(part.split("=", 1) for part in parts)
+    return tag, fields, np.array([float(v) for v in lines[1].split(",")])
 
 
-def atom_from_lines(lines: list[str], domain) -> tuple[float, Atom]:
-    head = lines[0].split()
-    if head[0] != "atom":
-        raise ValueError(f"expected atom record, got {lines[0]!r}")
-    fields = dict(part.split("=", 1) for part in head[1:])
-    host = Cuboid((float(fields["host_center"]),),
-                  (float(fields["host_half"]),), domain)
-    values = np.array([float(v) for v in lines[1].split(",")])
-    atom = Atom(fields["kind"], host,
-                float(fields["support_lo"]), float(fields["support_hi"]),
-                values)
-    return float(fields["coeff"]), atom
+def _read_lines(path) -> list[str]:
+    with open(path) as fh:
+        return [ln.rstrip("\n") for ln in fh if ln.strip()]
+
+
+def _write_lines(path, lines: list[str]):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def decomposition_to_lines(decomposition: AtomicDecomposition) -> list[str]:
-    """The terms' atom records, then the remainder record."""
+    """The terms' atom records (``coeff`` last), then the remainder record."""
     lines = []
-    for coeff, atom in decomposition.terms:
-        lines.extend(atom_to_lines(atom, coeff))
+    for coeff, a in decomposition.terms:
+        lines += _record("atom", {
+            "kind": a.kind, "host_center": a.host.center[0],
+            "host_half": a.host.half_widths[0], "support_lo": a.lo,
+            "support_hi": a.hi, "cells": a.cells, "coeff": coeff}, a.values)
     rem = decomposition.remainder
-    lines.append(f"remainder lo={rem.lo!r} hi={rem.hi!r} cells={rem.cells}")
-    lines.append(_format_floats(rem.values))
-    lines.append("end")
-    return lines
+    return lines + _record(
+        "remainder", {"lo": rem.lo, "hi": rem.hi, "cells": rem.cells},
+        rem.values)
 
 
 def save_decomposition(path, decomposition: AtomicDecomposition):
-    with open(path, "w") as fh:
-        fh.write("\n".join(decomposition_to_lines(decomposition)) + "\n")
+    _write_lines(path, decomposition_to_lines(decomposition))
 
 
 def load_decomposition(path, domain) -> AtomicDecomposition:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     terms = []
     remainder = None
-    i = 0
-    while i < len(lines):
-        if lines[i].startswith("atom "):
-            coeff, atom = atom_from_lines(lines[i:i + 3], domain)
-            terms.append((coeff, atom))
-            i += 3
-        elif lines[i].startswith("remainder "):
-            fields = dict(part.split("=", 1)
-                          for part in lines[i].split()[1:])
-            values = np.array([float(v) for v in lines[i + 1].split(",")])
+    lines = _read_lines(path)
+    for i in range(0, len(lines), 3):
+        tag, fields, values = _parse_record(lines[i:i + 3])
+        if tag == "atom":
+            host = Cuboid((float(fields["host_center"]),),
+                          (float(fields["host_half"]),), domain)
+            terms.append((float(fields["coeff"]), Atom(
+                float(fields["support_lo"]), float(fields["support_hi"]),
+                values, fields["kind"], host)))
+        elif tag == "remainder":
             remainder = GridFunction(float(fields["lo"]), float(fields["hi"]),
                                      values)
-            i += 3
         else:
-            raise ValueError(f"unrecognized record {lines[i]!r}")
+            raise ValueError(f"unrecognized record {tag!r}")
     if remainder is None:
         raise ValueError("decomposition file has no remainder record")
-    return AtomicDecomposition(terms=terms,
-                               residual_norm=remainder.l1_norm,
-                               remainder=remainder)
+    return AtomicDecomposition(terms, remainder)
 
 
 def save_grid_function(path, g: GridFunction):
-    with open(path, "w") as fh:
-        fh.write(f"function lo={g.lo!r} hi={g.hi!r} cells={g.cells}\n")
-        fh.write(_format_floats(g.values) + "\n")
-        fh.write("end\n")
+    _write_lines(path, _record("function",
+                               {"lo": g.lo, "hi": g.hi, "cells": g.cells},
+                               g.values))
 
 
 def load_grid_function(path) -> GridFunction:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("function "):
         raise ValueError("not a grid function file")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    values = np.array([float(v) for v in lines[1].split(",")])
+    _, fields, values = _parse_record(lines)
     return GridFunction(float(fields["lo"]), float(fields["hi"]), values)

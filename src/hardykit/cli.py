@@ -166,9 +166,11 @@ def _base_kernel(kind: str, cfg: CampaignConfig) -> kernels.KernelFamily:
         return kernels.StableKernel(cfg.getfloat("kernel", "nu"),
                                     cfg.getint("kernel", "d"))
     if kind.startswith("schrodinger"):
-        pot = _POTENTIALS[cfg.get("kernel", "potential").strip().lower()]
+        name = cfg.get("kernel", "potential").strip().lower()
+        if name not in _POTENTIALS:
+            raise ValueError(f"unknown [kernel] potential {name!r}")
         return kernels.schrodinger_build(
-            pot, cfg.getfloat("kernel", "box_half_width"),
+            _POTENTIALS[name], cfg.getfloat("kernel", "box_half_width"),
             cfg.getint("kernel", "n_points"))
     raise ValueError(f"unknown kernel kind {kind!r}")
 
@@ -454,8 +456,8 @@ def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
         total_l1 += dec.coefficient_l1
         residual += dec.residual_norm
         rec = dec.reconstruct()
-        recon_err += atoms.GridFunction(
-            fq.lo, fq.hi, rec.values - fq.values).l1_norm
+        recon_err += float(fq.cell_width
+                           * np.abs(rec.values - fq.values).sum())
         lines.extend(atoms.decomposition_to_lines(dec))
     probes = np.linspace(win_lo, win_hi, 2049)[1:-1]
     identity_err = atoms.localize_reconstruction_error(f, partition, probes)

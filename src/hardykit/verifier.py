@@ -312,12 +312,16 @@ def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
 def _weighted_deltas(gamma: float | None,
                      deltas: Sequence[float] | None) -> tuple[float, ...]:
     """The (A1)/(A2) exponents: none without gamma, else the given deltas
-    or {0, gamma/2, 0.9 gamma}."""
+    or {0, gamma/2, 0.9 gamma}.  Every delta must lie in [0, gamma)."""
     if gamma is None:
         return ()
     if not 0.0 < gamma < 1.0 / 3.0:
         raise ValueError("gamma must lie in (0, 1/3)")
-    return (0.0, gamma / 2.0, 0.9 * gamma) if deltas is None else tuple(deltas)
+    if deltas is None:
+        return (0.0, gamma / 2.0, 0.9 * gamma)
+    if any(not 0.0 <= d < gamma for d in deltas):
+        raise ValueError("every delta must lie in [0, gamma)")
+    return tuple(deltas)
 
 
 def _paired_reports(entry_fn: Callable, k: KernelFamily,
@@ -364,16 +368,13 @@ def complement_reports(k: KernelFamily, covering: AdmissibleCovering,
     A1prime report first, built from the delta = 0 entries, then one A1
     report per (A1) delta.
     """
-    a1_deltas = _weighted_deltas(gamma, deltas)
-    if any(not 0.0 <= d < gamma for d in a1_deltas):
-        raise ValueError("every delta must lie in [0, gamma)")
     params = {"window_factor": settings.window_factor,
               "tgrid_ppd": settings.tgrid_ppd, "qmc_y": settings.qmc_y,
               "kappa": covering.kappa}
     return _paired_reports(
         lambda q, i, ds: _a1_entry(k, q, i, covering, ds, settings),
         k, covering, map_fn, ("A1prime", "A1"), params if prime else None,
-        params, gamma, a1_deltas)
+        params, gamma, _weighted_deltas(gamma, deltas))
 
 
 def verify_A1prime(k: KernelFamily, covering: AdmissibleCovering,
@@ -557,6 +558,8 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
     positive (an eigen sum that has sunk to its roundoff) has no log and
     raises QuadratureError.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     entries = []
     t_cap = (k.box_half_width / 4.0) ** 2
     for i, q in enumerate(covering.cuboids):
@@ -841,7 +844,7 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     rule_out = rule_for_complement(win_lo, win_hi, in_lo, in_hi,
                                    nodes_near=24, nodes_cross=16)
     h = atom.cell_width
-    centers = atom.as_grid_function().centers
+    centers = atom.centers
     weights = np.full(atom.cells, h) * atom.values
     grid = _clamped_grid(k, (h / 2.0) ** 2, 1e4 * d_q * d_q, 10)
 
@@ -856,7 +859,7 @@ def maximal_norm(k: KernelFamily, atom: Atom,
                        @ weights)
                 for row in t])
         sup = sup_over_t(tf, grid, golden_iters=6).values[0]
-        floor = np.abs(atom.as_grid_function()(x))
+        floor = np.abs(atom(x))
         return np.maximum(sup, floor)
 
     res_in = integrate(rule_in, max_fn)

@@ -48,13 +48,13 @@ def test_random_classical_atom(qb, host):
     assert abs(a.integral) <= 1e-10
     # supported inside Q*
     lo, hi = star_box(host, qb.kappa)
-    assert a.support_lo >= lo and a.support_hi <= hi
+    assert a.lo >= lo and a.hi <= hi
 
 
 def test_random_atom_seed_determinism(qb, host):
     a = at.random_classical_atom(host, qb.kappa, seed=7)
     b = at.random_classical_atom(host, qb.kappa, seed=7)
-    assert a.support_lo == b.support_lo and a.support_hi == b.support_hi
+    assert a.lo == b.lo and a.hi == b.hi
     assert np.array_equal(a.values, b.values)
     c = at.random_classical_atom(host, qb.kappa, seed=8)
     assert not np.array_equal(a.values, c.values)
@@ -62,14 +62,12 @@ def test_random_atom_seed_determinism(qb, host):
 
 def test_validate_atom_rejects_violations(qb, host):
     a = at.random_classical_atom(host, qb.kappa, seed=3)
-    too_big = at.Atom("classical", host, a.support_lo, a.support_hi,
-                      a.values * 2.0)
+    too_big = at.Atom(a.lo, a.hi, a.values * 2.0, "classical", host)
     assert not at.validate_atom(too_big, qb.kappa).passed
-    shifted = at.Atom("classical", host, a.support_lo, a.support_hi,
-                      a.values + 1e-3 * a.sup_norm)
+    shifted = at.Atom(a.lo, a.hi, a.values + 1e-3 * a.sup_norm,
+                      "classical", host)
     assert not at.validate_atom(shifted, qb.kappa).passed
-    outside = at.Atom("classical", host, a.support_lo - 10.0,
-                      a.support_hi, a.values)
+    outside = at.Atom(a.lo - 10.0, a.hi, a.values, "classical", host)
     assert not at.validate_atom(outside, qb.kappa).passed
 
 
@@ -234,7 +232,8 @@ def _loop_decompose(fq, depth):
 @settings(max_examples=40, deadline=None)
 @given(depth=st.integers(0, 6), cells=st.sampled_from([64, 256]),
        seed=st.integers(0, 2 ** 16), zero_frac=st.sampled_from([0.0, 0.5, 0.9]))
-def test_decompose_matches_segment_loop(host, depth, cells, seed, zero_frac):
+def test_decompose_matches_segment_loop(host, tmp_path_factory, depth, cells,
+                                       seed, zero_frac):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(cells) * 10.0 ** rng.integers(-6, 6, cells)
     values[rng.random(cells) < zero_frac] = 0.0
@@ -245,9 +244,18 @@ def test_decompose_matches_segment_loop(host, depth, cells, seed, zero_frac):
         else dec.terms
     assert len(classical) == len(terms)
     for (coeff, atom), (ref_coeff, ref_lo, ref_values) in zip(classical, terms):
-        assert coeff == ref_coeff and atom.support_lo == ref_lo
+        assert coeff == ref_coeff and atom.lo == ref_lo
         assert atom.values.tobytes() == ref_values.tobytes()
     assert dec.remainder.values.tobytes() == remainder.tobytes()
+    # the atoms and the remainder add back to the piece up to rounding, and
+    # the text records carry every bit of them
+    rec = dec.reconstruct().values
+    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(values))
+    assert np.max(np.abs(rec - values)) <= tol
+    path = tmp_path_factory.getbasetemp() / "segment_loop_dec.txt"
+    at.save_decomposition(path, dec)
+    back = at.load_decomposition(path, host.domain)
+    assert back.reconstruct().values.tobytes() == rec.tobytes()
 
 
 def test_decompose_resolution_error(qb, host):
@@ -273,7 +281,7 @@ def test_atom_roundtrip(tmp_path, qb, host):
     for (c1, a1), (c2, a2) in zip(dec.terms, back.terms):
         assert c1 == c2
         assert a1.kind == a2.kind
-        assert a1.support_lo == a2.support_lo
+        assert a1.lo == a2.lo
         assert np.array_equal(a1.values, a2.values)
     assert np.array_equal(back.remainder.values, dec.remainder.values)
     assert back.residual_norm == dec.residual_norm

@@ -136,6 +136,36 @@ list = A1prime
     assert not (out / "A1prime.csv").exists()
 
 
+SCHRODINGER_CFG = """
+[kernel]
+kind = schrodinger
+box_half_width = 12.0
+n_points = 600
+[covering]
+family = uniform
+tau = 1.0
+window = -2..2
+[conditions]
+list = Dprime
+"""
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("verify", SCHRODINGER_CFG.replace("n_points = 600",
+                                       "n_points = 600\npotential = cubic"),
+     "potential"),
+    ("verify", SCHRODINGER_CFG.replace("n_points = 600", "n_points = 1"),
+     "n_points"),
+    ("verify", SCHRODINGER_CFG + "n_max = 0\n", "n_max"),
+    ("maximal", "[maximal]\ncells = 0\n", "cells"),
+], ids=["potential", "n_points", "n_max", "cells"])
+def test_bad_config_value_exit_1(tmp_path, capsys, command, config, key):
+    cfg = write_config(tmp_path / "c.cfg", config)
+    assert run(["--config", cfg, "--out", tmp_path / "out", command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(

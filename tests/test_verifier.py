@@ -88,6 +88,12 @@ def test_a1_gamma_validation(bessel1, qb_small):
         V.verify_A1(bessel1, qb_small, gamma=0.2, deltas=[0.3])
 
 
+@pytest.mark.parametrize("deltas", [[0.3], [-0.5]])
+def test_a2_delta_validation(bessel1, qb_small, deltas):
+    with pytest.raises(ValueError, match="delta"):
+        V.verify_A2(bessel1, qb_small, gamma=0.2, deltas=deltas)
+
+
 def test_a1_delta_map_continuity(bessel1, qb_small):
     reports = V.verify_A1(bessel1, qb_small, gamma=0.2, settings=FAST)
     consts = [r.sup_constant for r in reports]
