@@ -134,7 +134,6 @@ def random_classical_atom(q: Cuboid, kappa: float, seed: int,
 class AtomReport:
     kind: str
     support_ok: bool
-    cube_ok: bool
     size_margin: float          # sup_norm * |K|, should be <= 1
     cancellation: float         # |integral| * sup bound, classical only
     local_exact: bool
@@ -143,8 +142,7 @@ class AtomReport:
     def passed(self) -> bool:
         if self.kind == "local":
             return self.support_ok and self.local_exact
-        return (self.support_ok and self.cube_ok
-                and self.size_margin <= 1.0 + 1e-12
+        return (self.support_ok and self.size_margin <= 1.0 + 1e-12
                 and self.cancellation <= 1e-10)
 
 
@@ -162,13 +160,10 @@ def validate_atom(a: Atom, kappa: float) -> AtomReport:
                      for lo, hi in boxes)
         expected = 1.0 / a.measure
         exact = bool(np.all(np.abs(a.values - expected) <= 1e-12 * expected))
-        return AtomReport("local", support_ok and on_box, True, a.sup_norm * a.measure,
-                          0.0, exact)
-    return AtomReport(
-        "classical", support_ok, True,
-        a.sup_norm * a.measure,
-        abs(a.integral),
-        False)
+        return AtomReport("local", support_ok and on_box,
+                          a.sup_norm * a.measure, 0.0, exact)
+    return AtomReport("classical", support_ok, a.sup_norm * a.measure,
+                      abs(a.integral), False)
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,8 @@ def cmd_maximal(cfg: CampaignConfig, out: Path) -> int:
     cov = build_covering(cfg)
     settings = build_settings(cfg)
     per = cfg.getint("maximal", "atoms_per_cuboid")
+    if per < 1:
+        raise ValueError(f"atoms_per_cuboid must be at least 1, got {per}")
     cells = cfg.getint("maximal", "cells")
     _echo_config(cfg, out)
     rows = ["atom_index,cuboid_index,kind,value,error,atom_l1"]

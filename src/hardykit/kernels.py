@@ -21,8 +21,11 @@ Implemented families:
   boundary values (``schrodinger_build``), one broadcast eigen sum;
 
 * ``SubordinateKernel(base, nu)``: the subordinated semigroup evaluated
-  at the substituted time, eval(t) = integral_0^inf base(t s) g_nu(s) ds.
-  With base = EuclideanHeat this is the 2nu-stable kernel P_{t^nu, nu};
+  at the substituted time, eval(t) = integral_0^inf base(t s) g_nu(s) ds,
+  by a fixed Gauss-Kronrod rule in s (``SubordinationRule``).  With
+  base = EuclideanHeat this is the 2nu-stable kernel P_{t^nu, nu}, read
+  from a cached radial profile (``RadialProfile``):
+  t^{-d/2} P(|x - y|/sqrt t), valid up to |x - y|/sqrt t = rho_max;
 
 * ``StableKernel(nu, d)``: the same object in its natural time
   parameter, eval(t) = P_{t, nu}: the subordinated heat kernel at time
@@ -178,32 +181,49 @@ class LaguerreKernel(KernelFamily):
 # Subordination
 # ---------------------------------------------------------------------------
 
+# The subordination rule's right end: log of the largest s it integrates to
+_LOG_S_MAX = 60
+
+
 class SubordinationRule:
     """Fixed Gauss-Kronrod rule in s for integral T(t s) g_nu(s) ds.
 
     The seed panels are dyadic below s = 1 and e-fold above, with the
-    density evaluated once per node at construction.  Panels whose density
-    values are all below 1e-300 are dropped.  Those include every inner
-    panel inside the region s < s*(nu) where ``specfun.stable_density``
-    returns an exact 0 without Kanter's integral (s* is about 2.5e-2 at
-    nu = 0.7, which leaves 66 of 110 panels; at nu = 1/2 the closed form
-    leaves 72), so such panels cost no kernel evaluation in ``apply``.
+    density evaluated once per node at construction.  The dyadic panels
+    reach down to the first one inside the region s < s*(nu) where
+    ``specfun.stable_negligible`` bounds g_nu below 1e-300 (s* is about
+    2.5e-2 at nu = 0.7, 3.5e-4 at nu = 1/2, 1e-56 at nu = 0.05), so no
+    mass is cut at the left end.  Panels whose density values are all
+    below 1e-300 are dropped and cost no kernel evaluation in ``apply``
+    (66 panels are kept at nu = 0.7, 72 at nu = 1/2).
     A kept panel is halved, left half first and in its place, while the
-    K15/G7 difference of its own integral of g_nu is above 1e-7: a tenth
-    of the 1e-6 budget of ``apply`` against a total mass of 1.  Up to
-    nu = 0.76 no panel is split (probed from nu = 0.05), so those rules
-    are the seed rules bit for bit; from nu = 0.77 on a few panels are
-    (69 panels at nu = 0.99).
-    The polynomial right tail is truncated at exp(60), beyond which the
-    kernel factor (t s)^{-d/2} makes the remainder negligible at the
-    accuracies used here.
+    K15/G7 difference of its own integral of g_nu is above 1e-7 (a tenth
+    of the 1e-6 budget of ``apply`` against a total mass of 1), or that of
+    g_nu(s)/s is above 1e-8 E S^{-1} = 1e-8 Gamma(1 + 1/nu).  The second
+    test weighs s as the 2-D heat kernel does at x = y.  Without it the
+    check of ``apply`` fails there at nu = 0.804 and 0.844, and the rule
+    misses the exact value at x = y by up to 3.6e-10 (nu = 0.9925); with
+    it, by at most 4.9e-13 for nu from 0.05 to 0.995 in steps of 0.0025.
+    Up to nu = 0.7 no panel is split (probed from nu = 0.05), and above
+    it a few panels are (68 panels at nu = 0.9, 66 at nu = 0.7).
+    The polynomial right tail is cut at s = e^60 and not counted.  For a
+    heat base the cut is below a tenth of the budget of ``apply`` as long
+    as |x - y|/sqrt(t) stays below ``RadialProfile.rho_max``.
     """
 
     def __init__(self, nu: float):
         params = specfun.StableDensityParams(nu)
         self.nu = nu
-        edges = [(2.0 ** (-k - 1), 2.0 ** (-k)) for k in range(50)]
-        edges += [(math.exp(u), math.exp(u + 1.0)) for u in range(60)]
+        edges = []
+        for k in range(1074):   # 2^-1074 is the smallest double
+            if specfun.stable_negligible(nu, 2.0 ** -k):
+                break
+            edges.append((2.0 ** (-k - 1), 2.0 ** (-k)))
+        else:
+            raise DomainError(f"nu = {nu:g}: the stable density does not "
+                              "vanish above the smallest double")
+        edges += [(math.exp(u), math.exp(u + 1.0)) for u in range(_LOG_S_MAX)]
+        inv_mean = math.exp(math.lgamma(1.0 + 1.0 / nu))    # E S^{-1}
         nodes, wk, wg = [], [], []
         todo = edges[::-1]      # a stack: the seed panels pop in order
         while todo:
@@ -214,7 +234,8 @@ class SubordinationRule:
             if np.all(g < 1e-300):
                 continue
             panel_k, panel_g = h * GK15_WK * g, h * GK15_WG * g
-            if abs(panel_k.sum() - panel_g.sum()) > 1e-7:
+            if (abs(panel_k.sum() - panel_g.sum()) > 1e-7
+                    or abs(((panel_k - panel_g) / s).sum()) > 1e-8 * inv_mean):
                 m = 0.5 * (a + b)
                 todo += [(m, b), (a, m)]
                 continue
@@ -264,6 +285,138 @@ def subordination_rule(nu: float) -> SubordinationRule:
     return SubordinationRule(nu)
 
 
+# Chebyshev extrema of degree 16 on [-1, 1], the matrix that takes values
+# there to Chebyshev coefficients, and four off-node check points at
+# angle midpoints, where the aliased error T_17 - T_15 of the interpolant
+# is largest
+_CHEB_DEG = 16
+_CHEB_J = np.arange(_CHEB_DEG + 1)
+_CHEB_Z = np.cos(math.pi * _CHEB_J / _CHEB_DEG)
+_CHEB_CHECK = np.cos(math.pi * (np.array([3, 7, 8, 12]) + 0.5) / _CHEB_DEG)
+_CHEB_HALF_ENDS = np.where(_CHEB_J % _CHEB_DEG == 0, 0.5, 1.0)
+_CHEB_FIT = ((2.0 / _CHEB_DEG)
+             * np.cos(math.pi * np.outer(_CHEB_J, _CHEB_J) / _CHEB_DEG)
+             * np.outer(_CHEB_HALF_ENDS, _CHEB_HALF_ENDS))
+
+
+def _chebyshev(coef, z):
+    """sum_k coef[k] T_k(z) by Clenshaw's recurrence; coef[k] broadcasts
+    against z."""
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = c + 2.0 * z * b1 - b2, b1
+    return coef[0] + z * b1 - b2
+
+
+class RadialProfile:
+    """P(rho) = integral H_s(rho) g_nu(s) ds, the subordinated heat kernel
+    on R^d at t = 1 as a function of rho = |x - y|.  The heat kernel
+    scales, so the subordinated one at any t is t^{-d/2} P(|x - y|/sqrt t).
+
+    log P is tabulated in u = log rho as piecewise Chebyshev interpolants
+    of degree 16 on panels of width at most 1 over [rho_min, rho_max].
+    Every node value comes from ``SubordinationRule.apply`` (with its
+    K15/G7 check), one panel of 17 nodes and 4 off-node points per call.
+    A panel is halved while log P at its off-node points differs from the
+    rule by more than 1e-12; a panel narrower than 2^-10 raises
+    ``QuadratureError``.
+
+    The ends are explicit bounds, not fits:
+    * below rho_min, P is the exact P(0) = (4 pi)^{-d/2} m_{d/2}, with the
+      negative moments m_a = E S^{-a} = Gamma(1 + a/nu)/Gamma(1 + a).
+      Since 1 - x <= e^{-x}, P(0) - P(rho) <= P(0) rho^2 m_{d/2+1} /
+      (4 m_{d/2}), which rho_min holds to 1e-13 relative;
+    * the rule cuts s > S = e^60.  With g_nu(s) <= c s^{-1-nu} there,
+      c = (Gamma(1 + nu) sin(pi nu) + 1/(S^nu - 1))/pi (the first term of
+      the series, plus the geometric sum that bounds the rest), the cut is
+      at most D = (4 pi)^{-d/2} c S^{-d/2-nu}/(d/2 + nu) at every rho.
+      rho_max is where the tail A rho^{-d-2nu} of P falls to 1e8 D, with
+      A = nu 4^nu Gamma(d/2 + nu)/(pi^{d/2} Gamma(1 - nu)); in 1-D
+      A = Gamma(1 + 2nu) sin(pi nu)/pi (Zolotarev 1986).  The build
+      checks that the rule's P(rho_max) is at least 1e7 D, so the cut is
+      below a tenth of the 1e-6 budget of ``apply`` on the whole table.
+      Above rho_max, evaluation raises ``QuadratureError``.
+    """
+
+    def __init__(self, nu: float, d: int):
+        rule = subordination_rule(nu)
+        heat = EuclideanHeat(d)
+        log_4pi = -0.5 * d * math.log(4.0 * math.pi)
+
+        def log_moment(a):
+            return math.lgamma(1.0 + a / nu) - math.lgamma(1.0 + a)
+
+        self.p0 = math.exp(log_4pi + log_moment(d / 2.0))
+        self.rho_min = math.sqrt(4e-13 * math.exp(
+            log_moment(d / 2.0) - log_moment(d / 2.0 + 1.0)))
+        a = d / 2.0 + nu
+        c = (math.gamma(1.0 + nu) * math.sin(math.pi * nu)
+             + 1.0 / math.expm1(_LOG_S_MAX * nu)) / math.pi
+        log_cut = log_4pi + math.log(c / a) - a * _LOG_S_MAX
+        log_tail = (math.log(nu) + nu * math.log(4.0) + math.lgamma(a)
+                    - 0.5 * d * math.log(math.pi) - math.lgamma(1.0 - nu))
+        self.rho_max = math.exp((log_tail - math.log(1e8) - log_cut)
+                                / (d + 2.0 * nu))
+
+        def radial_heat(s, rho, _):
+            # the heat kernel at distance rho along the first axis
+            x = rho if d == 1 else np.pad(rho[:, None], ((0, 0), (0, d - 1)))
+            return heat.eval(s, x, 0.0)
+
+        u_lo, u_hi = math.log(self.rho_min), math.log(self.rho_max)
+        edges = np.linspace(u_lo, u_hi, math.ceil(u_hi - u_lo) + 1)
+        todo = list(zip(edges[-2::-1], edges[:0:-1]))   # lowest panel last
+        z = np.concatenate([_CHEB_Z, _CHEB_CHECK])
+        lo, hi, coef = [], [], []
+        while todo:
+            ua, ub = todo.pop()
+            mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+            log_p = np.log(rule.apply(radial_heat, 1.0,
+                                      np.exp(mid + half * z), 0.0))
+            c_k = _CHEB_FIT @ log_p[:_CHEB_DEG + 1]
+            err = np.max(np.abs(_chebyshev(c_k, _CHEB_CHECK)
+                                - log_p[_CHEB_DEG + 1:]))
+            if not err <= 1e-12:
+                if half < 2.0 ** -11:
+                    raise QuadratureError(
+                        "radial profile interpolation above budget",
+                        estimate=float(err), budget=1e-12)
+                todo += [(mid, ub), (ua, mid)]
+                continue
+            lo.append(ua)
+            hi.append(ub)
+            coef.append(c_k)
+        # log P(rho_max): every T_k is 1 at z = 1
+        if not coef[-1].sum() >= math.log(1e7) + log_cut:
+            raise QuadratureError(
+                "rule's right-end cut above budget at rho_max",
+                estimate=float(math.exp(log_cut - coef[-1].sum())),
+                budget=1e-7)
+        self.lo = np.array(lo)
+        self.hi = np.array(hi)
+        self.coef = np.array(coef).T     # one row per degree
+
+    def __call__(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho > self.rho_max):
+            raise QuadratureError(
+                "radial profile evaluated above rho_max, where the "
+                "subordination rule's cut tail is not bounded",
+                estimate=float(np.max(rho)), budget=self.rho_max)
+        u = np.log(np.maximum(rho, self.rho_min))
+        i = np.clip(np.searchsorted(self.lo, u, side="right") - 1,
+                    0, len(self.lo) - 1)
+        lo, hi = self.lo[i], self.hi[i]
+        log_p = _chebyshev([c[i] for c in self.coef],
+                           (2.0 * u - lo - hi) / (hi - lo))
+        return np.where(rho < self.rho_min, self.p0, np.exp(log_p))
+
+
+@lru_cache(maxsize=8)
+def radial_profile(nu: float, d: int) -> RadialProfile:
+    return RadialProfile(nu, d)
+
+
 class SubordinateKernel(KernelFamily):
     """Subordinated semigroup at the substituted time.
 
@@ -271,6 +424,13 @@ class SubordinateKernel(KernelFamily):
     semigroup at time t^nu, i.e. integral base(t s) g_nu(s) ds.  All
     estimates consume the kernel in exactly this parameterization, and
     the CLI documents the convention.
+
+    A base of type exactly ``EuclideanHeat`` reads the cached
+    ``RadialProfile``: eval = t^{-d/2} P(|x - y|/sqrt t), a few ufunc
+    calls for every shape of t, and a ``QuadratureError`` where
+    |x - y|/sqrt t > rho_max.  Every other base, subclasses of the heat
+    kernel included, runs ``SubordinationRule.apply`` one row of t at a
+    time.
     """
 
     def __init__(self, base: KernelFamily, nu: float):
@@ -281,9 +441,16 @@ class SubordinateKernel(KernelFamily):
         self.domain = base.domain
         self.kind = f"subordinate({base.kind}, nu={nu:g})"
         self.rule = subordination_rule(nu)
+        self.profile = (radial_profile(nu, base.dimension)
+                        if type(base) is EuclideanHeat else None)
 
     def eval(self, t, x, y):
         self._check_time(t)
+        if self.profile is not None:
+            t = np.asarray(t, dtype=float)
+            d = self.dimension
+            return (np.power(t, -d / 2.0)
+                    * self.profile(np.sqrt(_dist2(x, y, d) / t)))
         return _per_time_row(
             lambda tr: self.rule.apply(self.base.eval, tr, x, y), t, x, y)
 
@@ -452,6 +619,9 @@ def schrodinger_build(potential, box_half_width: float = 20.0,
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
+    if not (0.0 < box_half_width < math.inf):
+        raise ValueError("box_half_width must be finite and positive, "
+                         f"got {box_half_width}")
     grid = np.linspace(-box_half_width, box_half_width, n_points + 2)[1:-1]
     h = grid[1] - grid[0]
     if callable(potential):

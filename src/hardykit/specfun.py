@@ -167,6 +167,13 @@ def _stable_log_bound(nu: float, s):
     return np.where(xb >= 1.0, bound, math.inf)
 
 
+def stable_negligible(nu: float, s):
+    """True where the bound of ``_stable_log_bound`` puts g_nu(s) below
+    1e-300.  ``stable_density`` returns an exact 0 there (at nu = 1/2 the
+    closed form is below 1e-300 there as well)."""
+    return _stable_log_bound(nu, s) < _LOG_DENSITY_FLOOR
+
+
 def stable_series_switch(nu: float) -> float:
     """Smallest s at which the alternating series is used.
 
@@ -192,8 +199,9 @@ def _stable_series(nu: float, s: np.ndarray) -> np.ndarray:
         log_mag = gammaln(nu * k + 1.0) - gammaln(k + 1.0) - (nu * k + 1.0) * log_s
         envelope = np.exp(log_mag)
         total += ((-1.0) ** (k + 1)) * math.sin(math.pi * nu * k) * envelope
-        # the sin factor may vanish at individual k; truncate on the envelope
-        if np.all(envelope < 1e-14 * np.maximum(1.0, np.abs(total))):
+        # the sin factor may vanish at individual k; truncate on the envelope,
+        # relative to the sum: in the far tail g is far below 1e-14
+        if np.all(envelope < 1e-14 * np.abs(total)):
             break
     return total / math.pi
 
@@ -256,7 +264,7 @@ def stable_density(params: StableDensityParams, s):
     big = s_arr >= stable_series_switch(nu)
     if np.any(big):
         out[big] = _stable_series(nu, s_arr[big])
-    kanter = ~big & (_stable_log_bound(nu, s_arr) >= _LOG_DENSITY_FLOOR)
+    kanter = ~big & ~stable_negligible(nu, s_arr)
     if np.any(kanter):
         out[kanter] = [_stable_kanter(nu, float(si)) for si in s_arr[kanter]]
     return out if out.ndim else float(out)

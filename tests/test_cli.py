@@ -158,7 +158,11 @@ list = Dprime
      "n_points"),
     ("verify", SCHRODINGER_CFG + "n_max = 0\n", "n_max"),
     ("maximal", "[maximal]\ncells = 0\n", "cells"),
-], ids=["potential", "n_points", "n_max", "cells"])
+    ("verify", SCHRODINGER_CFG.replace("12.0", "0.0"), "box_half_width"),
+    ("verify", SCHRODINGER_CFG.replace("12.0", "inf"), "box_half_width"),
+    ("maximal", "[maximal]\natoms_per_cuboid = 0\n", "atoms_per_cuboid"),
+], ids=["potential", "n_points", "n_max", "cells", "box_half_width_zero",
+        "box_half_width_inf", "atoms_per_cuboid"])
 def test_bad_config_value_exit_1(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path / "c.cfg", config)
     assert run(["--config", cfg, "--out", tmp_path / "out", command]) == 1

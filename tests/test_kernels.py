@@ -231,6 +231,121 @@ def test_subordinate_heat_against_fourier_inversion(nu):
             assert_allclose(heat.eval(t, x, 0.2), val / math.pi, rtol=1e-6)
 
 
+def _rule_profile(nu, d, rho):
+    """P(rho) straight from the subordination rule, one rho per call."""
+    rule = K.subordination_rule(nu)
+    heat = K.EuclideanHeat(d)
+    return np.array([rule.apply(heat.eval, 1.0, np.array([r] + [0.0] * (d - 1)),
+                                np.zeros(d)).item() for r in rho])
+
+
+@settings(max_examples=12, deadline=None)
+@given(nu=st.floats(0.05, 0.99), d=st.sampled_from([1, 2]),
+       where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_radial_profile_matches_rule(nu, d, where):
+    # rho = 0, the head below rho_min, the table and rho_max itself
+    prof = K.radial_profile(nu, d)
+    lo, hi = math.log(prof.rho_min) - 3.0, math.log(prof.rho_max)
+    rho = np.concatenate([[0.0, prof.rho_max],
+                          np.minimum(np.exp(lo + (hi - lo) * np.array(where)),
+                                     prof.rho_max)])
+    ref = _rule_profile(nu, d, rho)
+    assert np.max(np.abs(prof(rho) / ref - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.7, 0.95])
+def test_radial_profile_origin_closed_form(nu, d):
+    # P(0) = (4 pi)^{-d/2} E S^{-d/2}, E S^{-m} = Gamma(1 + m/nu)/Gamma(1 + m)
+    exact = ((4.0 * math.pi) ** (-d / 2.0) * math.gamma(1.0 + d / (2.0 * nu))
+             / math.gamma(1.0 + d / 2.0))
+    prof = K.radial_profile(nu, d)
+    assert_allclose(prof(0.0), exact, rtol=1e-14)
+    assert_allclose(prof(prof.rho_min), exact, rtol=1e-12)
+    assert_allclose(_rule_profile(nu, d, [0.0]), exact, rtol=1e-11)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_radial_profile_poisson(d):
+    # nu = 1/2 at t = 1 is the Poisson kernel.  The rule's cut of s > e^60
+    # grows like rho^{d+1} and stays below its 1e-7 budget up to rho_max;
+    # over the verifier's range (rho <= 1e6) it is below roundoff
+    prof = K.radial_profile(0.5, d)
+    rho = np.concatenate([[0.0], np.geomspace(prof.rho_min / 10.0,
+                                              prof.rho_max, 400)])
+    x = rho if d == 1 else np.stack([rho, np.zeros_like(rho)], axis=-1)
+    rel = np.abs(prof(rho) / K.poisson_kernel(1.0, x, np.zeros(d), d) - 1.0)
+    assert np.max(rel) <= 1e-7
+    assert np.max(rel[rho <= 1e6]) <= 1e-12
+
+
+@pytest.mark.parametrize("nu", [0.2, 0.3, 0.45, 0.7])
+def test_radial_profile_polya_series(nu):
+    # in 1-D, P is the symmetric 2nu-stable density, for 2nu < 1 the
+    # convergent series (1/pi) sum_k (-1)^{k+1} Gamma(2 nu k + 1)/k!
+    # sin(pi nu k) rho^{-2 nu k - 1} (Polya 1923; Feller II, XVII.6)
+    prof = K.radial_profile(nu, 1)
+    rho = np.geomspace(10.0, prof.rho_max, 30)
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.fsum(
+            (-1) ** (k + 1) * mpmath.gamma(2 * nu * k + 1) / mpmath.factorial(k)
+            * mpmath.sinpi(nu * k) * mpmath.mpf(r) ** (-2 * nu * k - 1)
+            for k in range(1, 120)) / mpmath.pi) for r in rho])
+    rel = prof(rho) / exact - 1.0
+    assert np.max(np.abs(rel[rho <= 1e5])) <= 1e-11
+    # beyond, the rule's cut of s > e^60 shows: low, within its budget
+    assert np.all(rel[rho > 1e5] <= 1e-11) and np.min(rel) >= -1e-7
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nu", [0.5, 0.7, 0.95])
+def test_radial_profile_tail(nu, d):
+    # P(rho) ~ A rho^{-d-2nu}, A = nu 4^nu Gamma(d/2+nu)/(pi^{d/2} Gamma(1-nu));
+    # the next term is smaller by rho^{-2nu}, below 1e-9 at these rho_max
+    prof = K.radial_profile(nu, d)
+    r = prof.rho_max
+    slope = math.log(prof(r) / prof(r / 2.0)) / math.log(2.0)
+    assert abs(slope + d + 2.0 * nu) <= 1e-6
+    tail = (nu * 4.0 ** nu * math.gamma(d / 2.0 + nu)
+            / (math.pi ** (d / 2.0) * math.gamma(1.0 - nu)))
+    assert_allclose(prof(r) * r ** (d + 2.0 * nu), tail, rtol=1e-6)
+
+
+def test_radial_profile_raises_above_rho_max():
+    prof = K.radial_profile(0.7, 1)
+    with pytest.raises(QuadratureError):
+        prof(np.array([1.0, 1.01 * prof.rho_max]))
+    sub = K.SubordinateKernel(K.EuclideanHeat(1), 0.7)
+    with pytest.raises(QuadratureError):
+        sub.eval(1e-30, 1.0, 0.0)
+    # only the exact heat type reads the table
+    assert sub.profile is prof
+    assert K.SubordinateKernel(_RippledHeat(1), 0.7).profile is None
+
+
+class _FakeRule:
+    """Stands in for the subordination rule: P(rho) = fn(rho)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def apply(self, base_eval, t, x, y):
+        return self.fn(np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("fn,match", [
+    (lambda r: np.exp(-r ** 2) * (1.0 + 1e-6 * np.sin(1e6 * np.log(r))),
+     "interpolation"),
+    (lambda r: r ** -10.0, "right-end cut"),
+], ids=["unresolved", "short_tail"])
+def test_radial_profile_build_checks(monkeypatch, fn, match):
+    # an unresolvable ripple fails the off-node check on every halving; a
+    # tail far below the rule's cut fails the rho_max check
+    monkeypatch.setattr(K, "subordination_rule", lambda nu: _FakeRule(fn))
+    with pytest.raises(QuadratureError, match=match):
+        K.RadialProfile(0.7, 1)
+
+
 def test_stable_scaling_covariance():
     # P_{u,nu}(x, y) = u^{-d/(2 nu)} phi(|x-y| u^{-1/(2 nu)}); in the
     # substituted time this reads eval(4t, 2x, 2y) = eval(t, x, y) / 2

@@ -265,6 +265,19 @@ def test_kanter_against_mpmath(nu):
     assert checked >= 4
 
 
+@pytest.mark.parametrize("nu", [0.2, 0.7, 0.95])
+def test_series_against_mpmath_far_tail(nu):
+    # up to the subordination rule's right end e^60, where g is far below
+    # 1e-14: the series stops on its terms relative to the sum
+    s = np.geomspace(sf.stable_series_switch(nu), math.exp(60.0), 25)
+    with mpmath.workdps(30):
+        ref = [float(mpmath.fsum(
+            (-1) ** (k + 1) * mpmath.gamma(nu * k + 1) / mpmath.factorial(k)
+            * mpmath.sinpi(nu * k) * mpmath.mpf(si) ** (-nu * k - 1)
+            for k in range(1, 400)) / mpmath.pi) for si in s]
+    assert_allclose(sf._stable_series(nu, s), ref, rtol=1e-12)
+
+
 def test_zero_branch_skips_kanter(monkeypatch):
     nu = 0.7
     s_star = _zero_threshold(nu)
