@@ -25,7 +25,8 @@ Implemented families:
   by a fixed Gauss-Kronrod rule in s (``SubordinationRule``).  With
   base = EuclideanHeat this is the 2nu-stable kernel P_{t^nu, nu}, read
   from a cached radial profile (``RadialProfile``):
-  t^{-d/2} P(|x - y|/sqrt t), valid up to |x - y|/sqrt t = rho_max;
+  t^{-d/2} P(|x - y|/sqrt t), a table up to |x - y|/sqrt t = rho_max and
+  a tail series above it;
 
 * ``StableKernel(nu, d)``: the same object in its natural time
   parameter, eval(t) = P_{t, nu}: the subordinated heat kernel at time
@@ -207,8 +208,9 @@ class SubordinationRule:
     Up to nu = 0.7 no panel is split (probed from nu = 0.05), and above
     it a few panels are (68 panels at nu = 0.9, 66 at nu = 0.7).
     The polynomial right tail is cut at s = e^60 and not counted.  For a
-    heat base the cut is below a tenth of the budget of ``apply`` as long
-    as |x - y|/sqrt(t) stays below ``RadialProfile.rho_max``.
+    heat base the cut is below 1e-8 relative as long as |x - y|/sqrt(t)
+    stays below ``RadialProfile.rho_max``, and above it the profile does
+    not use the rule.
     """
 
     def __init__(self, nu: float):
@@ -285,27 +287,12 @@ def subordination_rule(nu: float) -> SubordinationRule:
     return SubordinationRule(nu)
 
 
-# Chebyshev extrema of degree 16 on [-1, 1], the matrix that takes values
-# there to Chebyshev coefficients, and four off-node check points at
-# angle midpoints, where the aliased error T_17 - T_15 of the interpolant
-# is largest
+# Chebyshev extrema of degree 16 on [-1, 1], and four off-node check
+# points at angle midpoints, where the aliased error T_17 - T_15 of the
+# interpolant is largest
 _CHEB_DEG = 16
-_CHEB_J = np.arange(_CHEB_DEG + 1)
-_CHEB_Z = np.cos(math.pi * _CHEB_J / _CHEB_DEG)
+_CHEB_Z = np.cos(math.pi * np.arange(_CHEB_DEG + 1) / _CHEB_DEG)
 _CHEB_CHECK = np.cos(math.pi * (np.array([3, 7, 8, 12]) + 0.5) / _CHEB_DEG)
-_CHEB_HALF_ENDS = np.where(_CHEB_J % _CHEB_DEG == 0, 0.5, 1.0)
-_CHEB_FIT = ((2.0 / _CHEB_DEG)
-             * np.cos(math.pi * np.outer(_CHEB_J, _CHEB_J) / _CHEB_DEG)
-             * np.outer(_CHEB_HALF_ENDS, _CHEB_HALF_ENDS))
-
-
-def _chebyshev(coef, z):
-    """sum_k coef[k] T_k(z) by Clenshaw's recurrence; coef[k] broadcasts
-    against z."""
-    b1 = b2 = 0.0
-    for c in coef[:0:-1]:
-        b1, b2 = c + 2.0 * z * b1 - b2, b1
-    return coef[0] + z * b1 - b2
 
 
 class RadialProfile:
@@ -332,13 +319,19 @@ class RadialProfile:
       at most D = (4 pi)^{-d/2} c S^{-d/2-nu}/(d/2 + nu) at every rho.
       rho_max is where the tail A rho^{-d-2nu} of P falls to 1e8 D, with
       A = nu 4^nu Gamma(d/2 + nu)/(pi^{d/2} Gamma(1 - nu)); in 1-D
-      A = Gamma(1 + 2nu) sin(pi nu)/pi (Zolotarev 1986).  The build
-      checks that the rule's P(rho_max) is at least 1e7 D, so the cut is
-      below a tenth of the 1e-6 budget of ``apply`` on the whole table.
-      Above rho_max, evaluation raises ``QuadratureError``.
+      A = Gamma(1 + 2nu) sin(pi nu)/pi (Zolotarev 1986).  So the cut is
+      at most 1e-8 relative on the whole table (D is fixed and P falls);
+    * above rho_max, P is its series in rho (``_tail_series``), exact
+      where the rule is not.  The build checks the table's P(rho_max)
+      against it to 1e-7 relative, a tenth of the 1e-6 budget of
+      ``apply``, and raises ``QuadratureError`` above that.
     """
 
     def __init__(self, nu: float, d: int):
+        # imported here, as scipy is: at module level it adds 0.7 MB to
+        # every command, subordinated or not
+        from numpy.polynomial.chebyshev import chebfit, chebval
+        self.nu, self.d = nu, d
         rule = subordination_rule(nu)
         heat = EuclideanHeat(d)
         log_4pi = -0.5 * d * math.log(4.0 * math.pi)
@@ -373,8 +366,8 @@ class RadialProfile:
             mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
             log_p = np.log(rule.apply(radial_heat, 1.0,
                                       np.exp(mid + half * z), 0.0))
-            c_k = _CHEB_FIT @ log_p[:_CHEB_DEG + 1]
-            err = np.max(np.abs(_chebyshev(c_k, _CHEB_CHECK)
+            c_k = chebfit(_CHEB_Z, log_p[:_CHEB_DEG + 1], _CHEB_DEG)
+            err = np.max(np.abs(chebval(_CHEB_CHECK, c_k)
                                 - log_p[_CHEB_DEG + 1:]))
             if not err <= 1e-12:
                 if half < 2.0 ** -11:
@@ -386,30 +379,62 @@ class RadialProfile:
             lo.append(ua)
             hi.append(ub)
             coef.append(c_k)
-        # log P(rho_max): every T_k is 1 at z = 1
-        if not coef[-1].sum() >= math.log(1e7) + log_cut:
+        # the table meets the tail series at rho_max, where every T_k is 1
+        err = abs(math.expm1(
+            sum(coef[-1]) - math.log(self._tail_series(self.rho_max))))
+        if not err <= 1e-7:
             raise QuadratureError(
-                "rule's right-end cut above budget at rho_max",
-                estimate=float(math.exp(log_cut - coef[-1].sum())),
-                budget=1e-7)
+                "radial profile table and tail series disagree at rho_max",
+                estimate=err, budget=1e-7)
         self.lo = np.array(lo)
         self.hi = np.array(hi)
         self.coef = np.array(coef).T     # one row per degree
 
+    def _tail_series(self, rho):
+        """P(rho) for rho well above 1, from the series of g_nu.
+
+        For s >= 1, g_nu(s) = (1/pi) sum_k (-1)^{k+1} Gamma(nu k + 1)/k!
+        sin(pi nu k) s^{-1-nu k}, which converges absolutely and
+        uniformly.  Against the heat kernel, term k integrates over
+        s >= 1 to (4 pi)^{-d/2} (rho/2)^{-2 a} gamma(a, rho^2/4),
+        a = d/2 + nu k, with the lower incomplete gamma function; for
+        large rho these are the terms of the stable tail expansion
+        (Blumenthal and Getoor 1960), the first one A rho^{-d-2nu}.  The
+        part s < 1 is at most (4 pi)^{-d/2} e^{-rho^2/4}, which underflows
+        at every rho_max.  The sum stops when a term's envelope is below
+        1e-17 of it, and raises ``QuadratureError`` if that takes more
+        than 400 terms.
+        """
+        from scipy.special import gammainc, gammaln
+        nu, d = self.nu, self.d
+        log_half = np.log(0.5 * np.asarray(rho, dtype=float))
+        total = np.zeros_like(log_half)
+        for k in range(1, 401):
+            a = 0.5 * d + nu * k
+            with np.errstate(over="ignore"):    # rho^2/4 = inf: gamma(a)
+                envelope = (np.exp(gammaln(nu * k + 1.0) - gammaln(k + 1.0)
+                                   + gammaln(a) - 2.0 * a * log_half)
+                            * gammainc(a, np.exp(2.0 * log_half)))
+            total += (-1.0) ** (k + 1) * math.sin(math.pi * nu * k) * envelope
+            if np.all(envelope <= 1e-17 * np.abs(total)):
+                return total * (4.0 * math.pi) ** (-0.5 * d) / math.pi
+        raise QuadratureError("radial profile tail series did not converge",
+                              estimate=float(np.max(envelope)), budget=1e-17)
+
     def __call__(self, rho):
+        from numpy.polynomial.chebyshev import chebval
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho > self.rho_max):
-            raise QuadratureError(
-                "radial profile evaluated above rho_max, where the "
-                "subordination rule's cut tail is not bounded",
-                estimate=float(np.max(rho)), budget=self.rho_max)
-        u = np.log(np.maximum(rho, self.rho_min))
+        u = np.log(np.clip(rho, self.rho_min, self.rho_max))
         i = np.clip(np.searchsorted(self.lo, u, side="right") - 1,
                     0, len(self.lo) - 1)
         lo, hi = self.lo[i], self.hi[i]
-        log_p = _chebyshev([c[i] for c in self.coef],
-                           (2.0 * u - lo - hi) / (hi - lo))
-        return np.where(rho < self.rho_min, self.p0, np.exp(log_p))
+        p = np.exp(chebval((2.0 * u - lo - hi) / (hi - lo), self.coef[:, i],
+                           tensor=False))
+        p = np.where(rho < self.rho_min, self.p0, p)
+        far = rho > self.rho_max
+        if np.any(far):
+            p[far] = self._tail_series(rho[far])
+        return p
 
 
 @lru_cache(maxsize=8)
@@ -427,8 +452,8 @@ class SubordinateKernel(KernelFamily):
 
     A base of type exactly ``EuclideanHeat`` reads the cached
     ``RadialProfile``: eval = t^{-d/2} P(|x - y|/sqrt t), a few ufunc
-    calls for every shape of t, and a ``QuadratureError`` where
-    |x - y|/sqrt t > rho_max.  Every other base, subclasses of the heat
+    calls for every shape of t (and a short series where
+    |x - y|/sqrt t > rho_max).  Every other base, subclasses of the heat
     kernel included, runs ``SubordinationRule.apply`` one row of t at a
     time.
     """

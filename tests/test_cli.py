@@ -271,6 +271,77 @@ cells = 64
         assert value >= 1.0
 
 
+STABLE_CFG = """
+[kernel]
+kind = stable
+nu = {nu}
+d = 1
+[covering]
+family = uniform
+tau = 1.0
+window = -1..1
+[conditions]
+list = A1prime,A2prime,A1,A2,a3a4
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 2
+golden_iters = 4
+[maximal]
+atoms_per_cuboid = 1
+cells = 64
+"""
+
+
+@pytest.mark.parametrize("nu,a1prime,maximal", [
+    (0.5, 1.812659415034112, 3.9746126061174394),
+    (0.3, 1.1709758110284914, 2.876735231428842),
+])
+def test_stable_kernel_verify_and_maximal(tmp_path, nu, a1prime, maximal):
+    # at the smallest natural times the window's points lie far above the
+    # radial profile's rho_max (rho up to 1e15 at nu = 0.3), where the
+    # kernel reads the profile's tail series; the pinned constants come
+    # from evaluating every point with the subordination rule
+    cfg = write_config(tmp_path / "s.cfg", STABLE_CFG.format(nu=nu))
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "--seed", 3, "verify"]) == 0
+    rows = (out / "A1prime.csv").read_text().strip().split("\n")[1:]
+    for row in rows:
+        assert abs(float(row.split(",")[2]) / a1prime - 1.0) <= 1e-9
+    assert run(["--config", cfg, "--out", out, "--seed", 3, "maximal"]) == 0
+    text = (out / "maximal.txt").read_text()
+    value = float(text.split("max_maximal_norm = ")[1].split("\n")[0])
+    assert abs(value / maximal - 1.0) <= 1e-9
+
+
+def test_verify_small_nu_subordinate_heat(tmp_path):
+    # at nu = 0.04 the verifier's rho reaches about 5e5, above
+    # rho_max = 4.3e5; the pinned constant comes from the subordination
+    # rule, which at nu = 0.04 cut the density below s = 2^-50 (a 1e-8
+    # relative change)
+    cfg = write_config(tmp_path / "s.cfg", """
+[kernel]
+kind = subordinate
+base = euclidean_heat
+nu = 0.04
+d = 1
+[covering]
+family = uniform
+tau = 1.0
+window = -1..1
+[conditions]
+list = A1prime
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 2
+golden_iters = 4
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "--seed", 3, "verify"]) == 0
+    rows = (out / "A1prime.csv").read_text().strip().split("\n")[1:]
+    for row in rows:
+        assert abs(float(row.split(",")[2]) / 0.16721054460370313 - 1.0) <= 1e-7
+
+
 def test_maximal_nan_norm_exit_2(tmp_path, monkeypatch):
     # a kernel that is NaN for x > 5 makes the norm NaN; it must not be
     # dropped by the running maximum into max_maximal_norm = 0.0

@@ -285,16 +285,19 @@ def test_radial_profile_polya_series(nu):
     # convergent series (1/pi) sum_k (-1)^{k+1} Gamma(2 nu k + 1)/k!
     # sin(pi nu k) rho^{-2 nu k - 1} (Polya 1923; Feller II, XVII.6)
     prof = K.radial_profile(nu, 1)
-    rho = np.geomspace(10.0, prof.rho_max, 30)
+    rho = np.geomspace(10.0, 1e3 * prof.rho_max, 40)
     with mpmath.workdps(30):
         exact = np.array([float(mpmath.fsum(
             (-1) ** (k + 1) * mpmath.gamma(2 * nu * k + 1) / mpmath.factorial(k)
             * mpmath.sinpi(nu * k) * mpmath.mpf(r) ** (-2 * nu * k - 1)
             for k in range(1, 120)) / mpmath.pi) for r in rho])
     rel = prof(rho) / exact - 1.0
+    table = rho <= prof.rho_max
     assert np.max(np.abs(rel[rho <= 1e5])) <= 1e-11
     # beyond, the rule's cut of s > e^60 shows: low, within its budget
-    assert np.all(rel[rho > 1e5] <= 1e-11) and np.min(rel) >= -1e-7
+    assert np.all(rel[table] <= 1e-11) and np.min(rel[table]) >= -1e-7
+    # above rho_max the tail series is exact
+    assert np.max(np.abs(rel[~table])) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -311,16 +314,35 @@ def test_radial_profile_tail(nu, d):
     assert_allclose(prof(r) * r ** (d + 2.0 * nu), tail, rtol=1e-6)
 
 
-def test_radial_profile_raises_above_rho_max():
-    prof = K.radial_profile(0.7, 1)
-    with pytest.raises(QuadratureError):
-        prof(np.array([1.0, 1.01 * prof.rho_max]))
-    sub = K.SubordinateKernel(K.EuclideanHeat(1), 0.7)
-    with pytest.raises(QuadratureError):
-        sub.eval(1e-30, 1.0, 0.0)
+@pytest.mark.parametrize("d", [1, 2])
+def test_radial_profile_above_rho_max(d):
+    # above rho_max P is its tail series: at nu = 1/2 the Poisson kernel
+    prof = K.radial_profile(0.5, d)
+    rho = np.geomspace(1.001 * prof.rho_max, 1e100, 300)
+    x = rho if d == 1 else np.stack([rho, np.zeros_like(rho)], axis=-1)
+    rel = np.abs(prof(rho) / K.poisson_kernel(1.0, x, np.zeros(d), d) - 1.0)
+    assert np.max(rel) <= 1e-12
+    # the table meets it at rho_max, low by the rule's cut of s > e^60
+    below, above = prof(prof.rho_max * np.array([1.0, 1.0 + 1e-12]))
+    assert 0.0 <= above / below - 1.0 <= 1e-7
+
+
+def test_subordinate_heat_far_from_the_diagonal():
+    # a stable kernel at small natural time puts every point far above
+    # rho_max; the kernel reads the tail series, not the rule
+    nu = 0.3
+    stable = K.StableKernel(nu, 1)
+    t = np.array([[1e-8], [1e-6]])
+    y = np.array([0.5, 3.0, 50.0])
+    rho = y / np.sqrt(t ** (1.0 / nu))
+    assert np.all(rho > stable.profile.rho_max)
+    tail = (math.gamma(1.0 + 2.0 * nu) * math.sin(math.pi * nu) / math.pi
+            * t ** (-1.0 / (2.0 * nu)) * rho ** (-1.0 - 2.0 * nu))
+    # the next term is smaller by about rho^{-2 nu} < 2e-6
+    assert_allclose(stable.eval(t, 0.0, y), tail, rtol=1e-5)
     # only the exact heat type reads the table
-    assert sub.profile is prof
-    assert K.SubordinateKernel(_RippledHeat(1), 0.7).profile is None
+    assert stable.profile is K.radial_profile(nu, 1)
+    assert K.SubordinateKernel(_RippledHeat(1), nu).profile is None
 
 
 class _FakeRule:
@@ -336,11 +358,11 @@ class _FakeRule:
 @pytest.mark.parametrize("fn,match", [
     (lambda r: np.exp(-r ** 2) * (1.0 + 1e-6 * np.sin(1e6 * np.log(r))),
      "interpolation"),
-    (lambda r: r ** -10.0, "right-end cut"),
+    (lambda r: r ** -10.0, "tail series"),
 ], ids=["unresolved", "short_tail"])
 def test_radial_profile_build_checks(monkeypatch, fn, match):
     # an unresolvable ripple fails the off-node check on every halving; a
-    # tail far below the rule's cut fails the rho_max check
+    # tail far below the stable one fails the check against the tail series
     monkeypatch.setattr(K, "subordination_rule", lambda nu: _FakeRule(fn))
     with pytest.raises(QuadratureError, match=match):
         K.RadialProfile(0.7, 1)
