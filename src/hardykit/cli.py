@@ -277,17 +277,15 @@ class _ConditionRun:
         self._pairs = {}
 
     def pair(self, family: str):
-        """(prime report or None, weighted reports) of the (A1'/A1) or
-        (A2'/A2) pass, computed once for whichever of the two are wanted."""
+        """(prime report, weighted reports) of the (A1'/A1) or (A2'/A2)
+        pass, computed once for whichever of the two are wanted."""
         if family not in self._pairs:
             estimator = (verifier.complement_reports if family == "a1"
                          else verifier.comparison_reports)
-            prime = f"{family}prime" in self.wanted
             reports = estimator(
-                self.k, self.cov, self.settings, self.map_fn, prime=prime,
+                self.k, self.cov, self.settings, self.map_fn,
                 gamma=self.gamma if family in self.wanted else None)
-            self._pairs[family] = (reports[0] if prime else None,
-                                   reports[prime:])
+            self._pairs[family] = (reports[0], reports[1:])
         return self._pairs[family]
 
 
@@ -428,7 +426,7 @@ def cmd_maximal(cfg: CampaignConfig, out: Path) -> int:
     _write(out / "maximal.csv", "\n".join(rows) + "\n")
     _write(out / "maximal.txt",
            f"atoms = {idx}\nmax_maximal_norm = {worst!r}\n"
-           f"kernel = {k.describe()}\ncovering = {verifier.covering_id(cov)}\n")
+           f"kernel = {k.kind}\ncovering = {verifier.covering_id(cov)}\n")
     print(f"max over {idx} atoms of the maximal-function norm: {worst:.6g}")
     return 0
 

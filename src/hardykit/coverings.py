@@ -74,10 +74,9 @@ class Cuboid:
 class AdmissibleCovering:
     """Finite window of a countable covering family.
 
-    ``c1`` and ``c2`` are the declared shape/neighbour constants where the
-    construction fixes them (None when they are only known by
-    measurement); ``window_box`` is the exactly tiled sub-box of X used
-    for coverage sampling.
+    ``window_box`` is the exactly tiled sub-box of X used for coverage
+    sampling; ``validate_covering`` measures the shape and neighbour
+    constants C1 and C2.
     """
 
     cuboids: tuple[Cuboid, ...]
@@ -86,8 +85,6 @@ class AdmissibleCovering:
     window_box: tuple[tuple[float, ...], tuple[float, ...]]
     family: str
     window: tuple
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
         if not self.cuboids:
@@ -125,7 +122,7 @@ def covering_bessel(window: tuple[int, int],
     return AdmissibleCovering(
         cuboids=cuboids, kappa=kappa, domain=dom,
         window_box=((2.0 ** n_lo,), (2.0 ** (n_hi + 1),)),
-        family="bessel", window=window, c1=1.0, c2=2.0)
+        family="bessel", window=window)
 
 
 def covering_laguerre(window: tuple[int, int],
@@ -152,7 +149,7 @@ def covering_laguerre(window: tuple[int, int],
     return AdmissibleCovering(
         cuboids=tuple(cuboids), kappa=kappa, domain=dom,
         window_box=((2.0 ** n_lo,), (2.0 ** (n_hi + 1),)),
-        family="laguerre", window=window, c1=1.0, c2=None)
+        family="laguerre", window=window)
 
 
 def covering_uniform(domain: DomainSpec, tau: float,
@@ -175,8 +172,7 @@ def covering_uniform(domain: DomainSpec, tau: float,
         cuboids=cuboids, kappa=kappa, domain=domain,
         window_box=(tuple(float(v) for v in lo), actual_hi),
         family="uniform", window=(tau, tuple(float(v) for v in lo),
-                                  tuple(float(v) for v in hi)),
-        c1=1.0, c2=1.0)
+                                  tuple(float(v) for v in hi)))
 
 
 def covering_line_strips(inner: AdmissibleCovering, extent: float,
@@ -204,8 +200,7 @@ def covering_line_strips(inner: AdmissibleCovering, extent: float,
     return AdmissibleCovering(
         cuboids=tuple(cuboids), kappa=kappa, domain=dom,
         window_box=((-extent, *win2_lo), (extent, *win2_hi)),
-        family=f"line_strips({inner.family})", window=(extent, inner.window),
-        c1=None, c2=None)
+        family=f"line_strips({inner.family})", window=(extent, inner.window))
 
 
 def _split_edges(center: float, half: float, m: int) -> np.ndarray:
@@ -263,8 +258,7 @@ def box_product(a: AdmissibleCovering, b: AdmissibleCovering,
     return AdmissibleCovering(
         cuboids=tuple(cells), kappa=kappa, domain=dom,
         window_box=((*wa_lo, *wb_lo), (*wa_hi, *wb_hi)),
-        family=f"({a.family})x({b.family})", window=(a.window, b.window),
-        c1=None, c2=None)
+        family=f"({a.family})x({b.family})", window=(a.window, b.window))
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,6 @@ class KernelFamily:
         """Largest time the evaluation is validated for (inf if unlimited)."""
         return math.inf
 
-    def describe(self) -> str:
-        return self.kind
-
     def _check_points(self, *points):
         for p in points:
             arr = np.asarray(p, dtype=float)
@@ -215,7 +212,6 @@ class SubordinationRule:
 
     def __init__(self, nu: float):
         params = specfun.StableDensityParams(nu)
-        self.nu = nu
         edges = []
         for k in range(1074):   # 2^-1074 is the smallest double
             if specfun.stable_negligible(nu, 2.0 ** -k):
@@ -249,10 +245,12 @@ class SubordinationRule:
         self.weights_g = np.concatenate(wg)
         self.panel_count = len(nodes)
 
-    def apply(self, base_eval, t, x, y, rtol: float = 1e-6):
+    def apply(self, base_eval, t, x, y, d: int = 1, rtol: float = 1e-6):
         """integral base(t s, x, y) g_nu(s) ds with a K15/G7 error check."""
         t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(t.shape, np.shape(x), np.shape(y))
+        # in a base of dimension d > 1 the points' last axis is coordinates
+        shape = np.broadcast_shapes(t.shape, *(
+            np.shape(p) if d == 1 else np.shape(p)[:-1] for p in (x, y)))
         s = self.nodes.reshape((-1,) + (1,) * len(shape))
         vals = base_eval(t * s, x, y)
         k15 = np.tensordot(self.weights_k, vals, axes=(0, 0))
@@ -266,18 +264,19 @@ class SubordinationRule:
         return k15
 
 
-def _per_time_row(fn, t, x, y):
+def _per_time_row(fn, t, x, y, d: int = 1):
     """fn(t) on one row of a 2-D t at a time, rows stacked.
 
     Applies when t carries its own leading axis of times, one that the
     points x and y do not vary along (a t-grid chunk of shape (rows, 1) or
-    one golden-section time per value, (deltas, N)).  Each row then costs
-    one temporary of the size of a single-time call: (nodes x values) and
-    one K15/G7 check for a subordinated kernel, (values x modes) for the
-    Schrodinger eigen sum.  Any other t goes to fn whole.
+    one golden-section time per value, (deltas, N)); points of shape (N, d)
+    count as N values when d > 1.  Each row then costs one temporary of
+    the size of a single-time call: (nodes x values) and one K15/G7 check
+    for a subordinated kernel, (values x modes) for the Schrodinger eigen
+    sum.  Any other t goes to fn whole.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim == 2 and np.ndim(x) < 2 and np.ndim(y) < 2:
+    if t.ndim == 2 and all(np.ndim(p) - (d > 1) < 2 for p in (x, y)):
         return np.stack([fn(row) for row in t])
     return fn(t)
 
@@ -321,10 +320,11 @@ class RadialProfile:
       A = nu 4^nu Gamma(d/2 + nu)/(pi^{d/2} Gamma(1 - nu)); in 1-D
       A = Gamma(1 + 2nu) sin(pi nu)/pi (Zolotarev 1986).  So the cut is
       at most 1e-8 relative on the whole table (D is fixed and P falls);
-    * above rho_max, P is its series in rho (``_tail_series``), exact
-      where the rule is not.  The build checks the table's P(rho_max)
-      against it to 1e-7 relative, a tenth of the 1e-6 budget of
-      ``apply``, and raises ``QuadratureError`` above that.
+    * above rho_max, P is its series in rho (``_tail_series``, through
+      ``specfun.stable_series_sum``), exact where the rule is not.  The
+      build checks the table's P(rho_max) against it to 1e-7 relative, a
+      tenth of the 1e-6 budget of ``apply``, and raises
+      ``QuadratureError`` above that.
     """
 
     def __init__(self, nu: float, d: int):
@@ -401,25 +401,21 @@ class RadialProfile:
         large rho these are the terms of the stable tail expansion
         (Blumenthal and Getoor 1960), the first one A rho^{-d-2nu}.  The
         part s < 1 is at most (4 pi)^{-d/2} e^{-rho^2/4}, which underflows
-        at every rho_max.  The sum stops when a term's envelope is below
-        1e-17 of it, and raises ``QuadratureError`` if that takes more
-        than 400 terms.
+        at every rho_max.  ``specfun.stable_series_sum`` stops the sum at
+        1e-17 of it.
         """
         from scipy.special import gammainc, gammaln
         nu, d = self.nu, self.d
         log_half = np.log(0.5 * np.asarray(rho, dtype=float))
-        total = np.zeros_like(log_half)
-        for k in range(1, 401):
+
+        def log_factor(k):
             a = 0.5 * d + nu * k
             with np.errstate(over="ignore"):    # rho^2/4 = inf: gamma(a)
-                envelope = (np.exp(gammaln(nu * k + 1.0) - gammaln(k + 1.0)
-                                   + gammaln(a) - 2.0 * a * log_half)
-                            * gammainc(a, np.exp(2.0 * log_half)))
-            total += (-1.0) ** (k + 1) * math.sin(math.pi * nu * k) * envelope
-            if np.all(envelope <= 1e-17 * np.abs(total)):
-                return total * (4.0 * math.pi) ** (-0.5 * d) / math.pi
-        raise QuadratureError("radial profile tail series did not converge",
-                              estimate=float(np.max(envelope)), budget=1e-17)
+                return (gammaln(a) - 2.0 * a * log_half
+                        + np.log(gammainc(a, np.exp(2.0 * log_half))))
+
+        return ((4.0 * math.pi) ** (-0.5 * d)
+                * specfun.stable_series_sum(nu, log_factor, 1e-17))
 
     def __call__(self, rho):
         from numpy.polynomial.chebyshev import chebval
@@ -471,13 +467,14 @@ class SubordinateKernel(KernelFamily):
 
     def eval(self, t, x, y):
         self._check_time(t)
+        d = self.dimension
         if self.profile is not None:
             t = np.asarray(t, dtype=float)
-            d = self.dimension
             return (np.power(t, -d / 2.0)
                     * self.profile(np.sqrt(_dist2(x, y, d) / t)))
         return _per_time_row(
-            lambda tr: self.rule.apply(self.base.eval, tr, x, y), t, x, y)
+            lambda tr: self.rule.apply(self.base.eval, tr, x, y, d),
+            t, x, y, d)
 
     def comparison(self) -> "KernelFamily":
         if isinstance(self.base, EuclideanHeat):
@@ -587,11 +584,11 @@ class SchrodingerKernel(KernelFamily):
         return (self.box_half_width / 4.0) ** 2
 
     def _check_validity(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(np.sqrt(t) > self.box_half_width / 4.0):
+        cap = self.max_valid_time()
+        if np.any(np.asarray(t, dtype=float) > cap):
             raise DomainError(
                 "requested time outside the validated range of the "
-                f"truncation box (sqrt(t) > {self.box_half_width / 4.0:g})")
+                f"truncation box (t > {cap:g})")
 
     def _interp_modes(self, x, k_max: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)

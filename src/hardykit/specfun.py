@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .quadrature import gauss_kronrod_15 as _gk15
 from .quadrature import integrate_adaptive
 
@@ -184,26 +184,38 @@ def stable_series_switch(nu: float) -> float:
     return max(0.6, nu + 0.2)
 
 
+def stable_series_sum(nu: float, log_factor, rtol: float):
+    """pi^{-1} sum_{k >= 1} (-1)^{k+1} sin(pi nu k) Gamma(nu k + 1)/k! f_k,
+    shaped as ``log_factor(k)`` = log f_k (a float gives a float).
+
+    sin may vanish at single k, so the sum stops on the envelopes
+    Gamma(nu k + 1)/k! f_k, once each is at most ``rtol`` of the sum; it
+    raises ``QuadratureError`` when that takes more than 400 terms.
+    """
+    from scipy.special import gammaln
+
+    total = 0.0
+    for k in range(1, 401):
+        envelope = np.exp(gammaln(nu * k + 1.0) - gammaln(k + 1.0)
+                          + log_factor(k))
+        total = total + ((-1.0) ** (k + 1) * math.sin(math.pi * nu * k)
+                         * envelope)
+        if np.all(envelope <= rtol * np.abs(total)):
+            total = total / math.pi
+            return float(total) if np.ndim(total) == 0 else total
+    raise QuadratureError("stable series did not converge in 400 terms",
+                          estimate=float(np.max(envelope)), budget=rtol)
+
+
 def _stable_series(nu: float, s: np.ndarray) -> np.ndarray:
     """g_nu(s) = pi^{-1} sum_k (-1)^{k+1} Gamma(nu k+1)/k! sin(pi nu k) s^{-nu k-1}.
 
     Standard large-argument expansion of the one-sided stable density;
     convergent for every s > 0, numerically usable for s >= switch.
     """
-    from scipy.special import gammaln
-
-    s = np.asarray(s, dtype=float)
-    total = np.zeros_like(s)
-    log_s = np.log(s)
-    for k in range(1, 400):
-        log_mag = gammaln(nu * k + 1.0) - gammaln(k + 1.0) - (nu * k + 1.0) * log_s
-        envelope = np.exp(log_mag)
-        total += ((-1.0) ** (k + 1)) * math.sin(math.pi * nu * k) * envelope
-        # the sin factor may vanish at individual k; truncate on the envelope,
-        # relative to the sum: in the far tail g is far below 1e-14
-        if np.all(envelope < 1e-14 * np.abs(total)):
-            break
-    return total / math.pi
+    log_s = np.log(np.asarray(s, dtype=float))
+    # in the far tail g is far below 1e-14: the terms stop relative to it
+    return stable_series_sum(nu, lambda k: -(nu * k + 1.0) * log_s, 1e-14)
 
 
 def _stable_kanter(nu: float, s: float) -> float:
@@ -270,25 +282,11 @@ def stable_density(params: StableDensityParams, s):
     return out if out.ndim else float(out)
 
 
-def _stable_series_tail_integral(nu: float, s_cut: float) -> float:
-    """Exact integral of the series representation over [s_cut, inf)."""
-    from scipy.special import gammaln
-
-    total = 0.0
-    for k in range(1, 400):
-        log_mag = gammaln(nu * k + 1.0) - gammaln(k + 1.0) - nu * k * math.log(s_cut)
-        envelope = math.exp(log_mag) / (nu * k)
-        total += ((-1.0) ** (k + 1)) * math.sin(math.pi * nu * k) * envelope
-        if envelope < 1e-16 * max(1.0, abs(total)):
-            break
-    return total / math.pi
-
-
 def stable_laplace_check(params: StableDensityParams, x: float) -> float:
     """Quadrature value of integral_0^inf exp(-x s) g_nu(s) ds.
 
     The exact value is exp(-x^nu); the deviation measures the joint
-    accuracy of both g_nu branches.  Valid for x >= 0.
+    accuracy of both g_nu branches.  Valid for x >= 0; returns a float.
     """
     if x < 0.0:
         raise DomainError("stable_laplace_check requires x >= 0")
@@ -313,9 +311,11 @@ def stable_laplace_check(params: StableDensityParams, x: float) -> float:
     upper = math.fsum(_gk15(integrand, a, b)[0]
                       for a, b in zip(edges[:-1], edges[1:]))
 
-    # remainder beyond S: exact series tail at x=0, exponentially damped else
+    # remainder beyond S: at x = 0 the series integrated term by term,
+    # f_k = S^{-nu k}/(nu k); exponentially damped else
     if x == 0.0:
-        tail = _stable_series_tail_integral(nu, s_cut)
+        tail = stable_series_sum(
+            nu, lambda k: -nu * k * math.log(s_cut) - math.log(nu * k), 1e-16)
     else:
         tail = 0.0  # bounded by e^{-x s_cut} <= e^{-46}
     return lower + upper + tail

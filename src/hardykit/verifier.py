@@ -266,47 +266,87 @@ def _edge_tail_estimate(integrand: Callable, win_lo, win_hi, hole_center,
 
 
 # ---------------------------------------------------------------------------
-# (A1') and (A1)
+# Per-cuboid sup conditions: (A1') and (A1), (A2') and (A2), (a3)
 # ---------------------------------------------------------------------------
 
-def _complement_rule(q: Cuboid, covering: AdmissibleCovering,
-                     s: VerifierSettings) -> tuple[SpatialRule, np.ndarray, np.ndarray]:
-    win_lo, win_hi = _window_for(q, s.window_factor)
-    hole = q.enlarged(covering.kappa, 2)
-    hole_lo, hole_hi = hole.box()
-    rule = rule_for_complement(win_lo, win_hi, hole_lo, hole_hi,
-                               nodes_near=s.nodes_near,
-                               nodes_cross=s.nodes_cross)
-    return rule, win_lo, win_hi
+def _sup_entries(point_fn: Callable, q: Cuboid, index: int,
+                 covering: AdmissibleCovering, rule: SpatialRule, grid: TGrid,
+                 deltas: Sequence[float], sign: int, s: VerifierSettings,
+                 tol: float | None, tail_fn: Callable | None = None
+                 ) -> list[CuboidEntry]:
+    """One entry per delta: max over y in Q* of d_Q^{-2 sign delta}
+    int sup_t t^{sign delta} point_fn(t, x, y) dx, sign = 1 for (A1) and
+    (a3), -1 for (A2).  ``tail_fn(delta, y)`` is the truncation tail at the
+    maximising y, weighted as the entry (0 when no y gives a value)."""
+    d_q = q.diameter
+    norms = [d_q ** (-2.0 * sign * delta) for delta in deltas]
+    best = _max_over_y(point_fn, q, covering.kappa, rule, grid,
+                       [sign * delta for delta in deltas], norms, s, tol)
+    entries = []
+    for delta, norm, (value, err, y_pt, bf) in zip(deltas, norms, best):
+        meta = {"delta": delta, "d_q": d_q, "quad_error": err,
+                "boundary_frac": bf}
+        if tail_fn is not None:
+            meta["tail_estimate"] = (0.0 if y_pt is None
+                                     else tail_fn(delta, y_pt) * norm)
+        entries.append(CuboidEntry(index=index, label=f"Q{index} d={d_q:g}",
+                                   constant=value, error=err, metadata=meta))
+    return entries
 
 
 def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
               covering: AdmissibleCovering, deltas: Sequence[float],
               s: VerifierSettings) -> list[CuboidEntry]:
     d_q = q.diameter
-    rule, win_lo, win_hi = _complement_rule(q, covering, s)
+    win_lo, win_hi = _window_for(q, s.window_factor)
+    hole_lo, hole_hi = q.enlarged(covering.kappa, 2).box()
+    rule = rule_for_complement(win_lo, win_hi, hole_lo, hole_hi,
+                               nodes_near=s.nodes_near,
+                               nodes_cross=s.nodes_cross)
     grid = _clamped_grid(k, _TGRID_SPAN[0] * d_q * d_q,
                          _TGRID_SPAN[1] * d_q * d_q, s.tgrid_ppd)
-    norms = [d_q ** (-2.0 * delta) for delta in deltas]
-    best = _max_over_y(k.eval, q, covering.kappa, rule, grid, deltas, norms,
-                       s, s.hard_quad_tol)
-    entries = []
-    for delta, norm, (value, err, y_pt, bf) in zip(deltas, norms, best):
-        tail = 0.0
-        if y_pt is not None:
-            def edge_fn(x):
-                return sup_over_t(lambda t: k.eval(t, x, y_pt), grid,
-                                  [delta], 0).values[0]
-            tail = _edge_tail_estimate(edge_fn, win_lo, win_hi, q.center,
-                                       q.dimension) * norm
-        # the error column is the quadrature estimate on the probed
-        # window; the truncation tail is disclosed separately
-        entries.append(CuboidEntry(
-            index=index, label=f"Q{index} d={d_q:g}",
-            constant=value, error=err,
-            metadata={"delta": delta, "d_q": d_q, "quad_error": err,
-                      "tail_estimate": tail, "boundary_frac": bf}))
-    return entries
+
+    # the error column is the quadrature estimate on the probed window;
+    # the truncation tail is disclosed separately
+    def tail(delta, y_pt):
+        return _edge_tail_estimate(
+            lambda x: sup_over_t(lambda t: k.eval(t, x, y_pt), grid, [delta],
+                                 0).values[0],
+            win_lo, win_hi, q.center, q.dimension)
+
+    return _sup_entries(k.eval, q, index, covering, rule, grid, deltas, 1, s,
+                        s.hard_quad_tol, tail)
+
+
+def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
+              covering: AdmissibleCovering, deltas: Sequence[float],
+              s: VerifierSettings) -> list[CuboidEntry]:
+    d_q = q.diameter
+    lo, hi = q.enlarged(covering.kappa, 2).box()
+    nodes = s.box_nodes if q.dimension == 1 else max(24, s.box_nodes // 3)
+    grid = _clamped_grid(k, _TGRID_SPAN[0] * d_q * d_q, d_q * d_q,
+                         s.tgrid_ppd)
+
+    def diff(t, x, y):
+        # a kernel that is its own comparison is evaluated once
+        v = k.eval(t, x, y)
+        return np.abs(v - (v if comp is k else comp.eval(t, x, y)))
+
+    return _sup_entries(diff, q, index, covering, rule_for_box(lo, hi, nodes),
+                        grid, deltas, -1, s, s.hard_quad_tol)
+
+
+def _a3_entry(k: KernelFamily, q: Cuboid, index: int,
+              covering: AdmissibleCovering, deltas: Sequence[float],
+              s: VerifierSettings) -> list[CuboidEntry]:
+    d_q = q.diameter
+    lo, hi = q.enlarged(covering.kappa, 2).box()
+    grid = _clamped_grid(k, d_q * d_q, _TGRID_SPAN[1] * d_q * d_q,
+                         s.tgrid_ppd)
+    # report-only: no hard quadrature budget
+    return _sup_entries(k.eval, q, index, covering,
+                        rule_for_box(lo, hi, s.box_nodes), grid, deltas, 1, s,
+                        None)
 
 
 def _weighted_deltas(gamma: float | None,
@@ -326,17 +366,12 @@ def _weighted_deltas(gamma: float | None,
 
 def _paired_reports(entry_fn: Callable, k: KernelFamily,
                     covering: AdmissibleCovering, map_fn: Callable,
-                    ids: tuple[str, str], prime_params: dict | None,
-                    params: dict, gamma: float | None,
+                    ids: Sequence[str], params: dict, gamma: float | None,
                     weighted: Sequence[float]) -> list[VerificationReport]:
-    """One entry pass over the covering for delta = 0 (when
-    ``prime_params`` is given) and the weighted deltas.
-
-    Returns the ``ids[0]`` report, built from the delta = 0 entries, then
-    one ``ids[1]`` report per weighted delta.
-    """
-    prime = prime_params is not None
-    deltas = tuple(dict.fromkeys(((0.0,) if prime else ()) + tuple(weighted)))
+    """One entry pass over the covering for delta = 0 and the weighted
+    deltas: the ``ids[0]`` report, built from the delta = 0 entries, then
+    one ``ids[1]`` report per weighted delta."""
+    deltas = tuple(dict.fromkeys((0.0,) + tuple(weighted)))
     per_delta: dict[float, list[CuboidEntry]] = {d: [] for d in deltas}
     for row in map_fn(lambda iq: entry_fn(iq[1], iq[0], deltas),
                       list(enumerate(covering.cuboids))):
@@ -346,35 +381,34 @@ def _paired_reports(entry_fn: Callable, k: KernelFamily,
     def report(condition_id, parameters, delta):
         return VerificationReport(
             condition_id=condition_id, covering_id=covering_id(covering),
-            kernel_id=k.describe(), parameters=parameters,
+            kernel_id=k.kind, parameters=parameters,
             per_cuboid=per_delta[delta])
 
-    reports = [report(ids[0], prime_params, 0.0)] if prime else []
-    reports += [report(ids[1], {"gamma": gamma, "delta": d, **params}, d)
-                for d in weighted]
-    return reports
+    return [report(ids[0], params, 0.0)] + [
+        report(ids[1], {"gamma": gamma, "delta": d, **params}, d)
+        for d in weighted]
 
 
 def complement_reports(k: KernelFamily, covering: AdmissibleCovering,
                        settings: VerifierSettings = VerifierSettings(),
-                       map_fn: Callable = map, *, prime: bool = True,
+                       map_fn: Callable = map, *,
                        gamma: float | None = None,
                        deltas: Sequence[float] | None = None
                        ) -> list[VerificationReport]:
     """(A1') and (A1) from one pass over the covering.
 
-    The pass runs delta = 0 when ``prime`` is set and, when ``gamma`` is
-    given, the (A1) deltas (default {0, gamma/2, 0.9 gamma}).  Returns the
-    A1prime report first, built from the delta = 0 entries, then one A1
-    report per (A1) delta.
+    The pass always runs delta = 0 and, when ``gamma`` is given, the (A1)
+    deltas (default {0, gamma/2, 0.9 gamma}).  Returns the A1prime report
+    first, built from the delta = 0 entries, then one A1 report per (A1)
+    delta.
     """
     params = {"window_factor": settings.window_factor,
               "tgrid_ppd": settings.tgrid_ppd, "qmc_y": settings.qmc_y,
               "kappa": covering.kappa}
     return _paired_reports(
         lambda q, i, ds: _a1_entry(k, q, i, covering, ds, settings),
-        k, covering, map_fn, ("A1prime", "A1"), params if prime else None,
-        params, gamma, _weighted_deltas(gamma, deltas))
+        k, covering, map_fn, ("A1prime", "A1"), params, gamma,
+        _weighted_deltas(gamma, deltas))
 
 
 def verify_A1prime(k: KernelFamily, covering: AdmissibleCovering,
@@ -393,43 +427,13 @@ def verify_A1(k: KernelFamily, covering: AdmissibleCovering, gamma: float,
     One report per delta; the deltas default to {0, gamma/2, 0.9 gamma}
     and every delta shares the single kernel evaluation grid per probe.
     """
-    return complement_reports(k, covering, settings, map_fn, prime=False,
-                              gamma=gamma, deltas=deltas)
-
-
-# ---------------------------------------------------------------------------
-# (A2') and (A2)
-# ---------------------------------------------------------------------------
-
-def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
-              covering: AdmissibleCovering, deltas: Sequence[float],
-              s: VerifierSettings) -> list[CuboidEntry]:
-    d_q = q.diameter
-    lo, hi = q.enlarged(covering.kappa, 2).box()
-    nodes = s.box_nodes if q.dimension == 1 else max(24, s.box_nodes // 3)
-    rule = rule_for_box(lo, hi, nodes)
-    grid = _clamped_grid(k, _TGRID_SPAN[0] * d_q * d_q, d_q * d_q,
-                         s.tgrid_ppd)
-
-    def diff(t, x, y):
-        # a kernel that is its own comparison is evaluated once
-        v = k.eval(t, x, y)
-        return np.abs(v - (v if comp is k else comp.eval(t, x, y)))
-
-    best = _max_over_y(diff, q, covering.kappa, rule, grid,
-                       [-delta for delta in deltas],
-                       [d_q ** (2.0 * delta) for delta in deltas], s,
-                       s.hard_quad_tol)
-    return [CuboidEntry(index=index, label=f"Q{index} d={d_q:g}",
-                        constant=value, error=err,
-                        metadata={"delta": delta, "d_q": d_q,
-                                  "quad_error": err, "boundary_frac": bf})
-            for delta, (value, err, _, bf) in zip(deltas, best)]
+    return complement_reports(k, covering, settings, map_fn, gamma=gamma,
+                              deltas=deltas)[1:]
 
 
 def comparison_reports(k: KernelFamily, covering: AdmissibleCovering,
                        settings: VerifierSettings = VerifierSettings(),
-                       map_fn: Callable = map, *, prime: bool = True,
+                       map_fn: Callable = map, *,
                        gamma: float | None = None,
                        deltas: Sequence[float] | None = None,
                        comparison: KernelFamily | None = None
@@ -437,16 +441,16 @@ def comparison_reports(k: KernelFamily, covering: AdmissibleCovering,
     """(A2') and (A2) from one pass over the covering.
 
     The deltas and the report order are those of
-    :func:`complement_reports`; the comparison kernel defaults to the
-    family's designated tilde kernel.
+    :func:`complement_reports`: the A2prime report first, then one A2
+    report per (A2) delta.  The comparison kernel defaults to the family's
+    designated tilde kernel.
     """
     comp = comparison if comparison is not None else k.comparison()
-    params = {"comparison": comp.describe(), "tgrid_ppd": settings.tgrid_ppd,
+    params = {"comparison": comp.kind, "tgrid_ppd": settings.tgrid_ppd,
               "qmc_y": settings.qmc_y, "kappa": covering.kappa}
-    prime_params = dict(params) if prime else None
     return _paired_reports(
         lambda q, i, ds: _a2_entry(k, comp, q, i, covering, ds, settings),
-        k, covering, map_fn, ("A2prime", "A2"), prime_params, params, gamma,
+        k, covering, map_fn, ("A2prime", "A2"), params, gamma,
         _weighted_deltas(gamma, deltas))
 
 
@@ -456,9 +460,8 @@ def verify_A2(k: KernelFamily, covering: AdmissibleCovering, gamma: float,
               comparison: KernelFamily | None = None,
               map_fn: Callable = map) -> list[VerificationReport]:
     """d_Q^{2 delta} int over Q** of sup_{t <= d_Q^2} t^{-delta} |T_t - H_t|."""
-    return comparison_reports(k, covering, settings, map_fn, prime=False,
-                              gamma=gamma, deltas=deltas,
-                              comparison=comparison)
+    return comparison_reports(k, covering, settings, map_fn, gamma=gamma,
+                              deltas=deltas, comparison=comparison)[1:]
 
 
 def verify_A2prime(k: KernelFamily, covering: AdmissibleCovering,
@@ -478,25 +481,11 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
                  ) -> tuple[VerificationReport, VerificationReport]:
     """Large-time local mass (a3) and the partition commutator sum (a4)."""
     s = settings
-    entries_a3 = []
-    for i, q in enumerate(covering.cuboids):
-        d_q = q.diameter
-        lo, hi = q.enlarged(covering.kappa, 2).box()
-        rule = rule_for_box(lo, hi, s.box_nodes)
-        grid = _clamped_grid(k, d_q * d_q, _TGRID_SPAN[1] * d_q * d_q,
-                             s.tgrid_ppd)
-        # report-only: no hard quadrature budget
-        [(value, err, _, bf)] = _max_over_y(k.eval, q, covering.kappa, rule,
-                                            grid, [0.0], [1.0], s, None)
-        entries_a3.append(CuboidEntry(
-            index=i, label=f"Q{i} d={d_q:g}", constant=value, error=err,
-            metadata={"d_q": d_q, "boundary_frac": bf}))
-    report_a3 = VerificationReport(
-        condition_id="a3", covering_id=covering_id(covering),
-        kernel_id=k.describe(),
-        parameters={"tgrid_ppd": s.tgrid_ppd, "qmc_y": s.qmc_y,
-                    "kappa": covering.kappa},
-        per_cuboid=entries_a3)
+    params = {"tgrid_ppd": s.tgrid_ppd, "qmc_y": s.qmc_y,
+              "kappa": covering.kappa}
+    [report_a3] = _paired_reports(
+        lambda q, i, ds: _a3_entry(k, q, i, covering, ds, s),
+        k, covering, map, ("a3",), params, None, ())
 
     # (a4): window-wide y samples against the whole cuboid sum
     win_lo = np.asarray(covering.window_box[0], dtype=float)
@@ -535,10 +524,7 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
             metadata={"y": float(y[0]) if d == 1 else float(np.linalg.norm(y))}))
     report_a4 = VerificationReport(
         condition_id="a4", covering_id=covering_id(covering),
-        kernel_id=k.describe(),
-        parameters={"tgrid_ppd": s.tgrid_ppd, "qmc_y": s.qmc_y,
-                    "kappa": covering.kappa},
-        per_cuboid=entries_a4)
+        kernel_id=k.kind, parameters=params, per_cuboid=entries_a4)
     return report_a3, report_a4
 
 
@@ -561,7 +547,7 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     entries = []
-    t_cap = (k.box_half_width / 4.0) ** 2
+    t_cap = k.max_valid_time()
     for i, q in enumerate(covering.cuboids):
         d_q = q.diameter
         ns = [n for n in range(n_max + 1) if 2.0 ** n * d_q * d_q <= t_cap]
@@ -588,7 +574,7 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
     passed = all(e.constant >= rho_target for e in entries)
     return VerificationReport(
         condition_id="Dprime", covering_id=covering_id(covering),
-        kernel_id=k.describe(),
+        kernel_id=k.kind,
         parameters={"rho_target": rho_target, "n_max": n_max,
                     "qmc_y": settings.qmc_y, "passed": passed},
         per_cuboid=entries,
@@ -651,7 +637,7 @@ def verify_schrodinger_K(k: SchrodingerKernel, covering: AdmissibleCovering,
     passed = all(sg >= sigma_target for sg in sigmas)
     return VerificationReport(
         condition_id="K", covering_id=covering_id(covering),
-        kernel_id=k.describe(),
+        kernel_id=k.kind,
         parameters={"sigma_target": sigma_target, "qmc_y": settings.qmc_y,
                     "passed": passed},
         per_cuboid=entries,
@@ -697,7 +683,7 @@ def verify_smalltime_limits(k: KernelFamily, x_samples: Sequence[float],
     passed = worst_asserted <= tolerance
     return VerificationReport(
         condition_id="smalltime_limits", covering_id="(point probes)",
-        kernel_id=k.describe(),
+        kernel_id=k.kind,
         parameters={"tolerance": tolerance, "t_final": t_list[-1],
                     "passed": passed},
         per_cuboid=entries,
@@ -740,7 +726,7 @@ def verify_A0prime(k: KernelFamily, nu: float = 0.5, n_probes: int = 4000,
                         metadata={"n_probes": float(n_probes), "nu": nu})
     return VerificationReport(
         condition_id="A0prime", covering_id="(probe set)",
-        kernel_id=k.describe(),
+        kernel_id=k.kind,
         parameters={"nu": nu, "n_probes": n_probes,
                     "t_range": t_range, "x_range": x_range},
         per_cuboid=[entry])
@@ -768,7 +754,7 @@ def fit_gaussian_envelope(k: KernelFamily, n_probes: int = 4000,
         metadata={"c": c_star, **{f"C_at_c{c:g}": v for c, v in scan.items()}})
     return VerificationReport(
         condition_id="A0gauss", covering_id="(probe set)",
-        kernel_id=k.describe(),
+        kernel_id=k.kind,
         parameters={"n_probes": n_probes, "t_range": t_range,
                     "x_range": x_range, "c": c_star},
         per_cuboid=[entry])
@@ -812,7 +798,7 @@ def verify_laguerre_envelope(k: KernelFamily, n_probes: int = 10000,
                   "fraction_small_xy_branch": branch_small})
     return VerificationReport(
         condition_id="laguerre_envelope", covering_id="(probe set)",
-        kernel_id=k.describe(),
+        kernel_id=k.kind,
         parameters={"alpha": alpha, "n_probes": n_probes, "c": c_star},
         per_cuboid=[entry],
         notes=[f"max violation ratio {violation:.12f} (must be <= 1 + 1e-9)"])

@@ -652,3 +652,35 @@ def test_subordinate_nan_base_raises():
     sub = K.SubordinateKernel(_NaNHeat(1), 0.5)
     with pytest.raises(QuadratureError):
         sub.eval(1.0, np.array([0.0, 1.0]), 0.0)
+
+
+class _PlainHeat(K.EuclideanHeat):
+    """The heat kernel under another type: subordinated through the rule."""
+
+
+_POINTS_2D = np.array([[0.5, 1.0], [1.0, 2.0], [2.0, 0.7]])
+
+
+@pytest.mark.parametrize("base", [
+    _PlainHeat(2), K.ProductKernel([K.BesselKernel(1.0), K.LaguerreKernel(0.5)])],
+    ids=["heat_subclass", "bessel_x_laguerre"])
+def test_subordinate_2d_base_value_shape(base):
+    # the coordinate axis of (N, d) points is not a value axis
+    sub = K.SubordinateKernel(base, 0.7)
+    y = np.array([1.0, 1.5])
+    ts = np.array([0.3, 2.0])
+    rows = [sub.eval(t, _POINTS_2D, y) for t in ts]
+    assert all(row.shape == (3,) for row in rows)
+    column = sub.eval(ts[:, None], _POINTS_2D, y)
+    assert column.shape == (2, 3)
+    assert np.array_equal(column, np.stack(rows))
+
+
+def test_subordinate_2d_heat_subclass_matches_profile():
+    y = np.array([1.0, 1.5])
+    ts = np.array([[0.3], [2.0]])
+    rule = K.SubordinateKernel(_PlainHeat(2), 0.7)
+    profile = K.SubordinateKernel(K.EuclideanHeat(2), 0.7)
+    assert rule.profile is None and profile.profile is not None
+    assert_allclose(rule.eval(ts, _POINTS_2D, y),
+                    profile.eval(ts, _POINTS_2D, y), rtol=1e-10)

@@ -10,7 +10,7 @@ from scipy.special import ive
 from scipy.stats import levy_stable
 
 from hardykit import specfun as sf
-from hardykit.errors import DomainError
+from hardykit.errors import DomainError, QuadratureError
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,20 @@ def test_series_against_mpmath_far_tail(nu):
             * mpmath.sinpi(nu * k) * mpmath.mpf(si) ** (-nu * k - 1)
             for k in range(1, 400)) / mpmath.pi) for si in s]
     assert_allclose(sf._stable_series(nu, s), ref, rtol=1e-12)
+
+
+def test_stable_series_sum_raises_without_decay():
+    # f_k = k!/Gamma(nu k + 1) makes every envelope 1: the sum never
+    # reaches its tolerance and must not return a partial sum
+    nu = 0.5
+
+    def flat(k):
+        return math.lgamma(k + 1.0) - math.lgamma(nu * k + 1.0)
+
+    with pytest.raises(QuadratureError, match="did not converge"):
+        sf.stable_series_sum(nu, flat, 1e-14)
+    # a float log factor gives a float sum
+    assert type(sf.stable_series_sum(nu, lambda k: -3.0 * k, 1e-16)) is float
 
 
 def test_zero_branch_skips_kanter(monkeypatch):
