@@ -29,7 +29,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -265,7 +264,7 @@ class _ConditionRun:
     """What the condition runners share: the kernel, covering, settings
     and gamma of the campaign, and the passes that serve two conditions."""
 
-    def __init__(self, cfg: CampaignConfig, wanted: set[str], map_fn):
+    def __init__(self, cfg: CampaignConfig, wanted: set[str]):
         self.cfg = cfg
         self.k = build_kernel(cfg)
         self.cov = build_covering(cfg)
@@ -273,7 +272,6 @@ class _ConditionRun:
         self.gamma_req = cfg.getfloat("conditions", "gamma")
         self.gamma, self.clamped = clamp_gamma(self.gamma_req, self.k)
         self.wanted = wanted
-        self.map_fn = map_fn
         self._pairs = {}
 
     def pair(self, family: str):
@@ -283,7 +281,7 @@ class _ConditionRun:
             estimator = (verifier.complement_reports if family == "a1"
                          else verifier.comparison_reports)
             reports = estimator(
-                self.k, self.cov, self.settings, self.map_fn,
+                self.k, self.cov, self.settings,
                 gamma=self.gamma if family in self.wanted else None)
             self._pairs[family] = (reports[0], reports[1:])
         return self._pairs[family]
@@ -359,33 +357,27 @@ CONDITIONS = {
 def _run_conditions(cfg: CampaignConfig, out: Path) -> tuple[bool, list[str]]:
     wanted = [c.strip() for c in cfg.get("conditions", "list").split(",")
               if c.strip()]
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     summaries = []
     all_ok = True
-    try:
-        run = _ConditionRun(cfg, {c.lower() for c in wanted},
-                            pool.map if pool else map)
-        for cond in wanted:
-            entry = CONDITIONS.get(cond.lower())
-            if entry is None:
-                raise ValueError(f"unknown condition {cond!r}")
-            runner, rule = entry
-            for report, tag in runner(run):
-                name = tag or report.condition_id
-                if run.clamped:
-                    report = replace(report, notes=[
-                        *report.notes, f"gamma clamped from {run.gamma_req} "
-                        f"to {run.gamma} (family window)"])
-                _write(out / f"{name}.csv", report.to_csv())
-                _write(out / f"{name}.txt", report.to_text())
-                ok = rule(run, report)
-                summaries.append(f"{name}: C={report.sup_constant:.6g} "
-                                 f"err={report.max_error:.3g} "
-                                 f"[{'ok' if ok else 'FAIL'}]")
-                all_ok = all_ok and ok
-    finally:
-        if pool:
-            pool.shutdown()
+    run = _ConditionRun(cfg, {c.lower() for c in wanted})
+    for cond in wanted:
+        entry = CONDITIONS.get(cond.lower())
+        if entry is None:
+            raise ValueError(f"unknown condition {cond!r}")
+        runner, rule = entry
+        for report, tag in runner(run):
+            name = tag or report.condition_id
+            if run.clamped:
+                report = replace(report, notes=[
+                    *report.notes, f"gamma clamped from {run.gamma_req} "
+                    f"to {run.gamma} (family window)"])
+            _write(out / f"{name}.csv", report.to_csv())
+            _write(out / f"{name}.txt", report.to_text())
+            ok = rule(run, report)
+            summaries.append(f"{name}: C={report.sup_constant:.6g} "
+                             f"err={report.max_error:.3g} "
+                             f"[{'ok' if ok else 'FAIL'}]")
+            all_ok = all_ok and ok
     return all_ok, summaries
 
 
@@ -516,6 +508,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.threads != 1:
+            raise ValueError(f"--threads {args.threads}: only 1 is supported, "
+                             "every command runs in one thread")
         cfg = load_config(args.config, args.seed, args.threads)
         out = Path(args.out)
         if args.command == "covering":

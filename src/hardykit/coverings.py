@@ -451,7 +451,8 @@ class PartitionOfUnity:
         # a NaN coordinate leaves its axis unbounded: NaN reaches every bump
         lo = np.where(np.isnan(lo), -np.inf, lo)
         hi = np.where(np.isnan(hi), np.inf, hi)
-        return _box_pairs(lo[None], hi[None], self._star_lo, self._star_hi)[1]
+        return np.flatnonzero(np.all(
+            (self._star_lo <= hi) & (lo <= self._star_hi), axis=1))
 
     def _bump_rows(self, rows, pts) -> np.ndarray:
         r = self._r[rows, None, :]

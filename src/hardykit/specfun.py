@@ -78,7 +78,8 @@ def log_bessel_i_scaled(tau: float, log_z):
     beta = 1, Laguerre alpha = 1/2) uses the closed form
     log(-expm1(-2z)) - log(2 pi z)/2 in a few vector operations; every
     other order runs the power series below the switch point and the
-    asymptotic expansion above it.
+    asymptotic expansion above it; a series sum that overflows (possible
+    for tau >~ 23) raises DomainError.
     """
     if tau < -0.5:
         raise DomainError(f"order tau={tau} below -1/2")
@@ -101,11 +102,15 @@ def log_bessel_i_scaled(tau: float, log_z):
         corr = np.ones_like(z)
         term = np.ones_like(z)
         q = z * z / 4.0
-        for k in range(500):
-            term = term * q / ((k + 1.0) * (tau + k + 1.0))
-            corr += term
-            if np.all(term <= 1e-18 * corr):
-                break
+        with np.errstate(over="ignore"):
+            for k in range(500):
+                term = term * q / ((k + 1.0) * (tau + k + 1.0))
+                corr += term
+                if np.all(term <= 1e-18 * corr):
+                    break
+        if not np.all(np.isfinite(corr)):
+            bad = float(np.min(z[~np.isfinite(corr)]))
+            raise DomainError(f"Bessel series overflows at tau={tau}, z={bad:g}")
         if tau == 0.0:
             lead = np.zeros_like(lz)   # avoids 0 * (-inf) when z underflows
         else:

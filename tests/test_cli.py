@@ -174,20 +174,21 @@ def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hardykit.cli; print('scipy' in sys.modules)"],
+         "import sys, hardykit.cli; "
+         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
-def test_verify_threads_match_serial(tmp_path):
-    cfg = write_config(tmp_path / "v.cfg", VERIFY_CFG)
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "threaded"
-    assert run(["--config", cfg, "--out", out1, "verify"]) == 0
-    assert run(["--config", cfg, "--out", out2, "--threads", 3, "verify"]) == 0
-    assert (out1 / "A1prime.csv").read_bytes() == (out2 / "A1prime.csv").read_bytes()
+@pytest.mark.parametrize("threads", [0, 2])
+def test_threads_other_than_one_exit_1(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert run(["--out", out, "--threads", threads, "verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--threads {threads}" in err
+    assert not out.exists()
 
 
 def test_verify_independent_of_blas_threads(tmp_path):
@@ -426,6 +427,20 @@ list = a0prime,a0gauss,laguerre_envelope,smalltime
                  "smalltime_limits"):
         assert (out / f"{name}.csv").exists()
         assert (out / f"{name}.txt").exists()
+
+
+def test_verify_laguerre_envelope_alpha0_fails(tmp_path):
+    # at alpha = 0 the fitted constant misses the sup on held-out probes
+    cfg = write_config(tmp_path / "v.cfg", """
+[kernel]
+kind = laguerre
+alpha = 0.0
+[conditions]
+list = laguerre_envelope
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "verify"]) == 1
+    assert "[FAIL]" in (out / "verify_summary.txt").read_text()
 
 
 def test_verify_a3a4_and_k_conditions(tmp_path):

@@ -168,6 +168,15 @@ def test_general_orders_bit_identical(tau):
     assert [float(v).hex() for v in got] == _GENERAL_ORDER_BITS[tau]
 
 
+def test_general_order_series_overflow_raises():
+    # below the switch point 1.5 tau^2 = 1350 the unscaled series passes
+    # the double range at z = 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="tau=30.*z=1000"):
+            sf.log_bessel_i_scaled(30.0, np.log([10.0, 1000.0]))
+
+
 # ---------------------------------------------------------------------------
 # Stable subordinator density
 # ---------------------------------------------------------------------------

@@ -394,6 +394,23 @@ def test_gaussian_envelope_fits(bessel1, laguerre_half):
     assert rl.finite
 
 
+def test_gaussian_envelope_heat_oracle():
+    # H_t = (4 pi t)^{-1/2} exp(-r^2 / 4t) is its own envelope at c = 4
+    report = V.fit_gaussian_envelope(K.EuclideanHeat(1))
+    assert report.parameters["c"] == 4.0
+    assert_allclose(report.sup_constant, (4 * math.pi) ** -0.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
+def test_a0prime_heat_oracle(nu):
+    # H_t (t + r^2)^{1/2 + nu} / t^nu = (4 pi)^{-1/2} (1 + s)^{1/2 + nu}
+    # e^{-s/4} with s = r^2 / t, largest at s = 1 + 4 nu
+    exact = ((4 * math.pi) ** -0.5 * math.exp(-(1 + 4 * nu) / 4)
+             * (2 + 4 * nu) ** (0.5 + nu))
+    fitted = V.verify_A0prime(K.EuclideanHeat(1), nu).sup_constant
+    assert exact - 1e-5 * exact <= fitted <= exact
+
+
 def test_laguerre_envelope_fit(laguerre_half):
     report = V.verify_laguerre_envelope(laguerre_half)
     e = report.per_cuboid[0]
@@ -401,6 +418,12 @@ def test_laguerre_envelope_fit(laguerre_half):
     assert e.metadata["max_violation_ratio"] <= 1.0 + 1e-9
     # both branches of the min(.) term are exercised by the probe set
     assert 0.0 < e.metadata["fraction_small_xy_branch"] < 1.0
+
+
+def test_laguerre_envelope_held_out_check_can_fail():
+    # the probe fit misses the sup at alpha = 0: held-out probes exceed it
+    report = V.verify_laguerre_envelope(K.LaguerreKernel(0.0))
+    assert report.per_cuboid[0].metadata["max_violation_ratio"] > 1.1
 
 
 # ---------------------------------------------------------------------------
