@@ -13,7 +13,9 @@ Implemented families:
 * ``LaguerreKernel(alpha)`` on (0, inf):
   sqrt(xy)/sinh(2t) I_alpha(xy/sinh 2t) exp(-coth(2t)(x^2+y^2)/2),
   the Bessel form at time sinh(2t)/2 times exp(-tanh(t)(x^2+y^2)/2);
-  both run one log-space body (``_log_space_kernel``), stable down to
+  both run one body (``_log_space_kernel``): at order 1/2 (beta = 1,
+  alpha = 1/2) its closed form in linear space, at every other order in
+  log space through ``specfun.log_bessel_i_scaled``; stable down to
   t ~ 1e-12 and up to overflow times;
 
 * ``SchrodingerKernel``: eigen-expansion of the second-order finite
@@ -54,9 +56,10 @@ from .quadrature import GK15_WG, GK15_WK, GK15_X, integrate_adaptive
 
 
 def _log_sinh(u):
-    """log(sinh u) without overflow for large u."""
+    """log(sinh u) without overflow for large u, and to full relative
+    precision for small u, where 1 - e^{-2u} would cancel."""
     u = np.asarray(u, dtype=float)
-    return u + np.log1p(-np.exp(-2.0 * u)) - math.log(2.0)
+    return u + np.log(-np.expm1(-2.0 * u)) - math.log(2.0)
 
 
 def _dist2(x, y, d: int):
@@ -66,10 +69,23 @@ def _dist2(x, y, d: int):
 
 
 def _log_space_kernel(tau: float, x, y, log_s, gauss):
-    """sqrt(xy)/S I_tau(z) e^{G-z}, z = xy/S, the Bessel and Laguerre
-    form, as exp(log(xy)/2 - log S + log(e^{-z} I_tau(z)) + G).  For
-    tau < 0 it is (xy)^{tau+1/2} times a bounded factor: an exact 0 at
-    x = 0 or y = 0, where the log form meets inf - inf."""
+    """sqrt(xy)/S I_tau(z) e^{G-z}, z = xy/S with S = e^{log_s}, the
+    Bessel and Laguerre form.
+
+    At tau = 1/2, sqrt(z) e^{-z} I_{1/2}(z) = (1 - e^{-2z})/sqrt(2 pi)
+    (DLMF 10.49), so the kernel is e^{G - log(2 pi S)/2} (1 - e^{-2z}) in
+    linear space: two exponentials per point, and an exact 0 at x = 0 or
+    y = 0.  2z is 2xy e^{-log_s}, which is 0 where S itself would overflow
+    (Laguerre t above about 355); e^{-log_s} is finite for S above 1e-308,
+    so for every Bessel time above 6e-309.
+    Every other order is exp(log(xy)/2 - log S + log(e^{-z} I_tau(z)) + G)
+    with ``specfun.log_bessel_i_scaled``.  For tau < 0 it is
+    (xy)^{tau+1/2} times a bounded factor: an exact 0 at x = 0 or y = 0,
+    where the log form meets inf - inf."""
+    if tau == 0.5:
+        neg_two_z = (-2.0 * x) * y * np.exp(-log_s)
+        return (np.exp(gauss - 0.5 * (math.log(2.0 * math.pi) + log_s))
+                * -np.expm1(neg_two_z))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_xy = np.log(x) + np.log(y)
         log_k = (0.5 * log_xy - log_s
@@ -145,7 +161,7 @@ class BesselKernel(KernelFamily):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return _log_space_kernel(self.tau, x, y, np.log(2.0 * t),
-                                 -(x - y) ** 2 / (4.0 * t))
+                                 (x - y) ** 2 / (-4.0 * t))
 
     def comparison(self) -> "KernelFamily":
         return EuclideanHeat(1)

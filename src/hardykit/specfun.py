@@ -5,11 +5,12 @@ Two families live here:
 * the modified Bessel function of the first kind ``I_tau`` for orders
   ``tau >= -1/2``, evaluated through an ascending power series for small
   arguments and the large-argument asymptotic expansion above a per-order
-  switch point.  At tau = 1/2 the closed form
-  ``I_{1/2}(z) = sqrt(2/(pi z)) sinh z`` (DLMF 10.49) replaces both.
-  Kernels consume the log of the exponentially scaled form,
-  ``log(e^{-z} I_tau(z))`` from ``log z``, so that the Gaussian factors of
-  the kernels cancel the exponential growth without overflow;
+  switch point, at every order (tau = 1/2 included).  Kernels consume the
+  log of the exponentially scaled form, ``log(e^{-z} I_tau(z))`` from
+  ``log z``, so that the Gaussian factors of the kernels cancel the
+  exponential growth without overflow.  The Bessel and Laguerre kernels
+  of order 1/2 do not use it: ``kernels._log_space_kernel`` evaluates
+  their closed form in linear space;
 
 * the density ``g_nu`` of the one-sided nu-stable subordinator, i.e. the
   probability density on (0, inf) whose Laplace transform is
@@ -47,53 +48,28 @@ def _bessel_switch_point(tau: float) -> float:
     return max(30.0, 1.5 * tau * tau)
 
 
-# below this z the half-order form is written from log z (its next term,
-# z^2/6, is under 2e-17); above 40 in log z, -expm1(-2z) is exactly 1 and
-# the cap only keeps exp finite
-_HALF_ORDER_TINY_Z = 1e-8
-_HALF_ORDER_LOG_Z_CAP = 40.0
-
-
-def _log_bessel_half_scaled(log_z: np.ndarray) -> np.ndarray:
-    """log(e^{-z} I_{1/2}(z)) = log(-expm1(-2z)) - log(2 pi z)/2.
-
-    I_{1/2}(z) = sqrt(2/(pi z)) sinh z (DLMF 10.49).  Below
-    ``_HALF_ORDER_TINY_Z`` the value is (log z - log(pi/2))/2 - z, so an
-    underflowing z keeps the tau*log(z/2) lead and log z = -inf gives
-    -inf without a warning.
-    """
-    z = np.exp(np.minimum(log_z, _HALF_ORDER_LOG_Z_CAP))
-    general = (np.log(-np.expm1(-2.0 * np.maximum(z, _HALF_ORDER_TINY_Z)))
-               - 0.5 * (math.log(2.0 * math.pi) + log_z))
-    tiny = 0.5 * (log_z - math.log(0.5 * math.pi)) - z
-    return np.where(z < _HALF_ORDER_TINY_Z, tiny, general)
-
-
 def log_bessel_i_scaled(tau: float, log_z):
     """log(e^{-z} I_tau(z)) from log(z), stable for z under/overflowing.
 
     Used by kernels evaluated in log space: for tau > -1/2 the small-z
     behaviour is tau*log(z/2) - lgamma(tau+1) - z, which stays
-    representable even when z itself underflows.  Order 1/2 (Bessel
-    beta = 1, Laguerre alpha = 1/2) uses the closed form
-    log(-expm1(-2z)) - log(2 pi z)/2 in a few vector operations; every
-    other order runs the power series below the switch point and the
-    asymptotic expansion above it; a series sum that overflows (possible
-    for tau >~ 23) raises DomainError.
+    representable even when z itself underflows.  Every order runs the
+    power series below the switch point and the asymptotic expansion above
+    it; a series sum that overflows (possible for tau >~ 23) raises
+    DomainError.  Order 1/2 kernels (Bessel beta = 1, Laguerre
+    alpha = 1/2) take their closed form in ``kernels._log_space_kernel``
+    and never reach this function.
     """
     if tau < -0.5:
         raise DomainError(f"order tau={tau} below -1/2")
     log_z = np.asarray(log_z, dtype=float)
-    if tau == 0.5:
-        out = _log_bessel_half_scaled(log_z)
-        return out if out.ndim else float(out)
     z0 = _bessel_switch_point(tau)
     log_z0 = math.log(z0)
     out = np.empty_like(log_z)
 
     small = log_z <= log_z0
     if np.any(small):
-        # scipy loads on first use: tau = 1/2 never reaches this branch
+        # scipy loads on first use: order-1/2 kernels never call this
         from scipy.special import gammaln
 
         lz = log_z[small]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardykit import atoms, cli, kernels
+from hardykit import atoms, cli, kernels, verifier
 from hardykit.cli import main
 
 
@@ -249,7 +249,7 @@ qmc_y = 2
     assert "cuboid 0 (center (-18.5,)), n = 0: -" in proc.stderr
 
 
-def test_maximal_command(tmp_path):
+def test_maximal_command(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "m.cfg", """
 [kernel]
 kind = euclidean_heat
@@ -257,16 +257,29 @@ kind = euclidean_heat
 family = bessel
 window = 0..0
 [maximal]
-atoms_per_cuboid = 2
+atoms_per_cuboid = 4
 cells = 64
 """)
     out1 = tmp_path / "m1"
     out2 = tmp_path / "m2"
+    calls = []
+    maximal_norm = verifier.maximal_norm
+
+    def counted(*args):
+        calls.append(args)
+        return maximal_norm(*args)
+
+    monkeypatch.setattr(verifier, "maximal_norm", counted)
     assert run(["--config", cfg, "--out", out1, "--seed", 5, "maximal"]) == 0
     assert run(["--config", cfg, "--out", out2, "--seed", 5, "maximal"]) == 0
     assert (out1 / "maximal.csv").read_bytes() == (out2 / "maximal.csv").read_bytes()
     rows = (out1 / "maximal.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) == 2
+    assert len(rows) == 4
+    # each of the two runs measures, per cuboid, the local atom of every
+    # even j once and the two classical atoms once each
+    cuboids = {row.split(",")[1] for row in rows}
+    assert len(calls) == 2 * 3 * len(cuboids)
+    assert rows[0].split(",")[1:] == rows[2].split(",")[1:]
     for row in rows:
         value = float(row.split(",")[3])
         assert value >= 1.0

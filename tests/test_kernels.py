@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -26,6 +26,17 @@ def mehler_closed_form(t, x, y):
     c = math.cosh(2 * t)
     return (2 * math.pi * s) ** -0.5 \
         * math.exp(-(c * (x * x + y * y) - 2 * x * y) / (2 * s))
+
+
+def mehler_odd_closed_form(t, x, y):
+    # M_t(x, y) - M_t(x, -y), the Laguerre alpha = 1/2 kernel; the exponent
+    # uses cosh(2t) - 1 = 2 sinh(t)^2, and -expm1 avoids the cancellation
+    # of the two-exponential difference
+    s = math.sinh(2 * t)
+    exponent = -((x - y) ** 2
+                 + 2 * math.sinh(t) ** 2 * (x * x + y * y)) / (2 * s)
+    return (2 * math.pi * s) ** -0.5 * math.exp(exponent) \
+        * -math.expm1(-2 * x * y / s)
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +72,24 @@ def test_heat_time_column_is_row_by_row(d):
     assert np.array_equal(column, rows)
 
 
+@pytest.mark.parametrize("kernel", [
+    K.BesselKernel(1.0), K.BesselKernel(2.0), K.LaguerreKernel(0.5),
+    K.LaguerreKernel(1.0)], ids=lambda k: k.kind)
+def test_half_line_time_column_is_row_by_row(kernel):
+    # order 1/2 takes the closed form, the other orders the log-space body;
+    # both give the same bits for one time, a column of times and one time
+    # per point
+    rng = np.random.default_rng(4)
+    ts = np.exp(rng.uniform(-12.0, 5.0, 200))
+    x = np.append(rng.uniform(0.0, 6.0, 49), 0.0)
+    y = 0.4
+    column = kernel.eval(ts[:, None], x, y)
+    rows = np.stack([kernel.eval(t, x, y) for t in ts])
+    per_point = kernel.eval(np.repeat(ts[:, None], x.size, axis=1), x, y)
+    assert np.array_equal(column, rows)
+    assert np.array_equal(per_point, rows)
+
+
 def test_bessel_beta1_closed_form_grid():
     b1 = K.BesselKernel(1.0)
     rng = np.random.default_rng(1)
@@ -91,9 +120,9 @@ _HALF_LINE_POINT = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
 @settings(max_examples=200, deadline=None)
 @given(x=_HALF_LINE_POINT, y=_HALF_LINE_POINT, log10_t=st.floats(-3.0, 3.0))
 def test_bessel_beta1_is_reflected_heat(x, y, log10_t):
-    # the kernel is exp of a sum of logs, so its relative error is about
-    # eps times the size of those logs; points in {0} U [1e-3, 20] and a
-    # Gaussian exponent up to 100 keep them below about 130
+    # the kernel is e^{G - log(4 pi t)/2} (1 - e^{-xy/t}), so its relative
+    # error is about eps times |G| + |log t|; points in {0} U [1e-3, 20]
+    # and a Gaussian exponent G up to 100 keep that below about 110 eps
     t = 10.0 ** log10_t
     assume((x - y) ** 2 / (4.0 * t) <= 100.0)
     got = K.BesselKernel(1.0).eval(t, x, y)
@@ -141,6 +170,23 @@ def test_laguerre_is_bessel_at_mehler_time(alpha, t, x, y):
     assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=_HALF_LINE_POINT, y=_HALF_LINE_POINT, log10_t=st.floats(-6.0, 1.5))
+@example(x=1.0, y=1.0, log10_t=-6.0)
+def test_laguerre_half_is_odd_mehler(x, y, log10_t):
+    # Laguerre(1/2) is the Mehler kernel reflected at 0, checked against
+    # sinh directly, not against Bessel(1); the kernel and the reference
+    # each carry about eps times their exponent, at most 100.  At small t
+    # log sinh(2t) needs expm1: 1 - e^{-4t} loses 1e-16/4t relative
+    t = 10.0 ** log10_t
+    s = math.sinh(2.0 * t)
+    assume(((x - y) ** 2 + 2.0 * math.sinh(t) ** 2 * (x * x + y * y))
+           / (2.0 * s) <= 100.0)
+    got = K.LaguerreKernel(0.5).eval(t, x, y)
+    assert_allclose(got, mehler_odd_closed_form(t, x, y), rtol=2e-13,
+                    atol=0.0)
+
+
 def test_laguerre_small_time_matches_heat():
     lag = K.LaguerreKernel(0.5)
     heat = K.EuclideanHeat(1)
@@ -149,10 +195,13 @@ def test_laguerre_small_time_matches_heat():
 
 
 def test_laguerre_extreme_times_finite():
-    lag = K.LaguerreKernel(1.0)
-    for t in (1e-12, 1e-6, 1.0, 50.0, 400.0, 4e4):
-        v = lag.eval(t, 1.0, 1.0)
-        assert np.isfinite(v) and v >= 0.0
+    # sinh(2t) overflows at t = 400 and 4e4; alpha = 1/2 takes the closed
+    # form, alpha = 1 the log-space body
+    for alpha in (0.5, 1.0):
+        lag = K.LaguerreKernel(alpha)
+        for t in (1e-12, 1e-6, 1.0, 50.0, 400.0, 4e4):
+            v = lag.eval(t, 1.0, 1.0)
+            assert np.isfinite(v) and v >= 0.0
 
 
 def test_subordinate_poisson_oracle():

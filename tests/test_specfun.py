@@ -99,7 +99,8 @@ def test_log_bessel_matches_linear():
 
 
 def test_half_order_against_mpmath():
-    # the closed form log(-expm1(-2z)) - log(2 pi z)/2 against 40 digits
+    # order 1/2 through the series and asymptotic branches, against
+    # 40-digit mpmath
     mpmath.mp.dps = 40
     log_z = np.linspace(-30.0, 8.0, 381)
     got = sf.log_bessel_i_scaled(0.5, log_z)
