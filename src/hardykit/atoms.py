@@ -15,7 +15,7 @@ all integrals below are exact for these step functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,16 @@ from .errors import ResolutionError
 # ---------------------------------------------------------------------------
 # Grid functions
 # ---------------------------------------------------------------------------
+
+class StepRuns(NamedTuple):
+    """Run-length view of a grid function: its maximal runs of cells with
+    the same value (the same bits)."""
+
+    starts: np.ndarray      # (R + 1,) first cell of each run, then cells
+    values: np.ndarray      # (R,) the value of each run
+    boundaries: np.ndarray  # (R + 1,) b_0 = lo < ... < b_R = hi
+    jumps: np.ndarray       # (R + 1,) c_j, the value right of b_j minus left
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -59,6 +69,20 @@ class GridFunction:
     @property
     def l1_norm(self) -> float:
         return float(self.cell_width * np.abs(self.values).sum())
+
+    @property
+    def runs(self) -> StepRuns:
+        """The step function as runs: g = sum_j c_j 1[y >= b_j], with
+        c_0 the first value and c_R minus the last one."""
+        v = np.ascontiguousarray(self.values, dtype=float)
+        bits = v.view(np.uint64)
+        starts = np.concatenate(
+            ([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [self.cells]))
+        values = v[starts[:-1]]
+        boundaries = self.lo + self.cell_width * starts
+        boundaries[-1] = self.hi
+        padded = np.concatenate(([0.0], values, [0.0]))
+        return StepRuns(starts, values, boundaries, padded[1:] - padded[:-1])
 
     def __call__(self, x):
         """Step-function evaluation, zero outside [lo, hi]."""

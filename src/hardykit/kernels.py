@@ -96,8 +96,74 @@ def _log_space_kernel(tau: float, x, y, log_s, gauss):
     return np.exp(log_k)
 
 
+def _gaussian_step_apply(g, x, sigma, shift=None, odd=None):
+    """integral g(y) phi(y - m) dy for a 1-D grid function g, with
+    phi(u) = e^{-u^2/sigma^2}/(sigma sqrt(pi)) and the means m = x - shift
+    (m = x without a shift).  For an odd kernel, phi(y - m) - phi(y + m),
+    ``odd`` is m >= 0 itself.
+
+    With the boundaries b_j and jumps c_j of g's runs, the integral is
+    g(m) + 1/2 sum_j c_j sgn(b_j - m) erfc(|b_j - m|/sigma):
+    * each erfc is taken on the far side of its boundary, so the tails
+      keep relative accuracy;
+    * b_j - m is formed as (b_j - x) + shift, so a mean that moves away
+      from x keeps the digits of b_j - x;
+    * the odd kernel subtracts 1/2 sum_j c_j erfc((b_j + m)/sigma), the
+      boundaries -b_j of g's odd extension (b_j >= 0), all behind m;
+    * where m/sigma is small (x -> 0, or large Laguerre times, where
+      sech 2t is small) the two terms of each b_j cancel.  Where m max(b_R, sigma) <=
+      sigma^2 ``specfun.ERF_WINDOW_MAX`` (b_R/sigma capped at 28, above
+      which erfc vanishes) the odd integral is sum_j c_j
+      ``specfun.erf_window``(b_j/sigma, m/sigma) instead.
+    x has shape (N,); sigma, shift and odd broadcast against (rows, N),
+    and the result is (rows, N).  The (rows, N, boundaries) temporaries
+    grow with the caller's batch (``sup_over_t`` passes at most 2^15
+    (row, point) pairs), and every sum over boundaries is an ``np.sum``,
+    whose order does not depend on the BLAS thread count.
+    """
+    runs = g.runs
+    b, half_c = runs.boundaries, 0.5 * runs.jumps
+    sig = np.asarray(sigma, dtype=float)[..., None]
+    d = b - x[:, None]
+    if shift is not None:
+        d = d + shift[..., None]
+    behind = d <= 0.0
+    # g at the mean, on runs [b_j, b_{j+1}); at m = b_j the jump's erfc(0)
+    # term then gives the mean of the two sides
+    level = np.concatenate(([0.0], runs.values, [0.0]))[
+        np.count_nonzero(behind, axis=-1)]
+    coef = np.where(behind, -half_c, half_c)
+    np.abs(d, out=d)
+    if odd is None:
+        terms = specfun.erfc(d / sig)
+        terms *= coef
+        return level + np.sum(terms, axis=-1)
+    nb = len(b)
+    u = np.empty(np.broadcast_shapes(d.shape, sig.shape)[:-1] + (2 * nb,))
+    np.divide(d, sig, out=u[..., :nb])
+    np.divide(b + odd[..., None], sig, out=u[..., nb:])
+    coef = np.concatenate((coef, np.broadcast_to(-half_c, coef.shape)), axis=-1)
+    sig = np.broadcast_to(sig[..., 0], u.shape[:-1])     # now (rows, N)
+    delta = np.broadcast_to(odd, sig.shape) / sig
+    near = delta * np.clip(b[-1] / sig, 1.0, 28.0) <= specfun.ERF_WINDOW_MAX
+    u[near] = np.inf        # erfc's cheapest branch; replaced below
+    terms = specfun.erfc(u)
+    terms *= coef
+    total = level + np.sum(terms, axis=-1)
+    if near.any():
+        total[near] = np.sum(runs.jumps * specfun.erf_window(
+            b / sig[near][:, None], delta[near][:, None]), axis=-1)
+    return total
+
+
 class KernelFamily:
-    """Base class: an evaluatable semigroup kernel plus its comparison."""
+    """Base class: an evaluatable semigroup kernel plus its comparison.
+
+    ``step_apply`` propagates a 1-D grid function (an atom): by default a
+    midpoint sum over its cells, one kernel evaluation per time; heat
+    (d = 1), Bessel(beta = 1) and Laguerre(alpha = 1/2) are Gaussian in y
+    and override it with the exact integral over its runs.
+    """
 
     domain: DomainSpec
     kind: str
@@ -108,6 +174,23 @@ class KernelFamily:
 
     def eval(self, t, x, y):
         raise NotImplementedError
+
+    def step_apply(self, t, x, g):
+        """T_t g(x) = integral T_t(x, y) g(y) dy for a 1-D grid function g
+        at the N points x, one row per row of the 2-D t ((rows, 1), or one
+        time per point, (rows, N)).
+
+        The midpoint sum over g's cells: one (points x cells) evaluation
+        and matvec per row of t.  Its cell sum aliases where the kernel is
+        as narrow as a cell, by about 2 e^{-4 pi^2 t/h^2} relative for the
+        heat kernel, so it is an estimate, not the integral.
+        """
+        x = np.asarray(x, dtype=float)
+        centers = g.centers
+        weights = np.full(g.cells, g.cell_width) * g.values
+        return np.stack([
+            self.eval(row[:, None], x[:, None], centers[None, :]) @ weights
+            for row in t])
 
     def comparison(self) -> "KernelFamily":
         """The designated tilde-kernel for the (A2)-type conditions."""
@@ -141,6 +224,15 @@ class EuclideanHeat(KernelFamily):
         return (np.power(4.0 * math.pi * t, -d / 2.0)
                 * np.exp(-_dist2(x, y, d) / (4.0 * t)))
 
+    def step_apply(self, t, x, g):
+        """Exact in 1-D: T_t g(x) = g(x) + 1/2 sum_j c_j sgn(b_j - x)
+        erfc(|b_j - x|/sqrt(4t)) over g's run boundaries b_j and jumps c_j."""
+        if self.dimension != 1:
+            return super().step_apply(t, x, g)
+        self._check_time(t)
+        return _gaussian_step_apply(g, np.asarray(x, dtype=float),
+                                    2.0 * np.sqrt(t))
+
     def comparison(self) -> "KernelFamily":
         return self
 
@@ -163,6 +255,17 @@ class BesselKernel(KernelFamily):
         return _log_space_kernel(self.tau, x, y, np.log(2.0 * t),
                                  (x - y) ** 2 / (-4.0 * t))
 
+    def step_apply(self, t, x, g):
+        """Exact at beta = 1, where the kernel is the reflected heat kernel
+        H_t(x - y) - H_t(x + y): the heat integral minus 1/2 sum_j c_j
+        erfc((b_j + x)/sqrt(4t)).  Other orders take the midpoint sum."""
+        if self.tau != 0.5:
+            return super().step_apply(t, x, g)
+        self._check_time(t)
+        x = np.asarray(x, dtype=float)
+        self._check_points(x, g.lo)
+        return _gaussian_step_apply(g, x, 2.0 * np.sqrt(t), odd=x)
+
     def comparison(self) -> "KernelFamily":
         return EuclideanHeat(1)
 
@@ -182,10 +285,42 @@ class LaguerreKernel(KernelFamily):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         ls = _log_sinh(2.0 * t)
-        # z - coth(2t)(x^2+y^2)/2 rewritten to stay finite for all t
-        exponent = (-(x - y) ** 2 * np.exp(-ls) / 2.0
-                    - np.tanh(t) * (x * x + y * y) / 2.0)
+        # z - coth(2t)(x^2+y^2)/2 rewritten to stay finite for all t.  The
+        # factors in t multiply the (x, y) arrays, in place where those have
+        # the full shape; halving is exact, so these are the bits of
+        # -(x-y)^2 e^{-ls}/2 - tanh(t)(x^2+y^2)/2
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        exponent = np.subtract(x, y, out=np.empty(shape))
+        np.square(exponent, out=exponent)
+        r2 = np.multiply(x, x, out=np.empty(shape))
+        r2 += y * y
+        full = np.broadcast_shapes(t.shape, shape) == shape
+        exponent = np.multiply(exponent, -0.5 * np.exp(-ls),
+                               out=exponent if full else None)
+        exponent -= np.multiply(r2, 0.5 * np.tanh(t), out=r2 if full else None)
         return _log_space_kernel(self.alpha, x, y, ls, exponent)
+
+    def step_apply(self, t, x, g):
+        """Exact at alpha = 1/2, the odd Mehler kernel: in y a Gaussian of
+        mean +-x sech 2t and variance tanh 2t, times the amplitude
+        (cosh 2t)^{-1/2} e^{-x^2 tanh(2t)/2}.  sech 2t and
+        1 - sech 2t = (1 - e^{-2t})^2/(1 + e^{-4t}) are written from
+        e^{-2t}, so they stay finite where cosh 2t overflows (t > 355).
+        Other orders take the midpoint sum."""
+        if self.alpha != 0.5:
+            return super().step_apply(t, x, g)
+        self._check_time(t)
+        x = np.asarray(x, dtype=float)
+        self._check_points(x, g.lo)
+        t = np.asarray(t, dtype=float)
+        e2 = np.exp(-2.0 * t)
+        denom = 1.0 + e2 * e2
+        sech = 2.0 * e2 / denom
+        tanh = np.tanh(2.0 * t)
+        shift = x * (np.expm1(-2.0 * t) ** 2 / denom)
+        amplitude = np.sqrt(sech) * np.exp(-0.5 * tanh * (x * x))
+        return amplitude * _gaussian_step_apply(
+            g, x, np.sqrt(2.0 * tanh), shift=shift, odd=x * sech)
 
     def comparison(self) -> "KernelFamily":
         return EuclideanHeat(1)

@@ -1,6 +1,6 @@
 """Scalar special functions backing every kernel.
 
-Two families live here:
+Three families live here:
 
 * the modified Bessel function of the first kind ``I_tau`` for orders
   ``tau >= -1/2``, evaluated through an ascending power series for small
@@ -11,6 +11,12 @@ Two families live here:
   exponential growth without overflow.  The Bessel and Laguerre kernels
   of order 1/2 do not use it: ``kernels._log_space_kernel`` evaluates
   their closed form in linear space;
+
+* the complementary error function ``erfc`` for x >= 0, Cody's rational
+  approximations in numpy (no scipy import), and ``erf_window``, the
+  Taylor series of (erf(u + delta) - erf(u - delta))/2 for small
+  windows.  The order-1/2 kernels propagate step functions with them
+  (``KernelFamily.step_apply``);
 
 * the density ``g_nu`` of the one-sided nu-stable subordinator, i.e. the
   probability density on (0, inf) whose Laplace transform is
@@ -109,6 +115,154 @@ def log_bessel_i_scaled(tau: float, log_z):
                 break
         out[~small] = -0.5 * (math.log(2.0 * math.pi) + lz) + np.log(total)
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# Complementary error function
+# ---------------------------------------------------------------------------
+
+# W. J. Cody, Rational Chebyshev approximations for the error function,
+# Math. Comp. 23 (1969) 631-637, with the coefficients of his CALERF:
+# erf(x) = x A(x^2)/B(x^2) on [0, 0.46875], erfc(x) = e^{-x^2} C(x)/D(x)
+# on (0.46875, 4] and x erfc(x) = e^{-x^2} (1/sqrt(pi) + P(y)/Q(y)),
+# y = 1/x^2, above 4
+_ERFC_A = (3.16112374387056560e00, 1.13864154151050156e02,
+           3.77485237685302021e02, 3.20937758913846947e03,
+           1.85777706184603153e-1)
+_ERFC_B = (2.36012909523441209e01, 2.44024637934444173e02,
+           1.28261652607737228e03, 2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00,
+           6.61191906371416295e01, 2.98635138197400131e02,
+           8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03,
+           2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02,
+           5.37181101862009858e02, 1.62138957456669019e03,
+           3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2,
+           6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00,
+           5.27905102951428412e-1, 6.05183413124413191e-2,
+           2.33520497626869185e-3)
+# erfc(x) rounds to 0 above about 27.23; the last subnormals lie below
+_ERFC_ZERO = 27.3
+# x + 2^48 - 2^48 is x rounded to a multiple of 1/16 for 0 <= x < 2^47
+_ROUND_16TH = 2.0 ** 48
+
+
+def _times_exp_neg_square(x, r):
+    """r e^{-x^2}, in place in r, for 0 <= x < 2^47 and r > 0 normal.
+
+    e^{-x^2} = e^{-s^2} e^{-(x-s)(x+s)} with s = x rounded to a multiple
+    of 1/16, so s^2 is exact (Cody).  Where e^{-s^2} would be subnormal
+    (s^2 > 700), it is taken at e^{64} times its size and the product is
+    scaled by e^{-64} last, so that a subnormal result is rounded once."""
+    s = x + _ROUND_16TH
+    s -= _ROUND_16TH
+    d = x - s
+    d *= x + s
+    np.negative(d, out=d)
+    r *= np.exp(d, out=d)
+    s *= s
+    deep = (s > 700.0).nonzero()
+    np.negative(s, out=s)
+    s[deep] += 64.0
+    r *= np.exp(s, out=s)
+    r[deep] *= math.exp(-64.0)
+    return r
+
+
+def _horner_ratio(y, num_coef, den_coef):
+    """(num_coef[-1] y^n + ... + num_coef[n]) / (y^n + den_coef[0] y^(n-1)
+    + ... + den_coef[n-1]), Cody's nesting with n = len(den_coef)."""
+    num = num_coef[-1] * y
+    den = y + den_coef[0]
+    num += num_coef[0]
+    num *= y
+    den *= y
+    for a, b in zip(num_coef[1:-2], den_coef[1:-1]):
+        num += a
+        num *= y
+        den += b
+        den *= y
+    num += num_coef[-2]
+    den += den_coef[-1]
+    num /= den
+    return num
+
+
+def erfc(x):
+    """Complementary error function for x >= 0, to about 1e-15 relative.
+
+    Cody's three rational approximations, written for numpy arrays (no
+    scipy).  The value is positive up to about x = 27.23, subnormal above
+    26.55, and an exact 0 above; NaN stays NaN, and x < 0 raises
+    DomainError.  Each range gathers its points by index: boolean-mask
+    indexing is several times slower on the mixed masks of a kernel batch.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.zeros(flat.shape)
+    if not (flat >= 0.0).all():
+        if (flat < 0.0).any():
+            raise DomainError("erfc is implemented for x >= 0")
+        out[np.isnan(flat)] = np.nan
+
+    idx = (flat <= 0.46875).nonzero()[0]
+    if idx.size:
+        xs = flat.take(idx)
+        erf = _horner_ratio(xs * xs, _ERFC_A, _ERFC_B)
+        erf *= xs
+        out[idx] = 1.0 - erf
+
+    idx = ((flat > 0.46875) & (flat <= 4.0)).nonzero()[0]
+    if idx.size:
+        xm = flat.take(idx)
+        out[idx] = _times_exp_neg_square(
+            xm, _horner_ratio(xm, _ERFC_C, _ERFC_D))
+
+    idx = ((flat > 4.0) & (flat < _ERFC_ZERO)).nonzero()[0]
+    if idx.size:
+        xb = flat.take(idx)
+        y = 1.0 / (xb * xb)
+        r = _horner_ratio(y, _ERFC_P, _ERFC_Q)
+        r *= -y
+        r += 1.0 / math.sqrt(math.pi)
+        r /= xb
+        out[idx] = _times_exp_neg_square(xb, r)
+    out = out.reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+# erf_window's series is exact to rounding for delta max(u, 1) up to this
+ERF_WINDOW_MAX = 0.1
+
+
+def erf_window(u, delta):
+    """(erf(u + delta) - erf(u - delta))/2 for u >= 0 and a small window,
+    0 <= delta max(u, 1) <= ``ERF_WINDOW_MAX``, to about 1e-15 relative.
+
+    The difference of two erfc values loses the digits that the window
+    does not resolve (all of them as delta -> 0).  Its Taylor series in
+    delta does not: (2 delta/sqrt(pi)) e^{-u^2} sum_k delta^{2k}
+    H_{2k}(u)/(2k+1)!, with the Hermite polynomials H_n; the terms after
+    k = 5 are below 1e-17 of the sum.
+    """
+    u = np.asarray(u, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    h_prev, h = np.ones_like(u), 2.0 * u       # H_0, H_1
+    d2 = delta * delta
+    power = np.ones(np.broadcast_shapes(u.shape, delta.shape))
+    total = power.copy()
+    for n in range(1, 10):
+        h_prev, h = h, 2.0 * u * h - 2.0 * n * h_prev     # H_{n+1}
+        if n % 2:
+            power *= d2
+            total += power * h / math.factorial(n + 2)
+    total *= (2.0 / math.sqrt(math.pi)) * delta
+    return _times_exp_neg_square(u, total)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,41 @@ def test_validate_atom_rejects_violations(qb, host):
     assert not at.validate_atom(outside, qb.kappa).passed
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 7.0,
+                                 float("nan"), float("inf")]),
+                min_size=1, max_size=40),
+       st.lists(st.integers(1, 4), min_size=40, max_size=40),
+       st.floats(-50.0, 50.0), st.floats(1e-3, 20.0))
+def test_runs_round_trip(pool, repeats, lo, width):
+    # runs rebuild the cells bit for bit (-0.0, NaN and inf included)
+    values = np.repeat(np.array(pool), repeats[:len(pool)])
+    g = at.GridFunction(lo, lo + width, values)
+    runs = g.runs
+    rebuilt = np.repeat(runs.values, np.diff(runs.starts))
+    assert rebuilt.tobytes() == values.tobytes()
+    assert runs.starts[0] == 0 and runs.starts[-1] == g.cells
+    bits = runs.values.view(np.uint64)
+    assert np.all(bits[1:] != bits[:-1])      # maximal runs
+    assert runs.boundaries[0] == g.lo and runs.boundaries[-1] == g.hi
+    assert np.all(np.diff(runs.boundaries) > 0.0)
+    padded = np.concatenate(([0.0], runs.values, [0.0]))
+    assert runs.jumps.tobytes() == (padded[1:] - padded[:-1]).tobytes()
+
+
+def test_runs_of_atoms(qb, host):
+    local = at.make_local_atom(host, cells=96)
+    assert len(local.runs.values) == 1
+    assert local.runs.jumps[0] == -local.runs.jumps[1] == local.values[0]
+    atom = at.random_classical_atom(host, qb.kappa, seed=4, cells=96)
+    runs = atom.runs
+    assert 2 <= len(runs.values) <= 8
+    # the cells of each run sit inside its boundaries
+    for j, v in enumerate(runs.values):
+        mid = 0.5 * (runs.boundaries[j] + runs.boundaries[j + 1])
+        assert atom(mid) == v
+
+
 # ---------------------------------------------------------------------------
 # Localization
 # ---------------------------------------------------------------------------

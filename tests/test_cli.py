@@ -223,6 +223,34 @@ golden_iters = 0
     assert csvs[0] == csvs[1]
 
 
+def test_maximal_independent_of_blas_threads(tmp_path):
+    # Bessel(1) maximal sums its erfc terms with np.sum, not a BLAS matvec
+    cfg = write_config(tmp_path / "m.cfg", """
+[kernel]
+kind = bessel
+beta = 1.0
+[covering]
+family = bessel
+window = 0..0
+[maximal]
+atoms_per_cuboid = 2
+cells = 96
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardykit.cli", "--config", cfg,
+             "--out", str(out), "maximal"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "maximal.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_dprime_roundoff_mass_exits_2(tmp_path):
     # near the edge of the x^2 box every D' mass of this cuboid is
     # eigen-sum roundoff, negative at one BLAS thread (-7.7e-34 at n = 0)
@@ -357,11 +385,12 @@ golden_iters = 4
 
 
 def test_maximal_nan_norm_exit_2(tmp_path, monkeypatch):
-    # a kernel that is NaN for x > 5 makes the norm NaN; it must not be
-    # dropped by the running maximum into max_maximal_norm = 0.0
+    # a kernel whose propagated atom is NaN for x > 5 makes the norm NaN;
+    # it must not be dropped by the running maximum into
+    # max_maximal_norm = 0.0.  maximal reads T_t a through step_apply.
     class NanBeyond5(kernels.BesselKernel):
-        def eval(self, t, x, y):
-            v = super().eval(t, x, y)
+        def step_apply(self, t, x, g):
+            v = super().step_apply(t, x, g)
             return np.where(np.asarray(x) > 5.0, np.nan, v)
 
     monkeypatch.setattr(cli, "build_kernel", lambda cfg: NanBeyond5(1.0))

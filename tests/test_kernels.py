@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hardykit import kernels as K
+from hardykit.atoms import make_local_atom, random_classical_atom
+from hardykit.coverings import covering_bessel
 from hardykit.errors import DomainError, QuadratureError
 from hardykit.quadrature import integrate_adaptive
 
@@ -550,6 +552,164 @@ def test_semigroup_property(maker, lo, hi):
             rtol=1e-9, breakpoints=[x, y], max_panels=3000)
         target = k.eval(s + t, x, y)
         assert abs(val - target) <= 1e-4 * abs(target)
+
+
+# ---------------------------------------------------------------------------
+# Propagated step functions (step_apply)
+# ---------------------------------------------------------------------------
+
+GAUSSIAN_STEP = {"heat": K.EuclideanHeat(1), "bessel": K.BesselKernel(1.0),
+                 "laguerre": K.LaguerreKernel(0.5)}
+
+
+def step_apply_reference(name, g, t, x, absolute=False):
+    """T_t g(x) (or T_t |g|(x)) run by run, at 400 digits: the erfc
+    differences cancel, and at 40 digits they gave -8.9e-270 for a
+    positive value.  heat and Bessel(1) are Gaussians of mean x and
+    variance 2t in y (Bessel(1) minus the one of mean -x); Laguerre(1/2)
+    is the odd Mehler pair of mean +-x sech 2t and variance tanh 2t, times
+    (cosh 2t)^{-1/2} e^{-x^2 tanh(2t)/2}."""
+    runs = g.runs
+    with mpmath.workdps(400):
+        b = [mpmath.mpf(float(v)) for v in runs.boundaries]
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+        if name == "laguerre":
+            m = x / mpmath.cosh(2 * t)
+            sigma = mpmath.sqrt(2 * mpmath.tanh(2 * t))
+            amp = (mpmath.cosh(2 * t) ** mpmath.mpf(-0.5)
+                   * mpmath.exp(-x * x * mpmath.tanh(2 * t) / 2))
+        else:
+            m, sigma, amp = x, 2 * mpmath.sqrt(t), 1
+        total = mpmath.mpf(0)
+        for j, v in enumerate(runs.values):
+            v = mpmath.mpf(float(abs(v) if absolute else v))
+            total += v * (mpmath.erfc((b[j] - m) / sigma)
+                          - mpmath.erfc((b[j + 1] - m) / sigma)) / 2
+            if name != "heat":
+                total -= v * (mpmath.erfc((b[j] + m) / sigma)
+                              - mpmath.erfc((b[j + 1] + m) / sigma)) / 2
+        return amp * total
+
+
+def gate_atom(j, local, seed):
+    qb = covering_bessel((j, j))
+    if local:
+        return make_local_atom(qb.cuboids[0], cells=96)
+    return random_classical_atom(qb.cuboids[0], qb.kappa, seed, cells=96)
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(-3, 2), local=st.booleans(), seed=st.integers(0, 2 ** 20),
+       ut=st.floats(0.0, 1.0), ux=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_STEP))
+def test_step_apply_closed_form_against_mpmath(name, j, local, seed, ut, ux):
+    # t in [(h/2)^2, 1e4 d_Q^2] and x in [1e-3 d_Q, 60 d_Q], log-uniform:
+    # the window of maximal_norm.  The error is measured against the
+    # scale of the cancelling terms, ||a||_inf + T_t|a|(x)
+    g = gate_atom(j, local, seed)
+    d = g.host.diameter
+    t_lo, t_hi = (g.cell_width / 2.0) ** 2, 1e4 * d * d
+    t = t_lo * (t_hi / t_lo) ** ut
+    x = 1e-3 * d * 6e4 ** ux
+    got = float(GAUSSIAN_STEP[name].step_apply(np.array([[t]]), np.array([x]),
+                                               g)[0, 0])
+    exact = step_apply_reference(name, g, t, x)
+    scale = g.sup_norm + step_apply_reference(name, g, t, x, absolute=True)
+    assert abs(got - exact) <= 1e-14 * scale, (got, float(exact))
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(-3, 2), right=st.booleans(), ur=st.floats(0.0, 1.0),
+       ut=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_STEP))
+def test_step_apply_local_atom_tails(name, j, right, ur, ut):
+    # x outside the support at a distance r with r^2/4t >= 1: each erfc is
+    # taken on the far side, so the tail keeps relative accuracy
+    g = gate_atom(j, True, 0)
+    d = g.host.diameter
+    x = g.hi + 60.0 * d * ur if right else g.lo * (1e-3 * d / g.lo) ** ur
+    r = max(x - g.hi, g.lo - x)
+    assume(r > 0.0)
+    t_lo = (g.cell_width / 2.0) ** 2
+    t_hi = min(r * r / 4.0, 1e4 * d * d)
+    assume(t_lo < t_hi)
+    t = t_lo * (t_hi / t_lo) ** ut
+    got = float(GAUSSIAN_STEP[name].step_apply(np.array([[t]]), np.array([x]),
+                                               g)[0, 0])
+    exact = step_apply_reference(name, g, t, x)
+    if abs(exact) > 1e-300:
+        assert abs(got - exact) <= 1e-12 * abs(exact), (got, float(exact))
+    else:
+        assert abs(got) <= 1e-299
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_STEP))
+def test_step_apply_closed_form_matches_midpoint(name):
+    # the midpoint default sums the kernel at cell centres: by Euler-Maclaurin
+    # it is off by about h^2/24 |c_j| |d/dy T_t(x, b_j)| per boundary, with
+    # |d/dy H_t| <= e^{-1/2}/(2 sqrt(2 pi) t), i.e. 5e-5 ||a|| at t = 100 h^2
+    # and 5e-7 ||a|| at t = 1e4 h^2
+    k = GAUSSIAN_STEP[name]
+    for j in (-3, 0, 2):
+        for g in (gate_atom(j, True, 0), gate_atom(j, False, 11 + j)):
+            h, d = g.cell_width, g.host.diameter
+            t = np.geomspace(100.0 * h * h, 1e4 * d * d, 25)[:, None]
+            x = np.geomspace(1e-3 * d, 60.0 * d, 150)
+            closed = k.step_apply(t, x, g)
+            midpoint = K.KernelFamily.step_apply(k, t, x, g)
+            bound = (np.sum(np.abs(g.runs.jumps)) * h * h / 24.0
+                     * math.exp(-0.5) / (2.0 * math.sqrt(2.0 * math.pi) * t))
+            assert np.all(np.abs(closed - midpoint) <= 1.1 * bound)
+            far = t[:, 0] >= 1e4 * h * h
+            assert np.all(np.abs(closed - midpoint)[far] <= 1e-6 * g.sup_norm)
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_STEP))
+def test_step_apply_time_shapes_match_single_times(name):
+    # a t-grid column (rows, 1) and one time per point (1, N) give the bits
+    # of a single time, as sup_over_t compares grid and golden values
+    k = GAUSSIAN_STEP[name]
+    g = gate_atom(0, False, 5)
+    x = np.geomspace(1e-3, 60.0, 40)
+    t = np.geomspace(1e-5, 1e3, 30)
+    column = k.step_apply(t[:, None], x, g)
+    per_point = k.step_apply(t[None, :30], x[:30], g)[0]
+    for i, ti in enumerate(t):
+        single = k.step_apply(np.array([[ti]]), x, g)[0]
+        assert column[i].tobytes() == single.tobytes()
+        if i < 30:
+            assert per_point[i] == k.step_apply(np.array([[ti]]), x[i:i + 1],
+                                                g)[0, 0]
+
+
+def test_laguerre_step_apply_beyond_cosh_overflow():
+    # cosh 2t overflows above t = 355; sech and 1 - sech come from e^{-2t}
+    k = K.LaguerreKernel(0.5)
+    g = gate_atom(0, True, 0)
+    x = np.array([1e-3, 1.0, 1.5, 30.0])
+    t = np.array([[300.0], [355.0], [356.0], [1e4], [1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = k.step_apply(t, x, g)
+    assert np.all(np.isfinite(vals))
+    for i, ti in enumerate(t[:, 0]):
+        for jx, xi in enumerate(x):
+            exact = step_apply_reference("laguerre", g, ti, xi)
+            assert abs(vals[i, jx] - exact) <= 1e-14 * g.sup_norm
+
+
+def test_step_apply_orders_and_checks():
+    g = gate_atom(0, True, 0)
+    t = np.array([[0.5]])
+    # general orders keep the midpoint default
+    for k in (K.BesselKernel(2.0), K.LaguerreKernel(1.0)):
+        assert (k.step_apply(t, [1.0], g).tobytes()
+                == K.KernelFamily.step_apply(k, t, [1.0], g).tobytes())
+    for k in (K.BesselKernel(1.0), K.LaguerreKernel(0.5)):
+        with pytest.raises(DomainError):
+            k.step_apply(t, [-1.0, 1.0], g)
+        with pytest.raises(DomainError):
+            k.step_apply(np.array([[0.0]]), [1.0], g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -176,6 +180,82 @@ def test_general_order_series_overflow_raises():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="tau=30.*z=1000"):
             sf.log_bessel_i_scaled(30.0, np.log([10.0, 1000.0]))
+
+
+# ---------------------------------------------------------------------------
+# Complementary error function
+# ---------------------------------------------------------------------------
+
+# the smallest positive double: below 2.2e-308 a double's spacing is this,
+# so a value there carries no relative precision, only this absolute one
+_SUBNORMAL_UNIT = 5e-324
+
+
+def test_erfc_against_math_erfc():
+    # [0, 30] and the subnormal band before erfc rounds to 0 (about 27.23)
+    x = np.concatenate([np.linspace(0.0, 30.0, 60001),
+                        np.linspace(26.5, 27.3, 40001)])
+    ours = sf.erfc(x)
+    ref = np.array([math.erfc(v) for v in x])
+    normal = ref >= np.finfo(float).tiny
+    assert np.max(np.abs(ours - ref)[normal] / ref[normal]) <= 2e-15
+    # in the subnormal band both round to the same grid of 5e-324
+    assert np.all(np.abs(ours - ref) <= 2e-15 * ref + _SUBNORMAL_UNIT)
+    assert np.all(ours[ref == 0.0] == 0.0)
+    assert np.any((ours > 0.0) & ~normal)     # no early cut to 0
+
+
+def test_erfc_subnormal_band_rounds_once():
+    # e^{-x^2} is subnormal above x = 26.6; it is scaled, not rounded twice
+    x = np.linspace(26.6, 27.3, 71)
+    ours = sf.erfc(x)
+    with mpmath.workdps(50):
+        for xi, vi in zip(x, ours):
+            exact = mpmath.erfc(mpmath.mpf(float(xi)))
+            assert abs(mpmath.mpf(float(vi)) - exact) \
+                <= mpmath.mpf(_SUBNORMAL_UNIT) / 2 + 2e-15 * exact
+
+
+def test_erfc_special_values():
+    assert sf.erfc(0.0) == 1.0
+    assert isinstance(sf.erfc(1.0), float)
+    out = sf.erfc(np.array([[np.inf, np.nan], [30.0, 0.0]]))
+    assert out.shape == (2, 2)
+    assert out[0, 0] == 0.0 and math.isnan(out[0, 1])
+    assert out[1, 0] == 0.0 and out[1, 1] == 1.0
+    with pytest.raises(DomainError):
+        sf.erfc(np.array([1.0, -1e-300]))
+
+
+def test_erfc_imports_no_scipy():
+    # order-1/2 maximal norms run on erfc; scipy costs 0.3 s to import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; from hardykit import atoms, coverings, kernels; "
+            "q = coverings.covering_bessel((0, 0)).cuboids[0]; "
+            "a = atoms.make_local_atom(q, cells=8); "
+            "kernels.BesselKernel(1.0).step_apply([[0.5]], [1.0], a); "
+            "kernels.LaguerreKernel(0.5).step_apply([[0.5]], [1.0], a); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_erf_window_against_mpmath():
+    # (erf(u + d) - erf(u - d))/2 on the whole allowed region, where the
+    # erfc difference would lose up to all digits
+    with mpmath.workdps(60):
+        for u in np.concatenate([np.linspace(0.0, 1.0, 41),
+                                 np.linspace(1.0, 26.0, 101)]):
+            d_max = sf.ERF_WINDOW_MAX / max(u, 1.0)
+            for d in (d_max, d_max / 7, d_max * 1e-9):
+                exact = (mpmath.erfc(mpmath.mpf(float(u)) - d)
+                         - mpmath.erfc(mpmath.mpf(float(u)) + d)) / 2
+                got = sf.erf_window(np.array([u]), np.array([d]))[0]
+                assert abs(got - exact) <= 2e-15 * exact, (u, d)
+    assert sf.erf_window(np.array([3.0]), np.array([0.0]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
