@@ -27,6 +27,14 @@ from .errors import ResolutionError
 # Grid functions
 # ---------------------------------------------------------------------------
 
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """The first cell of each maximal run of cells with the same bits (so
+    0.0 and -0.0 differ), then the cell count."""
+    bits = v.view(np.uint64)
+    return np.concatenate(
+        ([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [len(v)]))
+
+
 class StepRuns(NamedTuple):
     """Run-length view of a grid function: its maximal runs of cells with
     the same value (the same bits)."""
@@ -75,9 +83,7 @@ class GridFunction:
         """The step function as runs: g = sum_j c_j 1[y >= b_j], with
         c_0 the first value and c_R minus the last one."""
         v = np.ascontiguousarray(self.values, dtype=float)
-        bits = v.view(np.uint64)
-        starts = np.concatenate(
-            ([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [self.cells]))
+        starts = _run_starts(v)
         values = v[starts[:-1]]
         boundaries = self.lo + self.cell_width * starts
         boundaries[-1] = self.hi
@@ -199,24 +205,21 @@ def localize(f: Callable, partition: PartitionOfUnity,
     """Split f into f_Q = psi_Q f, sampled on per-cuboid Q* grids.
 
     Each piece is supported in Q* by construction and the pieces sum back
-    to f pointwise wherever the window covers.
+    to f pointwise wherever the window covers.  All the grids are one
+    (pieces x cells) matrix of centres: f is called once on the centres
+    inside the window, and psi_Q comes from ``evaluate_rows``, bit for bit
+    what ``partition.evaluate`` gives on each piece's centres.
     """
     covering = partition.covering
-    out = []
-    for i, q in enumerate(covering.cuboids):
-        star = q.enlarged(covering.kappa, 1)
-        lo, hi = star.box()
-        lo, hi = float(lo[0]), float(hi[0])
-        piece = GridFunction(lo, hi, np.zeros(cells))
-        x = piece.centers
-        win_lo = covering.window_box[0][0]
-        win_hi = covering.window_box[1][0]
-        inside = (x >= win_lo) & (x <= win_hi)
-        if np.any(inside):
-            psi = partition.evaluate(i, x[inside])
-            piece.values[inside] = psi * np.asarray(f(x[inside]), dtype=float)
-        out.append((q, piece))
-    return out
+    lo, hi = (b[:, 0] for b in covering.enlarged_boxes(1))
+    h = (hi - lo) / cells
+    x = lo[:, None] + h[:, None] * (np.arange(cells) + 0.5)
+    inside = (x >= covering.window_box[0][0]) & (x <= covering.window_box[1][0])
+    values = np.zeros(x.shape)
+    psi = partition.evaluate_rows(np.arange(len(x)), x[..., None], inside)
+    values[inside] = psi * np.asarray(f(x[inside]), dtype=float)
+    return [(q, GridFunction(lo_q, hi_q, v)) for q, lo_q, hi_q, v
+            in zip(covering.cuboids, lo.tolist(), hi.tolist(), values)]
 
 
 def localize_reconstruction_error(f: Callable, partition: PartitionOfUnity,
@@ -256,7 +259,7 @@ class AtomicDecomposition:
         return GridFunction(base.lo, base.hi, total)
 
 
-def local_decompose(fq: GridFunction, host: Cuboid, kappa: float,
+def local_decompose(fq: GridFunction, host: Cuboid,
                     depth: int) -> AtomicDecomposition:
     """Haar-type multiscale decomposition of a piece supported in Q*.
 
@@ -266,45 +269,59 @@ def local_decompose(fq: GridFunction, host: Cuboid, kappa: float,
     L^1 norm is the residual.  Terms are ordered scale-major,
     index-minor; zero coefficients are skipped.
     """
-    n = fq.cells
+    return decompose_pieces([(host, fq)], depth)[0]
+
+
+def decompose_pieces(pieces: list[tuple[Cuboid, GridFunction]],
+                     depth: int) -> list[AtomicDecomposition]:
+    """``local_decompose`` of every (host, piece), as array passes over
+    the (pieces x cells) matrix of values; the pieces share one cell
+    count.  An ``Atom`` is made only for a nonzero mean or delta."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    values = np.stack([fq.values for _, fq in pieces])
+    n = values.shape[1]
     if n % (1 << depth) != 0:
         raise ResolutionError(
             f"depth {depth} needs a multiple of {1 << depth} grid cells, got {n}")
-    terms: list[tuple[float, Atom]] = []
-    box_measure = fq.hi - fq.lo
+    hosts = [q for q, _ in pieces]
+    lo = np.array([fq.lo for _, fq in pieces])
+    hi = np.array([fq.hi for _, fq in pieces])
+    measure = hi - lo
+    h = measure / n
+    terms: list[list[tuple[float, Atom]]] = [[] for _ in pieces]
 
-    mean = fq.values.mean()
-    coeff0 = mean * box_measure  # equals the integral of fq
-    if coeff0 != 0.0:
-        local = Atom(fq.lo, fq.hi, np.full(n, 1.0 / box_measure), "local",
-                     host)
-        terms.append((float(coeff0), local))
+    mean = values.mean(axis=1)
+    coeff0 = mean * measure  # equals the integral of each piece
+    for p in np.flatnonzero(coeff0 != 0.0):
+        terms[p].append((float(coeff0[p]), Atom(
+            float(lo[p]), float(hi[p]), np.full(n, 1.0 / measure[p]),
+            "local", hosts[p])))
 
-    approx = np.full(n, mean)
-    h = fq.cell_width
+    approx = mean[:, None]
     for g in range(1, depth + 1):
-        pieces = 1 << (g - 1)
-        cells_per = n // pieces
+        cells_per = n >> (g - 1)
         half = cells_per // 2
         # row means sum pairwise, as seg[:half].mean() does: same bits
-        avg = fq.values.reshape(pieces, 2, half).mean(axis=-1)
-        approx = np.repeat(avg.ravel(), half)
-        deltas = avg[:, 0] - avg[:, 1]
-        for j in np.flatnonzero(deltas != 0.0):
-            delta = deltas[j]
-            d_lo = fq.lo + int(j) * cells_per * h
-            d_hi = d_lo + cells_per * h
-            d_measure = d_hi - d_lo
-            sign = 1.0 if delta > 0 else -1.0
-            values = np.repeat([sign / d_measure, -sign / d_measure], half)
-            coeff = abs(delta) * d_measure / 2.0
-            terms.append((float(coeff),
-                          Atom(d_lo, d_hi, values, "classical", host)))
+        avg = values.reshape(len(pieces), -1, 2, half).mean(axis=-1)
+        approx = np.repeat(avg.reshape(len(pieces), -1), half, axis=1)
+        deltas = avg[..., 0] - avg[..., 1]
+        p, j = np.nonzero(deltas)
+        delta = deltas[p, j]
+        d_lo = lo[p] + (j * cells_per) * h[p]
+        d_hi = d_lo + cells_per * h[p]
+        d_measure = d_hi - d_lo
+        step = np.where(delta > 0, 1.0, -1.0) / d_measure
+        atom_values = np.repeat(np.stack([step, -step], axis=1), half, axis=1)
+        coeff = np.abs(delta) * d_measure / 2.0
+        for k, (pk, c, a_lo, a_hi) in enumerate(zip(
+                p.tolist(), coeff.tolist(), d_lo.tolist(), d_hi.tolist())):
+            terms[pk].append((c, Atom(a_lo, a_hi, atom_values[k],
+                                      "classical", hosts[pk])))
 
-    remainder = GridFunction(fq.lo, fq.hi, fq.values - approx)
-    return AtomicDecomposition(terms, remainder)
+    remainder = values - approx
+    return [AtomicDecomposition(t, GridFunction(fq.lo, fq.hi, r))
+            for t, (_, fq), r in zip(terms, pieces, remainder)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +334,12 @@ def _record(tag: str, fields: dict, values) -> list[str]:
     A float field formats as its repr, so every record reads back exactly.
     """
     head = " ".join([tag] + [f"{k}={v}" for k, v in fields.items()])
-    return [head, ",".join(repr(float(v)) for v in values), "end"]
+    # each run of equal bits is formatted once
+    v = np.ascontiguousarray(values, dtype=float)
+    starts = _run_starts(v)
+    text = [",".join([repr(x)] * n) for x, n in
+            zip(v[starts[:-1]].tolist(), np.diff(starts).tolist())]
+    return [head, ",".join(text), "end"]
 
 
 def _parse_record(lines: list[str]) -> tuple[str, dict, np.ndarray]:

@@ -432,6 +432,11 @@ def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
     cells = cfg.getint("decompose", "cells")
     _echo_config(cfg, out)
     f = atoms.load_grid_function(input_path)
+    bad = np.flatnonzero(~np.isfinite(f.values))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"input cell {k} (x = {f.centers[k]:g}) is "
+                         f"{f.values[k]}: decompose needs finite values")
     win_lo = cov.window_box[0][0]
     win_hi = cov.window_box[1][0]
     support = f.centers[np.abs(f.values) > 0]
@@ -442,17 +447,24 @@ def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
         return 1
     partition = coverings.partition_of_unity(cov)
     pieces = atoms.localize(f, partition, cells)
+    decs = atoms.decompose_pieces(pieces, depth)
+    # every piece's reconstruct() as one (pieces x cells) matrix: the atoms
+    # of the pieces that have any, then the remainders
+    values = np.stack([fq.values for _, fq in pieces])
+    rec = np.zeros_like(values)
+    for p in [p for p, dec in enumerate(decs) if dec.terms]:
+        rec[p] = decs[p].reconstruct(include_remainder=False).values
+    rec += np.stack([dec.remainder.values for dec in decs])
+    width = np.array([fq.cell_width for _, fq in pieces])
+    errors = (width * np.abs(rec - values).sum(axis=1)).tolist()
     total_l1 = 0.0
     residual = 0.0
     recon_err = 0.0
     lines = []
-    for q, fq in pieces:
-        dec = atoms.local_decompose(fq, q, cov.kappa, depth)
+    for dec, err in zip(decs, errors):
         total_l1 += dec.coefficient_l1
         residual += dec.residual_norm
-        rec = dec.reconstruct()
-        recon_err += float(fq.cell_width
-                           * np.abs(rec.values - fq.values).sum())
+        recon_err += err
         lines.extend(atoms.decomposition_to_lines(dec))
     probes = np.linspace(win_lo, win_hi, 2049)[1:-1]
     identity_err = atoms.localize_reconstruction_error(f, partition, probes)

@@ -439,26 +439,18 @@ class PartitionOfUnity:
             pts = np.atleast_1d(pts)[:, None]
         return pts
 
-    def _rows_near(self, pts) -> np.ndarray:
-        """Ascending indices of the cuboids whose closed Q* = z +- kappa r
-        meets the bounding box of the points; every other bump is 0.0
-        there.  Rounding keeps the test conservative: a bump is nonzero
-        only where |x - z| < kappa r, and then z - kappa r <= x <= z + kappa r
-        also holds in floating point."""
-        if len(pts) == 0:
-            return np.arange(0)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        # a NaN coordinate leaves its axis unbounded: NaN reaches every bump
-        lo = np.where(np.isnan(lo), -np.inf, lo)
-        hi = np.where(np.isnan(hi), np.inf, hi)
-        return np.flatnonzero(np.all(
-            (self._star_lo <= hi) & (lo <= self._star_hi), axis=1))
+    def _bump(self, j, pts) -> np.ndarray:
+        """The bumps of the cuboids j at the points pts, elementwise over
+        the leading axes (the last axis of pts holds the coordinates).
 
-    def _bump_rows(self, rows, pts) -> np.ndarray:
-        r = self._r[rows, None, :]
-        dist = np.abs(pts[None, :, :] - self._z[rows, None, :])
+        A bump is nonzero only where |x - z| < kappa r, and then
+        z - kappa r <= x <= z + kappa r also holds in floating point, so a
+        test against the closed Q* boxes never leaves out a nonzero bump.
+        """
+        r = self._r[j]
+        dist = np.abs(pts - self._z[j])
         ramp = (self._kappa * r - dist) / ((self._kappa - 1.0) * r)
-        return np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+        return np.prod(np.clip(ramp, 0.0, 1.0), axis=-1)
 
     def _normalize(self, b, s, strict: bool, pts) -> np.ndarray:
         if np.any(s <= 0.0):
@@ -470,11 +462,14 @@ class PartitionOfUnity:
         return b / s
 
     def bumps(self, x) -> np.ndarray:
-        """Raw bump matrix, shape (n_cuboids, n_points)."""
+        """Raw bump matrix, shape (n_cuboids, n_points), filled only where
+        a closed Q* holds the point (everywhere for a NaN point)."""
         pts = self._as_points(x)
-        rows = self._rows_near(pts)
+        j, p = _box_pairs(self._star_lo, self._star_hi, pts, pts)
         out = np.zeros((len(self._z), len(pts)))
-        out[rows] = self._bump_rows(rows, pts)
+        out[j, p] = self._bump(j, pts[p])
+        nan = np.isnan(pts).any(axis=1)
+        out[:, nan] = self._bump(np.arange(len(self._z))[:, None], pts[nan])
         return out
 
     def bump_sum(self, x) -> np.ndarray:
@@ -490,21 +485,39 @@ class PartitionOfUnity:
         return self._normalize(b, b.sum(axis=0), strict, self._as_points(x))
 
     def evaluate(self, index: int, x, strict: bool = True) -> np.ndarray:
-        """Row ``index`` of ``evaluate_all(x, strict)``, bit for bit.
-
-        Only the bumps that reach the points are summed.  numpy adds the
-        rows of an (n, m > 1) matrix one after another, so leaving out
-        rows of exact zeros changes no bit; a single column (m = 1) is
-        summed pairwise, where the zeros change the grouping, so that
-        column is summed at full length.
-        """
+        """Row ``index`` of ``evaluate_all(x, strict)``, bit for bit."""
         pts = self._as_points(x)
-        if len(pts) == 1:
-            b = self.bumps(pts)
-        else:
-            b = self._bump_rows(self._rows_near(pts), pts)
-        return self._normalize(self._bump_rows([index], pts)[0],
-                               b.sum(axis=0), strict, pts)
+        return self.evaluate_rows([index], pts[None],
+                                  np.ones((1, len(pts)), dtype=bool), strict)
+
+    def evaluate_rows(self, index, pts, valid, strict: bool = True) -> np.ndarray:
+        """psi_{index[i]} at the valid points of row i of pts (rows, m, d),
+        bit for bit what ``evaluate(index[i], pts[i][valid[i]])`` gives;
+        flat, in row order.  The hole check names the first valid point,
+        in that order, that no bump reaches.
+
+        Each row sums only the bumps whose closed Q* meets the bounding
+        box of its valid points (a NaN coordinate leaves its axis
+        unbounded), in ascending cuboid order.  numpy adds the layers of a
+        (k, rows, m) stack one after another, so leaving out exact zeros
+        changes no bit of ``evaluate_all``'s column sums; a single point is
+        summed pairwise there, where the zeros change the grouping, so a
+        row with one valid point sums its full column.
+        """
+        index = np.asarray(index)
+        lo = np.where(valid[..., None], pts, np.inf).min(axis=1, initial=np.inf)
+        hi = np.where(valid[..., None], pts, -np.inf).max(axis=1, initial=-np.inf)
+        lo = np.where(np.isnan(lo), -np.inf, lo)
+        hi = np.where(np.isnan(hi), np.inf, hi)
+        row, nbr = _box_pairs(lo, hi, self._star_lo, self._star_hi)
+        rank = np.arange(len(row)) - np.searchsorted(row, row)
+        stack = np.zeros((rank.max(initial=-1) + 1,) + valid.shape)
+        stack[rank, row] = self._bump(nbr[:, None], pts[row])
+        s = stack.sum(axis=0)
+        for i in np.flatnonzero(valid.sum(axis=1) == 1):
+            s[i, valid[i]] = self.bump_sum(pts[i][valid[i]])
+        return self._normalize(self._bump(index[:, None], pts)[valid],
+                               s[valid], strict, pts[valid])
 
     def derivative_bound(self, index: int) -> float:
         """max |psi'| over Q*, central differences at 1000 points (1-D only).

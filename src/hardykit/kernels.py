@@ -476,6 +476,10 @@ class RadialProfile:
       build checks the table's P(rho_max) against it to 1e-7 relative, a
       tenth of the 1e-6 budget of ``apply``, and raises
       ``QuadratureError`` above that.
+
+    At small nu the rule's nodes reach down to where (4 pi s)^{-d/2}
+    overflows (s = 2.7e-315 at nu = 0.01); the build then raises
+    ``DomainError`` before it evaluates the heat kernel.
     """
 
     def __init__(self, nu: float, d: int):
@@ -503,7 +507,16 @@ class RadialProfile:
                                 / (d + 2.0 * nu))
 
         def radial_heat(s, rho, _):
-            # the heat kernel at distance rho along the first axis
+            # the heat kernel at distance rho along the first axis, once
+            # its time factor is finite at the rule's smallest node
+            s_min = float(np.min(s))
+            with np.errstate(over="ignore"):
+                scale = np.power(4.0 * math.pi * s_min, -d / 2.0)
+            if not np.isfinite(scale):
+                raise DomainError(
+                    f"radial profile at nu = {nu:g}, d = {d}: the subordination"
+                    f" rule's smallest node s = {s_min:.3g} overflows the heat "
+                    "kernel's (4 pi s)^(-d/2)")
             x = rho if d == 1 else np.pad(rho[:, None], ((0, 0), (0, d - 1)))
             return heat.eval(s, x, 0.0)
 

@@ -301,7 +301,7 @@ def test_10_decomposition_roundtrip():
     sum_l1 = {6: 0.0, 10: 0.0}
     for q, fq in pieces:
         for depth in (6, 10):
-            dec = at.local_decompose(fq, q, qb.kappa, depth)
+            dec = at.local_decompose(fq, q, depth)
             sum_l1[depth] += dec.coefficient_l1
             for _, atom in dec.terms:
                 assert at.validate_atom(atom, qb.kappa).passed

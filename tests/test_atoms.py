@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -159,7 +161,7 @@ def test_decompose_local_atom_fixed_point(qb, host):
     lo, hi = star_box(host, qb.kappa)
     m = hi - lo
     fq = at.GridFunction(lo, hi, np.full(1024, 1.0 / m))
-    dec = at.local_decompose(fq, host, qb.kappa, depth=6)
+    dec = at.local_decompose(fq, host, depth=6)
     assert len(dec.terms) == 1
     coeff, atom = dec.terms[0]
     assert atom.kind == "local"
@@ -171,7 +173,7 @@ def test_decompose_haar_eigencase(qb, host):
     lo, hi = star_box(host, qb.kappa)
     m = hi - lo
     vals = np.concatenate([np.full(512, 1.0 / m), np.full(512, -1.0 / m)])
-    dec = at.local_decompose(at.GridFunction(lo, hi, vals), host, qb.kappa, 6)
+    dec = at.local_decompose(at.GridFunction(lo, hi, vals), host, 6)
     assert len(dec.terms) == 1
     coeff, atom = dec.terms[0]
     assert atom.kind == "classical"
@@ -186,8 +188,8 @@ def test_decompose_hat_self_convergence(qb, host):
     x = g.centers
     mid = 0.5 * (lo + hi)
     hat = np.maximum(0.0, 1.0 - np.abs((x - mid) / ((hi - lo) / 3.0)))
-    d6 = at.local_decompose(at.GridFunction(lo, hi, hat), host, qb.kappa, 6)
-    d10 = at.local_decompose(at.GridFunction(lo, hi, hat), host, qb.kappa, 10)
+    d6 = at.local_decompose(at.GridFunction(lo, hi, hat), host, 6)
+    d10 = at.local_decompose(at.GridFunction(lo, hi, hat), host, 10)
     assert abs(d6.coefficient_l1 / d10.coefficient_l1 - 1.0) < 0.05
     assert d10.residual_norm == 0.0    # full depth on a 1024-cell grid
     assert d6.residual_norm > 0.0
@@ -202,7 +204,7 @@ def test_decompose_reconstructs_exactly(qb, host):
     rng = np.random.default_rng(0)
     vals = rng.normal(size=512)
     fq = at.GridFunction(lo, hi, vals)
-    dec = at.local_decompose(fq, host, qb.kappa, depth=5)
+    dec = at.local_decompose(fq, host, depth=5)
     rec = dec.reconstruct()
     assert np.max(np.abs(rec.values - vals)) < 1e-12
     assert abs(dec.remainder.l1_norm - dec.residual_norm) == 0.0
@@ -214,12 +216,12 @@ def test_decompose_linearity(qb, host):
     f = np.sin(x)
     g = np.cos(2 * x)
     a_, b_ = 2.0, -0.7
-    rf = at.local_decompose(at.GridFunction(lo, hi, f), host, qb.kappa, 5) \
+    rf = at.local_decompose(at.GridFunction(lo, hi, f), host, 5) \
         .reconstruct(include_remainder=False)
-    rg = at.local_decompose(at.GridFunction(lo, hi, g), host, qb.kappa, 5) \
+    rg = at.local_decompose(at.GridFunction(lo, hi, g), host, 5) \
         .reconstruct(include_remainder=False)
     rs = at.local_decompose(at.GridFunction(lo, hi, a_ * f + b_ * g),
-                            host, qb.kappa, 5) \
+                            host, 5) \
         .reconstruct(include_remainder=False)
     assert np.max(np.abs(rs.values - (a_ * rf.values + b_ * rg.values))) < 1e-12
 
@@ -229,11 +231,11 @@ def test_decompose_triangle_property(qb, host):
     x = at.GridFunction(lo, hi, np.zeros(512)).centers
     f = np.sin(x)
     g = np.exp(-x)
-    lf = at.local_decompose(at.GridFunction(lo, hi, f), host, qb.kappa, 5) \
+    lf = at.local_decompose(at.GridFunction(lo, hi, f), host, 5) \
         .coefficient_l1
-    lg = at.local_decompose(at.GridFunction(lo, hi, g), host, qb.kappa, 5) \
+    lg = at.local_decompose(at.GridFunction(lo, hi, g), host, 5) \
         .coefficient_l1
-    lfg = at.local_decompose(at.GridFunction(lo, hi, f + g), host, qb.kappa, 5) \
+    lfg = at.local_decompose(at.GridFunction(lo, hi, f + g), host, 5) \
         .coefficient_l1
     assert lfg <= lf + lg + 1e-10
 
@@ -273,7 +275,7 @@ def test_decompose_matches_segment_loop(host, tmp_path_factory, depth, cells,
     values = rng.standard_normal(cells) * 10.0 ** rng.integers(-6, 6, cells)
     values[rng.random(cells) < zero_frac] = 0.0
     fq = at.GridFunction(0.7, 2.3, values)
-    dec = at.local_decompose(fq, host, 1.05, depth)
+    dec = at.local_decompose(fq, host, depth)
     terms, remainder = _loop_decompose(fq, depth)
     classical = dec.terms[1:] if dec.terms and dec.terms[0][1].kind == "local" \
         else dec.terms
@@ -297,7 +299,112 @@ def test_decompose_resolution_error(qb, host):
     lo, hi = star_box(host, qb.kappa)
     fq = at.GridFunction(lo, hi, np.zeros(24))
     with pytest.raises(ResolutionError):
-        at.local_decompose(fq, host, qb.kappa, depth=4)
+        at.local_decompose(fq, host, depth=4)
+
+
+# ---------------------------------------------------------------------------
+# Array passes against the per-piece reference
+# ---------------------------------------------------------------------------
+
+def _dense_psi(p, x):
+    """psi at the points x (m,) from every bump at full length: row i is
+    what ``evaluate(i, x)`` gives, one piece at a time."""
+    c = p.covering
+    z = np.array([q.center for q in c.cuboids])[:, None, :]
+    r = np.array([q.half_widths for q in c.cuboids])[:, None, :]
+    ramp = (c.kappa * r - np.abs(x[None, :, None] - z)) / ((c.kappa - 1.0) * r)
+    b = np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+    return b / b.sum(axis=0)
+
+
+def _piece_localize(f, p, cells):
+    """localize one piece at a time, on each piece's own grid."""
+    c = p.covering
+    out = []
+    for i, q in enumerate(c.cuboids):
+        lo, hi = star_box(q, c.kappa)
+        piece = at.GridFunction(lo, hi, np.zeros(cells))
+        x = piece.centers
+        inside = (x >= c.window_box[0][0]) & (x <= c.window_box[1][0])
+        if np.any(inside):
+            piece.values[inside] = _dense_psi(p, x[inside])[i] * f(x[inside])
+        out.append((q, piece))
+    return out
+
+
+def _piece_decompose(fq, host, depth):
+    """The one-piece Haar loop: the local atom, then ``_loop_decompose``."""
+    measure = fq.hi - fq.lo
+    coeff0 = fq.values.mean() * measure
+    terms = [] if coeff0 == 0.0 else [(float(coeff0), at.Atom(
+        fq.lo, fq.hi, np.full(fq.cells, 1.0 / measure), "local", host))]
+    loop_terms, remainder = _loop_decompose(fq, depth)
+    terms += [(coeff, at.Atom(lo, lo + len(v) * fq.cell_width, v, "classical",
+                              host)) for coeff, lo, v in loop_terms]
+    return at.AtomicDecomposition(terms, at.GridFunction(fq.lo, fq.hi, remainder))
+
+
+def _repr_lines(dec):
+    """decomposition_to_lines with one repr per value."""
+    def record(tag, fields, values):
+        return [" ".join([tag] + [f"{k}={v}" for k, v in fields.items()]),
+                ",".join(repr(float(v)) for v in values), "end"]
+
+    lines = []
+    for coeff, a in dec.terms:
+        lines += record("atom", {
+            "kind": a.kind, "host_center": a.host.center[0],
+            "host_half": a.host.half_widths[0], "support_lo": a.lo,
+            "support_hi": a.hi, "cells": a.cells, "coeff": coeff}, a.values)
+    rem = dec.remainder
+    return lines + record("remainder", {"lo": rem.lo, "hi": rem.hi,
+                                        "cells": rem.cells}, rem.values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["bessel", "laguerre"]),
+       kappa=st.sampled_from([1.05, 2.1]), cells=st.sampled_from([64, 256]),
+       depth=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
+       sign=st.sampled_from([1.0, -1.0]), cut=st.none() | st.integers(0, 11))
+@example(family="bessel", kappa=2.1, cells=256, depth=6, seed=1, sign=-1.0,
+         cut=5)
+def test_array_passes_match_per_piece_reference(family, kappa, cells, depth,
+                                                seed, sign, cut):
+    c = (cov.covering_bessel((-4, 4), kappa) if family == "bessel"
+         else cov.covering_laguerre((-2, 1), kappa))
+    win_lo, win_hi = c.window_box[0][0], c.window_box[1][0]
+    if cut is not None:
+        # end the window at the first centre of one piece: that piece has
+        # exactly one point inside, where 3 bumps overlap at kappa = 2.1
+        lo, hi = star_box(c.cuboids[cut % len(c.cuboids)], kappa)
+        first = at.GridFunction(lo, hi, np.zeros(cells)).centers[0]
+        if win_lo < first < win_hi:
+            win_hi = float(first)
+            c = dataclasses.replace(c, window_box=((win_lo,), (win_hi,)))
+    p = cov.partition_of_unity(c)
+    rng = np.random.default_rng(seed)
+    span = win_hi - win_lo
+    a, b = np.sort(rng.uniform(win_lo - span / 2, win_hi + span / 2, 2))
+    coef = rng.standard_normal(3)
+
+    def f(x):
+        # a polynomial on (a, b), which may reach past the window, and 0
+        # elsewhere; sign -1 makes the zeros, and so psi * 0, -0.0
+        return sign * np.where((x > a) & (x < b), np.polyval(coef, x), 0.0)
+
+    pieces = at.localize(f, p, cells)
+    ref = _piece_localize(f, p, cells)
+    for (q, fq), (ref_q, ref_fq) in zip(pieces, ref, strict=True):
+        assert q == ref_q and (fq.lo, fq.hi) == (ref_fq.lo, ref_fq.hi)
+        assert fq.values.tobytes() == ref_fq.values.tobytes()
+    for (q, fq), dec in zip(ref, at.decompose_pieces(pieces, depth)):
+        assert at.decomposition_to_lines(dec) == _repr_lines(
+            _piece_decompose(fq, q, depth))
+    probes = np.linspace(win_lo, win_hi, 257)[1:-1]
+    fx = f(probes)
+    psi = _dense_psi(p, probes)
+    assert at.localize_reconstruction_error(f, p, probes) \
+        == float(np.max(np.abs(psi.sum(axis=0) * fx - fx)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +415,7 @@ def test_atom_roundtrip(tmp_path, qb, host):
     lo, hi = star_box(host, qb.kappa)
     x = at.GridFunction(lo, hi, np.zeros(256)).centers
     fq = at.GridFunction(lo, hi, np.sin(3 * x))
-    dec = at.local_decompose(fq, host, qb.kappa, depth=4)
+    dec = at.local_decompose(fq, host, depth=4)
     path = tmp_path / "dec.txt"
     at.save_decomposition(path, dec)
     back = at.load_decomposition(path, qb.domain)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -450,6 +451,61 @@ window = -3..3
 """)
     assert run(["--config", cfg, "--out", tmp_path / "out",
                 "decompose", fpath]) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_non_finite_input_exit_1(tmp_path, capsys, bad):
+    vals = np.linspace(-1.0, 1.0, 64)
+    vals[10] = bad
+    fpath = tmp_path / "f.txt"
+    atoms.save_grid_function(fpath, atoms.GridFunction(0.25, 16.0, vals))
+    cfg = write_config(tmp_path / "d.cfg", """
+[covering]
+family = laguerre
+window = -2..4
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "decompose", fpath]) == 1
+    assert "input cell 10 " in capsys.readouterr().err
+    assert not (out / "decomposition.txt").exists()
+    assert not (out / "decompose_summary.txt").exists()
+
+
+def _polynomial_bumps(x):
+    """Three bumps (1 - u^2)^2, u = (x - c)/w on |u| < 1: +, -, * and / only,
+    so the values, and the decomposition of them, do not depend on libm."""
+    values = np.zeros_like(x)
+    for c, w, a in ((2.5, 0.4, 1.5), (3.1, 0.3, -0.8), (9.0, 2.0, 0.25)):
+        u = (x - c) / w
+        inside = np.abs(u) < 1.0
+        values[inside] += a * (1.0 - u[inside] * u[inside]) ** 2
+    return values
+
+
+def test_decompose_output_digests(tmp_path):
+    # the benchmark's decompose shape: 684 cuboids (laguerre -2..4), depth 6,
+    # 256 cells, from a 2048-cell input; the digests pin the output bytes
+    f = atoms.GridFunction(0.25, 16.0, np.zeros(2048))
+    fpath = tmp_path / "f.txt"
+    atoms.save_grid_function(
+        fpath, atoms.GridFunction(f.lo, f.hi, _polynomial_bumps(f.centers)))
+    cfg = write_config(tmp_path / "d.cfg", """
+[covering]
+family = laguerre
+window = -2..4
+[decompose]
+depth = 6
+cells = 256
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "decompose", fpath]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("decomposition.txt", "decompose_summary.txt")}
+    assert digests == {
+        "decomposition.txt":
+        "28b83a6ee46d4624622772eb5e4e1afb256769282a9647875fbc931000be5737",
+        "decompose_summary.txt":
+        "4365256fec25a5adf8217d74453499dc3a48c3d31d556176f516a04e92931c46"}
 
 
 def test_verify_fit_conditions(tmp_path):

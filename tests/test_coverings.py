@@ -327,14 +327,19 @@ def _dense_validate(c, samples):
         kappa=c.kappa, samples=samples)
 
 
-def _dense_psi(p, x, strict=True):
-    """Reference partition of unity: every bump at every point."""
+def _dense_bumps(p, x):
+    """Reference bump matrix: every bump at every point."""
     c = p.covering
     z = np.array([q.center for q in c.cuboids])
     r = np.array([q.half_widths for q in c.cuboids])
     dist = np.abs(x[None, :, :] - z[:, None, :])
     ramp = (c.kappa * r[:, None, :] - dist) / ((c.kappa - 1.0) * r[:, None, :])
-    b = np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+    return np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+
+
+def _dense_psi(p, x, strict=True):
+    """Reference partition of unity: every bump at every point."""
+    b = _dense_bumps(p, x)
     s = b.sum(axis=0)
     if np.any(s <= 0.0):
         assert not strict
@@ -427,6 +432,7 @@ def test_partition_evaluate_matches_dense(c, data):
     u = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m * d,
                                       max_size=m * d)))
     x = np.clip(np.asarray(q.center) + u.reshape(m, d) * q.half_widths, win_lo, win_hi)
+    assert p.bumps(x).tobytes() == _dense_bumps(p, x).tobytes()
     psi = p.evaluate_all(x)
     assert psi.tobytes() == _dense_psi(p, x).tobytes()
     assert p.evaluate(i, x).tobytes() == psi[i].tobytes()
@@ -469,13 +475,18 @@ def test_partition_single_point_sums_like_dense():
 
 
 def test_partition_nan_point_matches_dense():
-    p = cov.partition_of_unity(cov.covering_bessel((-2, 2)))
-    x = np.array([[1.5], [np.nan], [1.9]])
-    dense = _dense_psi(p, x)
-    assert np.isnan(dense[:, 1]).all()
-    assert np.array_equal(p.evaluate_all(x), dense, equal_nan=True)
-    for i in range(len(p.covering.cuboids)):
-        assert np.array_equal(p.evaluate(i, x), dense[i], equal_nan=True)
+    box = cov.box_product(cov.covering_bessel((-1, 1)),
+                          cov.covering_laguerre((-1, 0)))
+    for c, x in ((cov.covering_bessel((-2, 2)), [[1.5], [np.nan], [1.9]]),
+                 (box, [[1.5, 0.7], [1.2, np.nan], [1.9, 0.9]])):
+        p = cov.partition_of_unity(c)
+        x = np.array(x)
+        assert p.bumps(x).tobytes() == _dense_bumps(p, x).tobytes()
+        dense = _dense_psi(p, x)
+        assert np.isnan(dense[:, 1]).all()
+        assert np.array_equal(p.evaluate_all(x), dense, equal_nan=True)
+        for i in range(len(c.cuboids)):
+            assert np.array_equal(p.evaluate(i, x), dense[i], equal_nan=True)
 
 
 def test_partition_evaluate_hole_error():

@@ -893,3 +893,12 @@ def test_subordinate_2d_heat_subclass_matches_profile():
     assert rule.profile is None and profile.profile is not None
     assert_allclose(rule.eval(ts, _POINTS_2D, y),
                     profile.eval(ts, _POINTS_2D, y), rtol=1e-10)
+
+
+def test_radial_profile_rejects_overflowing_nodes():
+    # at nu = 0.01 the rule's nodes reach s = 2.7e-315, where the 2-D heat
+    # kernel's (4 pi s)^{-1} overflows; under the suite's warnings-as-errors
+    # setting the build must fail on the named cause, not on the warning
+    with pytest.raises(DomainError,
+                       match=r"nu = 0\.01, d = 2: .* smallest node s = \d"):
+        K.radial_profile(0.01, 2)
