@@ -21,6 +21,7 @@ import numpy as np
 
 from .coverings import Cuboid, PartitionOfUnity
 from .errors import ResolutionError
+from .quadrature import WORKING_SET
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +207,10 @@ def localize(f: Callable, partition: PartitionOfUnity,
 
     Each piece is supported in Q* by construction and the pieces sum back
     to f pointwise wherever the window covers.  All the grids are one
-    (pieces x cells) matrix of centres: f is called once on the centres
-    inside the window, and psi_Q comes from ``evaluate_rows``, bit for bit
-    what ``partition.evaluate`` gives on each piece's centres.
+    (pieces x cells) matrix of centres, taken in blocks of at most
+    ``WORKING_SET`` centres: f is called on a block's centres inside the
+    window, and psi_Q comes from ``evaluate_rows``, bit for bit what
+    ``partition.evaluate`` gives on each piece's centres.
     """
     covering = partition.covering
     lo, hi = (b[:, 0] for b in covering.enlarged_boxes(1))
@@ -216,18 +218,23 @@ def localize(f: Callable, partition: PartitionOfUnity,
     x = lo[:, None] + h[:, None] * (np.arange(cells) + 0.5)
     inside = (x >= covering.window_box[0][0]) & (x <= covering.window_box[1][0])
     values = np.zeros(x.shape)
-    psi = partition.evaluate_rows(np.arange(len(x)), x[..., None], inside)
-    values[inside] = psi * np.asarray(f(x[inside]), dtype=float)
+    index = np.arange(len(x))
+    step = max(1, WORKING_SET // cells)
+    for start in range(0, len(x), step):
+        blk = slice(start, start + step)
+        xb, ib = x[blk], inside[blk]
+        psi = partition.evaluate_rows(index[blk], xb[..., None], ib)
+        values[blk][ib] = psi * np.asarray(f(xb[ib]), dtype=float)
     return [(q, GridFunction(lo_q, hi_q, v)) for q, lo_q, hi_q, v
             in zip(covering.cuboids, lo.tolist(), hi.tolist(), values)]
 
 
 def localize_reconstruction_error(f: Callable, partition: PartitionOfUnity,
                                   probes: np.ndarray) -> float:
-    """max |sum_Q psi_Q(x) f(x) - f(x)| over the probe points."""
-    psi = partition.evaluate_all(probes)
+    """max |sum_Q psi_Q(x) f(x) - f(x)| over the probe points; the psi sum
+    is ``partition.psi_sum``, with no (cuboids x probes) matrix."""
     fx = np.asarray(f(probes), dtype=float)
-    return float(np.max(np.abs(psi.sum(axis=0) * fx - fx)))
+    return float(np.max(np.abs(partition.psi_sum(probes) * fx - fx)))
 
 
 # ---------------------------------------------------------------------------

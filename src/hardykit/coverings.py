@@ -13,6 +13,7 @@ family name and window are retained to identify the covering in reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from .domain import DomainSpec, half_line, product_domain, real_line
 from .errors import CoveringHoleError, SplitBudgetError
-from .quadrature import halton
+from .quadrature import WORKING_SET, halton
 
 DEFAULT_KAPPA = 1.05
 
@@ -269,16 +270,24 @@ def _boxes_touch(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     return np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=-1)
 
 
-def _starts_within(lo, hi, starts, side: str) -> tuple[np.ndarray, np.ndarray]:
+def _starts_within(lo, hi, starts, side: str):
     """(k, l) for every box k and every l with starts[l] in [lo[k], hi[k]]
-    (side "left") or in (lo[k], hi[k]] (side "right")."""
+    (side "left") or in (lo[k], hi[k]] (side "right"), in ascending k, in
+    blocks of at most ``WORKING_SET`` pairs."""
     order = np.argsort(starts, kind="stable")
     ordered = starts[order]
     first = np.searchsorted(ordered, lo, side=side)
     count = np.maximum(np.searchsorted(ordered, hi, side="right") - first, 0)
-    k = np.repeat(np.arange(len(lo)), count)
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    return k, order[np.repeat(first, count) + offset]
+    end = np.cumsum(count)
+    shift = first - (end - count)   # order[flat + shift[k]]: pair flat of k
+    total = int(end[-1]) if len(end) else 0
+    for s in range(0, total, WORKING_SET):
+        e = min(s + WORKING_SET, total)
+        k0, k1 = np.searchsorted(end, (s, e - 1), side="right")
+        ks = np.arange(k0, k1 + 1)
+        k = np.repeat(ks, np.minimum(end[ks], e)
+                      - np.maximum(end[ks] - count[ks], s))
+        yield k, order[np.arange(s, e) + shift[k]]
 
 
 def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
@@ -287,17 +296,22 @@ def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
 
     Sort and sweep on axis 0: a pair is found from whichever box starts
     first there (A on ties), whose axis-0 extent holds the other's start;
-    the candidates are then filtered on every axis.  Points are boxes
-    with lo = hi.
+    the candidates are then filtered on every axis, one block of
+    ``_starts_within`` at a time, so only the pairs found outlive a block.
+    Points are boxes with lo = hi; a B box that is a point on axis 0 holds
+    no start after its own, so the second sweep leaves it out.
     """
-    i1, j1 = _starts_within(lo_a[:, 0], hi_a[:, 0], lo_b[:, 0], "left")
-    j2, i2 = _starts_within(lo_b[:, 0], hi_b[:, 0], lo_a[:, 0], "right")
-    i = np.concatenate([i1, i2])
-    j = np.concatenate([j1, j2])
-    keep = np.ones(len(i), dtype=bool)
-    for la, ha, lb, hb in zip(lo_a.T, hi_a.T, lo_b.T, hi_b.T):
-        keep &= (la[i] <= hb[j]) & (lb[j] <= ha[i])
-    i, j = i[keep], j[keep]
+    wide = np.flatnonzero(lo_b[:, 0] < hi_b[:, 0])
+    found = [(np.empty(0, dtype=np.intp),) * 2]
+    for i, j in itertools.chain(
+            _starts_within(lo_a[:, 0], hi_a[:, 0], lo_b[:, 0], "left"),
+            ((i, wide[j]) for j, i in _starts_within(
+                lo_b[wide, 0], hi_b[wide, 0], lo_a[:, 0], "right"))):
+        keep = np.ones(len(i), dtype=bool)
+        for la, ha, lb, hb in zip(lo_a.T, hi_a.T, lo_b.T, hi_b.T):
+            keep &= (la[i] <= hb[j]) & (lb[j] <= ha[i])
+        found.append((i[keep], j[keep]))
+    i, j = (np.concatenate(v) for v in zip(*found))
     order = np.lexsort((j, i))
     return i[order], j[order]
 
@@ -452,14 +466,35 @@ class PartitionOfUnity:
         ramp = (self._kappa * r - dist) / ((self._kappa - 1.0) * r)
         return np.prod(np.clip(ramp, 0.0, 1.0), axis=-1)
 
-    def _normalize(self, b, s, strict: bool, pts) -> np.ndarray:
+    def _check_holes(self, s, pts):
         if np.any(s <= 0.0):
-            if strict:
-                bad = pts[s <= 0.0][0]
-                raise CoveringHoleError(f"no bump reaches point {tuple(bad)}")
+            bad = pts[s <= 0.0][0]
+            raise CoveringHoleError(f"no bump reaches point {tuple(bad)}")
+
+    def _normalize(self, b, s, strict: bool, pts) -> np.ndarray:
+        if strict:
+            self._check_holes(s, pts)
+        if np.any(s <= 0.0):
             safe = np.where(s > 0.0, s, 1.0)
             return np.where(s > 0.0, b / safe, 0.0)
         return b / s
+
+    def _pair_bumps(self, pts):
+        """The (cuboid, point) pairs (c, p) of the closed Q* boxes and the
+        points pts (k, d), in ascending cuboid order, the bumps b there and
+        each point's bump sum s, NaN at a NaN point.
+
+        ``np.bincount`` adds a point's bumps one after another in ascending
+        cuboid order, as numpy adds the rows of the dense ``bumps`` matrix
+        of two or more points, so the zeros it leaves out change no bit of
+        that matrix's column sums; a single point is summed pairwise there.
+        """
+        c, p = _box_pairs(self._star_lo, self._star_hi, pts, pts)
+        b = self._bump(c, pts[p])
+        # bincount gives ints when there are no pairs
+        s = np.bincount(p, weights=b, minlength=len(pts)).astype(float)
+        s[np.isnan(pts).any(axis=1)] = np.nan
+        return c, p, b, s
 
     def bumps(self, x) -> np.ndarray:
         """Raw bump matrix, shape (n_cuboids, n_points), filled only where
@@ -473,7 +508,27 @@ class PartitionOfUnity:
         return out
 
     def bump_sum(self, x) -> np.ndarray:
-        return self.bumps(x).sum(axis=0)
+        """``bumps(x).sum(axis=0)``, bit for bit, from the pairs alone for
+        two or more points."""
+        pts = self._as_points(x)
+        if len(pts) == 1:
+            return self.bumps(pts).sum(axis=0)
+        return self._pair_bumps(pts)[3]
+
+    def psi_sum(self, x) -> np.ndarray:
+        """sum_Q psi_Q(x): ``evaluate_all(x).sum(axis=0)``, bit for bit,
+        from the pairs alone for two or more points (see ``_pair_bumps``):
+        no (n_cuboids, n_points) matrix is built.  Raises
+        CoveringHoleError where no bump reaches; NaN at a NaN point."""
+        pts = self._as_points(x)
+        if len(pts) == 1:
+            return self.evaluate_all(pts).sum(axis=0)
+        _, p, b, s = self._pair_bumps(pts)
+        self._check_holes(s, pts)
+        total = np.bincount(p, weights=b / s[p],
+                            minlength=len(pts)).astype(float)
+        total[np.isnan(s)] = np.nan
+        return total
 
     def evaluate_all(self, x, strict: bool = True) -> np.ndarray:
         """psi matrix, shape (n_cuboids, n_points); columns sum to 1.
@@ -496,28 +551,22 @@ class PartitionOfUnity:
         flat, in row order.  The hole check names the first valid point,
         in that order, that no bump reaches.
 
-        Each row sums only the bumps whose closed Q* meets the bounding
-        box of its valid points (a NaN coordinate leaves its axis
-        unbounded), in ascending cuboid order.  numpy adds the layers of a
-        (k, rows, m) stack one after another, so leaving out exact zeros
-        changes no bit of ``evaluate_all``'s column sums; a single point is
-        summed pairwise there, where the zeros change the grouping, so a
-        row with one valid point sums its full column.
+        A bump is evaluated only at the (cuboid, point) pairs of
+        ``_pair_bumps``, the points inside its closed Q*; the numerator of
+        psi_{index[i]} is the pair of cuboid index[i] (0.0 without one).  A
+        row with one valid point sums its full column, pairwise.
         """
-        index = np.asarray(index)
-        lo = np.where(valid[..., None], pts, np.inf).min(axis=1, initial=np.inf)
-        hi = np.where(valid[..., None], pts, -np.inf).max(axis=1, initial=-np.inf)
-        lo = np.where(np.isnan(lo), -np.inf, lo)
-        hi = np.where(np.isnan(hi), np.inf, hi)
-        row, nbr = _box_pairs(lo, hi, self._star_lo, self._star_hi)
-        rank = np.arange(len(row)) - np.searchsorted(row, row)
-        stack = np.zeros((rank.max(initial=-1) + 1,) + valid.shape)
-        stack[rank, row] = self._bump(nbr[:, None], pts[row])
-        s = stack.sum(axis=0)
-        for i in np.flatnonzero(valid.sum(axis=1) == 1):
-            s[i, valid[i]] = self.bump_sum(pts[i][valid[i]])
-        return self._normalize(self._bump(index[:, None], pts)[valid],
-                               s[valid], strict, pts[valid])
+        pts = pts[valid]
+        count = valid.sum(axis=1)
+        own = np.repeat(np.asarray(index), count)
+        c, p, b, s = self._pair_bumps(pts)
+        mine = c == own[p]
+        num = np.zeros(len(pts))
+        num[p[mine]] = b[mine]
+        num[np.isnan(s)] = np.nan
+        for k in (np.cumsum(count) - 1)[count == 1]:
+            s[k] = self.bump_sum(pts[k:k + 1])[0]
+        return self._normalize(num, s, strict, pts)
 
     def derivative_bound(self, index: int) -> float:
         """max |psi'| over Q*, central differences at 1000 points (1-D only).

@@ -52,7 +52,8 @@ import numpy as np
 from . import specfun
 from .domain import DomainSpec, half_line, product_domain, real_line
 from .errors import DomainError, QuadratureError
-from .quadrature import GK15_WG, GK15_WK, GK15_X, integrate_adaptive
+from .quadrature import (GK15_WG, GK15_WK, GK15_X, WORKING_SET,
+                         integrate_adaptive)
 
 
 def _log_sinh(u):
@@ -116,14 +117,33 @@ def _gaussian_step_apply(g, x, sigma, shift=None, odd=None):
       which erfc vanishes) the odd integral is sum_j c_j
       ``specfun.erf_window``(b_j/sigma, m/sigma) instead.
     x has shape (N,); sigma, shift and odd broadcast against (rows, N),
-    and the result is (rows, N).  The (rows, N, boundaries) temporaries
-    grow with the caller's batch (``sup_over_t`` passes at most 2^15
-    (row, point) pairs), and every sum over boundaries is an ``np.sum``,
-    whose order does not depend on the BLAS thread count.
+    and the result is (rows, N).  The rows go through in blocks of
+    max(1, ``WORKING_SET`` // (2 N boundaries)), so that the (rows, N,
+    boundaries) temporaries stay under the budget whatever the caller's
+    batch; every sum over boundaries is an ``np.sum`` along one point's
+    terms, whose order depends neither on the block nor on the BLAS thread
+    count.
     """
     runs = g.runs
+    args = [None if a is None else np.asarray(a, dtype=float)
+            for a in (sigma, shift, odd)]
+    shape = np.broadcast_shapes(x.shape,
+                                *(a.shape for a in args if a is not None))
+    step = max(1, WORKING_SET // (2 * len(runs.boundaries) * max(len(x), 1)))
+    if len(shape) < 2 or shape[0] <= step:
+        return _gaussian_step_rows(runs, x, *args)
+    out = np.empty(shape)
+    for i in range(0, shape[0], step):
+        out[i:i + step] = _gaussian_step_rows(runs, x, *(
+            a[i:i + step] if a is not None and a.ndim == 2 and len(a) > 1
+            else a for a in args))
+    return out
+
+
+def _gaussian_step_rows(runs, x, sigma, shift, odd):
+    """``_gaussian_step_apply`` on one block of rows, with g's runs."""
     b, half_c = runs.boundaries, 0.5 * runs.jumps
-    sig = np.asarray(sigma, dtype=float)[..., None]
+    sig = sigma[..., None]
     d = b - x[:, None]
     if shift is not None:
         d = d + shift[..., None]
@@ -201,13 +221,25 @@ class KernelFamily:
         return math.inf
 
     def _check_points(self, *points):
+        """DomainError unless every point lies in the closure of the
+        domain, as ``DomainSpec.contains`` has it: one min and one max
+        reduction per axis, which a NaN fails."""
+        d = self.dimension
         for p in points:
             arr = np.asarray(p, dtype=float)
-            if not np.all(self.domain.contains(arr)):
-                raise DomainError(f"point outside domain for {self.kind}")
+            if arr.size == 0:
+                continue
+            arr = arr.reshape(-1, d if d == 1 else arr.shape[-1])
+            lo, hi = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
+            for (a, b), lo_j, hi_j in zip(self.domain.intervals, lo, hi):
+                if not (a <= lo_j and hi_j <= b):
+                    raise DomainError(f"point outside domain for {self.kind}")
 
     def _check_time(self, t):
-        if np.any(np.asarray(t, dtype=float) <= 0.0):
+        """DomainError if some t <= 0; a NaN time is let through, so the
+        minimum skips NaNs."""
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if t.size and np.fmin.reduce(t) <= 0.0:
             raise DomainError("kernel time t must be positive")
 
 

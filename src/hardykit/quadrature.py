@@ -24,6 +24,13 @@ import numpy as np
 
 from .errors import QuadratureError
 
+# The working-set budget: the most elements one temporary array holds on
+# the paths whose arrays would otherwise grow with the input (the box sweep
+# of ``coverings``, the blocks of ``atoms.localize``, the erfc terms of
+# ``kernels``' exact ``step_apply``).  Those paths work in blocks under it,
+# and no result depends on it.
+WORKING_SET = 2 ** 16
+
 # ---------------------------------------------------------------------------
 # Gauss-Kronrod 15/7
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from hardykit import atoms as at
 from hardykit import coverings as cov
-from hardykit.errors import ResolutionError
+from hardykit.errors import CoveringHoleError, ResolutionError
 from hardykit.quadrature import integrate_adaptive
 
 
@@ -151,6 +151,42 @@ def test_localize_l1_additivity(qb):
     oracle, _ = integrate_adaptive(f, 2.0 ** -3, 2.0 ** 4, rtol=1e-12,
                                    breakpoints=[1.0, 2.0, 3.0])
     assert abs(total - oracle) < 1e-5 * oracle
+
+
+def test_localize_blocks_give_the_same_bits(qb):
+    # one piece per block, and sweep blocks of five pairs
+    p = cov.partition_of_unity(qb)
+    f = lambda x: np.cos(x) + 2.0
+    whole = at.localize(f, p, cells=64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(at, "WORKING_SET", 100)
+        mp.setattr(cov, "WORKING_SET", 5)
+        blocked = at.localize(f, p, cells=64)
+    for (q, fq), (r, gr) in zip(whole, blocked, strict=True):
+        assert q == r and fq.values.tobytes() == gr.values.tobytes()
+
+
+def test_reconstruction_check_semantics(qb):
+    p = cov.partition_of_unity(qb)
+    f = lambda x: np.cos(x) + 2.0
+    lo, hi = qb.window_box
+    probes = np.linspace(lo[0], hi[0], 65)[1:-1]
+
+    def dense(x):
+        fx = f(x)
+        return float(np.max(np.abs(p.evaluate_all(x).sum(axis=0) * fx - fx)))
+
+    # a single probe keeps evaluate_all's pairwise column sum
+    for x in probes:
+        assert at.localize_reconstruction_error(f, p, x[None]) == dense(x[None])
+    assert at.localize_reconstruction_error(f, p, probes) == dense(probes)
+    # a NaN probe gives NaN, as the dense column sum does
+    with_nan = np.append(probes, np.nan)
+    assert np.isnan(dense(with_nan))
+    assert np.isnan(at.localize_reconstruction_error(f, p, with_nan))
+    # a probe that no bump reaches raises
+    with pytest.raises(CoveringHoleError):
+        at.localize_reconstruction_error(f, p, np.append(probes, 100.0))
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,39 @@ def test_box_pairs_matches_all_pairs():
     assert np.array_equal(i, expect_i) and np.array_equal(j, expect_j)
 
 
+@st.composite
+def _boxes(draw, d, count):
+    """count boxes in d dimensions with corners on a grid of quarters, so
+    that endpoints are shared; a drawn share of them are points, and some
+    are inverted (hi < lo)."""
+    n = draw(count)
+    corner = st.integers(0, 12).map(lambda v: v / 4.0)
+    lo = np.array(draw(st.lists(corner, min_size=n * d, max_size=n * d)),
+                  dtype=float).reshape(n, d)
+    widths = st.sampled_from([-0.25, 0.0, 0.0, 0.25, 0.5, 1.5])
+    width = np.array(draw(st.lists(widths, min_size=n * d, max_size=n * d)),
+                     dtype=float).reshape(n, d)
+    return lo, lo + width
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2]), data=st.data(),
+       budget=st.sampled_from([1, 2, 3, 7, 2 ** 16]))
+def test_box_pairs_matches_brute_force(d, data, budget):
+    lo_a, hi_a = data.draw(_boxes(d, st.integers(0, 12)))
+    lo_b, hi_b = data.draw(_boxes(d, st.integers(0, 12)))
+    if data.draw(st.booleans()):   # B as a point set
+        hi_b = lo_b
+    touch = np.all((lo_a[:, None] <= hi_b[None]) & (lo_b[None] <= hi_a[:, None]),
+                   axis=-1)
+    expect_i, expect_j = np.nonzero(touch)
+    # a budget of a few elements puts a block seam inside every box's run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cov, "WORKING_SET", budget)
+        i, j = cov._box_pairs(lo_a, hi_a, lo_b, hi_b)
+    assert np.array_equal(i, expect_i) and np.array_equal(j, expect_j)
+
+
 @settings(max_examples=60, deadline=None)
 @given(c=_tiling(half=False) | _tiling(half=True).map(
            lambda a: cov.box_product(a, cov.covering_bessel((0, 1)))),
@@ -487,6 +520,50 @@ def test_partition_nan_point_matches_dense():
         assert np.array_equal(p.evaluate_all(x), dense, equal_nan=True)
         for i in range(len(c.cuboids)):
             assert np.array_equal(p.evaluate(i, x), dense[i], equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=_tiling(half=False) | _tiling(half=True).map(
+           lambda a: cov.box_product(a, cov.covering_bessel((0, 1)))),
+       data=st.data())
+def test_psi_sum_matches_dense_column_sums(c, data):
+    p = cov.partition_of_unity(c)
+    d = c.dimension
+    win_lo = np.asarray(c.window_box[0])
+    win_hi = np.asarray(c.window_box[1])
+    m = data.draw(st.sampled_from([1, 2, 3, 17, 64]))
+    u = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m * d,
+                                      max_size=m * d)))
+    x = win_lo + u.reshape(m, d) * (win_hi - win_lo)
+    assert p.psi_sum(x).tobytes() == p.evaluate_all(x).sum(axis=0).tobytes()
+    assert p.bump_sum(x).tobytes() == p.bumps(x).sum(axis=0).tobytes()
+
+
+def test_psi_sum_single_probe_sums_pairwise():
+    # one probe is summed pairwise over its full column, >= 3 bumps overlap
+    c = cov.covering_uniform(real_line(2), 0.5, ([0.0, 0.0], [2.0, 2.0]), kappa=1.5)
+    p = cov.partition_of_unity(c)
+    for x in halton(64, 2) * 2.0:
+        x = x[None]
+        assert p.psi_sum(x).tobytes() == p.evaluate_all(x).sum(axis=0).tobytes()
+        assert p.bump_sum(x).tobytes() == p.bumps(x).sum(axis=0).tobytes()
+
+
+def test_psi_sum_hole_and_nan_probes():
+    p = cov.partition_of_unity(cov.covering_bessel((-2, 2)))
+    # a probe that no bump reaches raises, as evaluate_all does
+    for x in ([1.5, 100.0], [100.0], [1.5, np.nan, -3.0, 200.0]):
+        with pytest.raises(CoveringHoleError) as dense:
+            p.evaluate_all(np.array(x))
+        with pytest.raises(CoveringHoleError) as pairs:
+            p.psi_sum(np.array(x))
+        assert str(pairs.value) == str(dense.value)
+    # a NaN probe sums to NaN, the others as before
+    for x in ([1.5, np.nan, 1.9], [np.nan], [np.nan, np.nan]):
+        x = np.array(x)
+        dense = p.evaluate_all(x).sum(axis=0)
+        assert np.isnan(dense[np.isnan(x)]).all()
+        assert np.array_equal(p.psi_sum(x), dense, equal_nan=True)
 
 
 def test_partition_evaluate_hole_error():

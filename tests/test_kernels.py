@@ -491,6 +491,35 @@ def test_point_domain_errors():
         b1.eval(-0.5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("k", [K.BesselKernel(1.0), K.BesselKernel(2.0),
+                               K.LaguerreKernel(0.5), K.LaguerreKernel(1.0)])
+def test_domain_checks_nan_inf_empty(k):
+    # the checks are min/max reductions: a NaN anywhere fails them, the
+    # closure [0, inf] passes, an empty array passes
+    g = gate_atom(0, True, 0)
+    t = np.array([[0.5]])
+    calls = (lambda x: k.eval(0.5, x, 1.0), lambda x: k.eval(0.5, 1.0, x),
+             lambda x: k.step_apply(t, x, g))
+    for call in calls:
+        for bad in ([np.nan], [1.0, np.nan, 2.0], [-1.0], [-np.inf],
+                    [[1.0], [-0.5]]):
+            with pytest.raises(DomainError):
+                call(np.array(bad))
+        for ok in ([np.inf], [0.0, 1.0], [[0.5], [np.inf]], []):
+            with np.errstate(all="ignore"):
+                call(np.array(ok))
+    # times: t <= 0 anywhere raises, NaN times are let through, empty passes
+    for bad in ([[0.0]], [[-np.inf]], [[np.nan], [-1.0]], [[0.5], [0.0]]):
+        with pytest.raises(DomainError):
+            k.eval(np.array(bad), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            k.step_apply(np.array(bad), [1.0], g)
+    with np.errstate(all="ignore"):
+        assert np.isnan(k.eval(np.array([[np.nan]]), 1.0, 1.0)).all()
+        assert k.eval(np.empty((0, 1)), 1.0, 1.0).shape == (0, 1)
+        assert k.step_apply(np.array([[0.5]]), [], g).shape == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants
 # ---------------------------------------------------------------------------

@@ -1,0 +1,76 @@
+"""Working-set regression tests on the inputs of the ``atoms`` benchmark.
+
+Each test measures the ``tracemalloc`` peak of one stage: the most memory
+its Python and numpy allocations held at once, what it returns included.
+The bounds are in MB of 10^6 bytes.  With ``quadrature.WORKING_SET`` =
+2^16 elements (0.52 MB of float64 per temporary) the stages measure about
+4.2 (validation), 9.2 (localize), 0.2 (reconstruction check) and 4.1 (one
+maximal norm) MB.  Each bound sits well below what the same stage needed
+when its temporaries grew with the covering or the batch: 14.9, 28.3,
+22.5 and 10.7 MB.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hardykit import atoms as at
+from hardykit import coverings as cov
+from hardykit import verifier
+from hardykit.kernels import BesselKernel
+
+MB = 1e6
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / MB
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def decompose_inputs():
+    """The ``atoms`` decompose covering and a smooth grid function on it."""
+    c = cov.covering_laguerre((-2, 4))
+    x = 0.25 + 15.75 * (np.arange(2048) + 0.5) / 2048
+    u = (x - 3.0) / 0.5
+    inside = np.abs(u) < 1.0
+    values = np.zeros(2048)
+    values[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return cov.partition_of_unity(c), at.GridFunction(0.25, 16.0, values)
+
+
+def test_validate_covering_working_set():
+    # 2,314 cuboids: 288k axis-0 candidates for 20k touching pairs
+    box = cov.box_product(cov.covering_bessel((-2, 2)),
+                          cov.covering_laguerre((-2, 2)))
+    assert len(box.cuboids) == 2314
+    assert _peak_mb(cov.validate_covering, box) <= 8.0
+
+
+def test_localize_working_set(decompose_inputs):
+    # 684 pieces x 256 cells; the pieces returned hold 2.8 MB of that
+    partition, f = decompose_inputs
+    assert _peak_mb(at.localize, f, partition, 256) <= 14.0
+
+
+def test_reconstruction_check_working_set(decompose_inputs):
+    # 2,047 probes on 684 cuboids, with no (cuboids x probes) matrix
+    partition, f = decompose_inputs
+    lo, hi = partition.covering.window_box
+    probes = np.linspace(lo[0], hi[0], 2049)[1:-1]
+    assert _peak_mb(at.localize_reconstruction_error, f, partition,
+                    probes) <= 2.0
+
+
+def test_maximal_norm_working_set():
+    # a classical Bessel(1) atom of 96 cells on [4, 8], as ``maximal`` runs
+    c = cov.covering_bessel((2, 2))
+    atom = at.random_classical_atom(c.cuboids[0], c.kappa,
+                                    seed=1003 * 7919 + 1, cells=96)
+    assert _peak_mb(verifier.maximal_norm, BesselKernel(1.0), atom,
+                    verifier.VerifierSettings()) <= 8.0
