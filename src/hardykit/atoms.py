@@ -209,8 +209,9 @@ def localize(f: Callable, partition: PartitionOfUnity,
     to f pointwise wherever the window covers.  All the grids are one
     (pieces x cells) matrix of centres, taken in blocks of at most
     ``WORKING_SET`` centres: f is called on a block's centres inside the
-    window, and psi_Q comes from ``evaluate_rows``, bit for bit what
-    ``partition.evaluate`` gives on each piece's centres.
+    window, and psi_Q from ``evaluate_rows``: each centre's own bump over
+    its bump sum, which depends on that centre alone, so the blocks change
+    no bit.
     """
     covering = partition.covering
     lo, hi = (b[:, 0] for b in covering.enlarged_boxes(1))

@@ -422,7 +422,7 @@ class PartitionOfUnity:
     Q* (per-axis product of 1-D trapezoids); psi_Q divides by the bump
     sum.  The bumps are Lipschitz rather than C^1: the construction only
     needs the derivative bound ||psi_Q'|| <= C / d_Q, which the linear
-    ramps satisfy almost everywhere.
+    ramps satisfy almost everywhere.  Every result comes from ``_pairs``.
     """
 
     def __init__(self, covering: AdmissibleCovering):
@@ -435,11 +435,7 @@ class PartitionOfUnity:
         self._star_lo = self._z - reach
         self._star_hi = self._z + reach
         # probe the window for holes at construction time
-        probe = self._window_probe(256)
-        sums = self.bump_sum(probe)
-        if np.any(sums <= 0.0):
-            bad = probe[sums <= 0.0][0]
-            raise CoveringHoleError(f"no bump reaches window point {bad}")
+        self._pairs(self._window_probe(256))
 
     def _window_probe(self, count: int) -> np.ndarray:
         lo = np.asarray(self.covering.window_box[0], dtype=float)
@@ -466,78 +462,54 @@ class PartitionOfUnity:
         ramp = (self._kappa * r - dist) / ((self._kappa - 1.0) * r)
         return np.prod(np.clip(ramp, 0.0, 1.0), axis=-1)
 
-    def _check_holes(self, s, pts):
-        if np.any(s <= 0.0):
-            bad = pts[s <= 0.0][0]
-            raise CoveringHoleError(f"no bump reaches point {tuple(bad)}")
-
-    def _normalize(self, b, s, strict: bool, pts) -> np.ndarray:
-        if strict:
-            self._check_holes(s, pts)
-        if np.any(s <= 0.0):
-            safe = np.where(s > 0.0, s, 1.0)
-            return np.where(s > 0.0, b / safe, 0.0)
-        return b / s
-
-    def _pair_bumps(self, pts):
+    def _pairs(self, pts, strict: bool = True):
         """The (cuboid, point) pairs (c, p) of the closed Q* boxes and the
         points pts (k, d), in ascending cuboid order, the bumps b there and
-        each point's bump sum s, NaN at a NaN point.
+        each point's bump sum s, so that psi = b / s[p].
 
         ``np.bincount`` adds a point's bumps one after another in ascending
-        cuboid order, as numpy adds the rows of the dense ``bumps`` matrix
-        of two or more points, so the zeros it leaves out change no bit of
-        that matrix's column sums; a single point is summed pairwise there.
+        cuboid order, whatever the other points are.  A point with a NaN
+        coordinate meets no box and gets s = NaN, so its psi is NaN.  Where
+        no bump reaches a point, CoveringHoleError names the first such
+        point, or with ``strict=False`` s = inf there, so its psi is 0.
         """
         c, p = _box_pairs(self._star_lo, self._star_hi, pts, pts)
         b = self._bump(c, pts[p])
         # bincount gives ints when there are no pairs
         s = np.bincount(p, weights=b, minlength=len(pts)).astype(float)
         s[np.isnan(pts).any(axis=1)] = np.nan
+        hole = s <= 0.0
+        if np.any(hole):
+            if strict:
+                raise CoveringHoleError(
+                    f"no bump reaches point {tuple(pts[hole][0])}")
+            s[hole] = np.inf
         return c, p, b, s
 
-    def bumps(self, x) -> np.ndarray:
-        """Raw bump matrix, shape (n_cuboids, n_points), filled only where
-        a closed Q* holds the point (everywhere for a NaN point)."""
-        pts = self._as_points(x)
-        j, p = _box_pairs(self._star_lo, self._star_hi, pts, pts)
-        out = np.zeros((len(self._z), len(pts)))
-        out[j, p] = self._bump(j, pts[p])
-        nan = np.isnan(pts).any(axis=1)
-        out[:, nan] = self._bump(np.arange(len(self._z))[:, None], pts[nan])
-        return out
-
-    def bump_sum(self, x) -> np.ndarray:
-        """``bumps(x).sum(axis=0)``, bit for bit, from the pairs alone for
-        two or more points."""
-        pts = self._as_points(x)
-        if len(pts) == 1:
-            return self.bumps(pts).sum(axis=0)
-        return self._pair_bumps(pts)[3]
-
     def psi_sum(self, x) -> np.ndarray:
-        """sum_Q psi_Q(x): ``evaluate_all(x).sum(axis=0)``, bit for bit,
-        from the pairs alone for two or more points (see ``_pair_bumps``):
-        no (n_cuboids, n_points) matrix is built.  Raises
-        CoveringHoleError where no bump reaches; NaN at a NaN point."""
+        """sum_Q psi_Q(x), each point's psi added in ascending cuboid order,
+        with no (n_cuboids, n_points) matrix.  Raises CoveringHoleError
+        where no bump reaches; NaN at a NaN point."""
         pts = self._as_points(x)
-        if len(pts) == 1:
-            return self.evaluate_all(pts).sum(axis=0)
-        _, p, b, s = self._pair_bumps(pts)
-        self._check_holes(s, pts)
+        _, p, b, s = self._pairs(pts)
         total = np.bincount(p, weights=b / s[p],
                             minlength=len(pts)).astype(float)
         total[np.isnan(s)] = np.nan
         return total
 
     def evaluate_all(self, x, strict: bool = True) -> np.ndarray:
-        """psi matrix, shape (n_cuboids, n_points); columns sum to 1.
+        """psi matrix, shape (n_cuboids, n_points); columns sum to 1, and
+        the column of a NaN point is NaN.
 
         With ``strict=False`` points beyond the finite window (where no
         bump reaches) yield psi = 0 instead of raising.
         """
-        b = self.bumps(x)
-        return self._normalize(b, b.sum(axis=0), strict, self._as_points(x))
+        pts = self._as_points(x)
+        c, p, b, s = self._pairs(pts, strict)
+        out = np.zeros((len(self._z), len(pts)))
+        out[c, p] = b / s[p]
+        out[:, np.isnan(s)] = np.nan
+        return out
 
     def evaluate(self, index: int, x, strict: bool = True) -> np.ndarray:
         """Row ``index`` of ``evaluate_all(x, strict)``, bit for bit."""
@@ -551,22 +523,16 @@ class PartitionOfUnity:
         flat, in row order.  The hole check names the first valid point,
         in that order, that no bump reaches.
 
-        A bump is evaluated only at the (cuboid, point) pairs of
-        ``_pair_bumps``, the points inside its closed Q*; the numerator of
-        psi_{index[i]} is the pair of cuboid index[i] (0.0 without one).  A
-        row with one valid point sums its full column, pairwise.
+        Each point's own-cuboid bump (0.0 where its closed Q* does not
+        hold the point) is divided by the point's bump sum from ``_pairs``.
         """
         pts = pts[valid]
-        count = valid.sum(axis=1)
-        own = np.repeat(np.asarray(index), count)
-        c, p, b, s = self._pair_bumps(pts)
+        own = np.repeat(np.asarray(index), valid.sum(axis=1))
+        c, p, b, s = self._pairs(pts, strict)
         mine = c == own[p]
         num = np.zeros(len(pts))
         num[p[mine]] = b[mine]
-        num[np.isnan(s)] = np.nan
-        for k in (np.cumsum(count) - 1)[count == 1]:
-            s[k] = self.bump_sum(pts[k:k + 1])[0]
-        return self._normalize(num, s, strict, pts)
+        return num / s
 
     def derivative_bound(self, index: int) -> float:
         """max |psi'| over Q*, central differences at 1000 points (1-D only).

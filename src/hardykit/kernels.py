@@ -587,28 +587,28 @@ class RadialProfile:
         self.coef = np.array(coef).T     # one row per degree
 
     def _tail_series(self, rho):
-        """P(rho) for rho well above 1, from the series of g_nu.
+        """P(rho) for rho >= rho_max, from the series of g_nu.
 
         For s >= 1, g_nu(s) = (1/pi) sum_k (-1)^{k+1} Gamma(nu k + 1)/k!
         sin(pi nu k) s^{-1-nu k}, which converges absolutely and
         uniformly.  Against the heat kernel, term k integrates over
         s >= 1 to (4 pi)^{-d/2} (rho/2)^{-2 a} gamma(a, rho^2/4),
-        a = d/2 + nu k, with the lower incomplete gamma function; for
-        large rho these are the terms of the stable tail expansion
-        (Blumenthal and Getoor 1960), the first one A rho^{-d-2nu}.  The
-        part s < 1 is at most (4 pi)^{-d/2} e^{-rho^2/4}, which underflows
-        at every rho_max.  ``specfun.stable_series_sum`` stops the sum at
-        1e-17 of it.
+        a = d/2 + nu k, with the lower incomplete gamma function.  At
+        rho >= rho_max, gamma(a, rho^2/4) is Gamma(a) in double for every
+        k <= 400 (checked for nu in [0.01, 1) and d <= 10, where
+        rho_max^2/4 >= 1.3e7), so the terms are those of the stable tail
+        expansion (Blumenthal and Getoor 1960), the first one
+        A rho^{-d-2nu}.  The part s < 1 is at most (4 pi)^{-d/2}
+        e^{-rho^2/4}, which underflows there.
+        ``specfun.stable_series_sum`` stops the sum at 1e-17 of it.
         """
-        from scipy.special import gammainc, gammaln
+        from scipy.special import gammaln
         nu, d = self.nu, self.d
         log_half = np.log(0.5 * np.asarray(rho, dtype=float))
 
         def log_factor(k):
             a = 0.5 * d + nu * k
-            with np.errstate(over="ignore"):    # rho^2/4 = inf: gamma(a)
-                return (gammaln(a) - 2.0 * a * log_half
-                        + np.log(gammainc(a, np.exp(2.0 * log_half))))
+            return gammaln(a) - 2.0 * a * log_half
 
         return ((4.0 * math.pi) ** (-0.5 * d)
                 * specfun.stable_series_sum(nu, log_factor, 1e-17))

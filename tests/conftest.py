@@ -51,3 +51,28 @@ def schrodinger_v0():
 @pytest.fixture(scope="session")
 def schrodinger_x2():
     return kernels.schrodinger_build(lambda x: x * x, 20.0, 2000)
+
+
+def row_sum(rows):
+    """The rows of ``rows`` added one after another, first to last (numpy's
+    ``sum(axis=0)`` adds a single column pairwise instead)."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total = total + row
+    return total
+
+
+def dense_psi(p, x, strict=True):
+    """Reference partition of unity at the points x (m, d): every bump at
+    every point, each point's bumps added in ascending cuboid order.
+    psi is 0 where no bump reaches a point, which only ``strict=False``
+    allows."""
+    c = p.covering
+    z = np.array([q.center for q in c.cuboids])[:, None, :]
+    r = np.array([q.half_widths for q in c.cuboids])[:, None, :]
+    ramp = (c.kappa * r - np.abs(x[None] - z)) / ((c.kappa - 1.0) * r)
+    b = np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
+    s = row_sum(b)
+    hole = s <= 0.0     # False at a NaN point, whose psi is NaN
+    assert not (strict and hole.any())
+    return np.where(hole, 0.0, b / np.where(hole, 1.0, s))

@@ -11,6 +11,8 @@ from hardykit import coverings as cov
 from hardykit.errors import CoveringHoleError, ResolutionError
 from hardykit.quadrature import integrate_adaptive
 
+from conftest import dense_psi, row_sum
+
 
 @pytest.fixture(scope="module")
 def qb():
@@ -174,9 +176,9 @@ def test_reconstruction_check_semantics(qb):
 
     def dense(x):
         fx = f(x)
-        return float(np.max(np.abs(p.evaluate_all(x).sum(axis=0) * fx - fx)))
+        return float(np.max(np.abs(row_sum(p.evaluate_all(x)) * fx - fx)))
 
-    # a single probe keeps evaluate_all's pairwise column sum
+    # each probe's psi is added in ascending cuboid order, alone or not
     for x in probes:
         assert at.localize_reconstruction_error(f, p, x[None]) == dense(x[None])
     assert at.localize_reconstruction_error(f, p, probes) == dense(probes)
@@ -342,17 +344,6 @@ def test_decompose_resolution_error(qb, host):
 # Array passes against the per-piece reference
 # ---------------------------------------------------------------------------
 
-def _dense_psi(p, x):
-    """psi at the points x (m,) from every bump at full length: row i is
-    what ``evaluate(i, x)`` gives, one piece at a time."""
-    c = p.covering
-    z = np.array([q.center for q in c.cuboids])[:, None, :]
-    r = np.array([q.half_widths for q in c.cuboids])[:, None, :]
-    ramp = (c.kappa * r - np.abs(x[None, :, None] - z)) / ((c.kappa - 1.0) * r)
-    b = np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
-    return b / b.sum(axis=0)
-
-
 def _piece_localize(f, p, cells):
     """localize one piece at a time, on each piece's own grid."""
     c = p.covering
@@ -363,7 +354,7 @@ def _piece_localize(f, p, cells):
         x = piece.centers
         inside = (x >= c.window_box[0][0]) & (x <= c.window_box[1][0])
         if np.any(inside):
-            piece.values[inside] = _dense_psi(p, x[inside])[i] * f(x[inside])
+            piece.values[inside] = dense_psi(p, x[inside, None])[i] * f(x[inside])
         out.append((q, piece))
     return out
 
@@ -438,9 +429,9 @@ def test_array_passes_match_per_piece_reference(family, kappa, cells, depth,
             _piece_decompose(fq, q, depth))
     probes = np.linspace(win_lo, win_hi, 257)[1:-1]
     fx = f(probes)
-    psi = _dense_psi(p, probes)
+    psi = dense_psi(p, probes[:, None])
     assert at.localize_reconstruction_error(f, p, probes) \
-        == float(np.max(np.abs(psi.sum(axis=0) * fx - fx)))
+        == float(np.max(np.abs(row_sum(psi) * fx - fx)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -10,6 +10,8 @@ from hardykit import coverings as cov
 from hardykit.domain import half_line, real_line
 from hardykit.errors import CoveringHoleError, SplitBudgetError
 from hardykit.quadrature import halton
+
+from conftest import dense_psi, row_sum
 
 
 def boxes_1d(c):
@@ -327,26 +329,6 @@ def _dense_validate(c, samples):
         kappa=c.kappa, samples=samples)
 
 
-def _dense_bumps(p, x):
-    """Reference bump matrix: every bump at every point."""
-    c = p.covering
-    z = np.array([q.center for q in c.cuboids])
-    r = np.array([q.half_widths for q in c.cuboids])
-    dist = np.abs(x[None, :, :] - z[:, None, :])
-    ramp = (c.kappa * r[:, None, :] - dist) / ((c.kappa - 1.0) * r[:, None, :])
-    return np.prod(np.clip(ramp, 0.0, 1.0), axis=2)
-
-
-def _dense_psi(p, x, strict=True):
-    """Reference partition of unity: every bump at every point."""
-    b = _dense_bumps(p, x)
-    s = b.sum(axis=0)
-    if np.any(s <= 0.0):
-        assert not strict
-        return np.where(s > 0.0, b / np.where(s > 0.0, s, 1.0), 0.0)
-    return b / s
-
-
 @st.composite
 def _tiling(draw, half=False):
     """1-D covering tiled by intervals whose edges are multiples of 1/8,
@@ -465,16 +447,15 @@ def test_partition_evaluate_matches_dense(c, data):
     u = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m * d,
                                       max_size=m * d)))
     x = np.clip(np.asarray(q.center) + u.reshape(m, d) * q.half_widths, win_lo, win_hi)
-    assert p.bumps(x).tobytes() == _dense_bumps(p, x).tobytes()
     psi = p.evaluate_all(x)
-    assert psi.tobytes() == _dense_psi(p, x).tobytes()
+    assert psi.tobytes() == dense_psi(p, x).tobytes()
     assert p.evaluate(i, x).tobytes() == psi[i].tobytes()
     assert np.max(np.abs(psi.sum(axis=0) - 1.0)) <= 1e-12
     # beyond the window, where no bump may reach
     far = x + 3.0 * (win_hi - win_lo)
     assert p.evaluate(i, far, strict=False).tobytes() \
         == p.evaluate_all(far, strict=False)[i].tobytes() \
-        == _dense_psi(p, far, strict=False)[i].tobytes()
+        == dense_psi(p, far, strict=False)[i].tobytes()
 
 
 def test_partition_star_edges_match_dense():
@@ -489,19 +470,20 @@ def test_partition_star_edges_match_dense():
         pts = pts[np.all((pts > c.window_box[0]) & (pts < c.window_box[1]), axis=1)]
         for x in pts:
             for xs in (x[None], np.stack([x, x])):
-                dense = _dense_psi(p, xs)
+                dense = dense_psi(p, xs)
                 assert p.evaluate_all(xs).tobytes() == dense.tobytes()
                 for i in range(len(c.cuboids)):
                     assert p.evaluate(i, xs).tobytes() == dense[i].tobytes()
 
 
 def test_partition_single_point_sums_like_dense():
-    # one point is summed pairwise over the full column; >= 3 bumps overlap
+    # one point is summed in ascending cuboid order, as among others;
+    # >= 3 bumps overlap
     c = cov.covering_uniform(real_line(2), 0.5, ([0.0, 0.0], [2.0, 2.0]), kappa=1.5)
     p = cov.partition_of_unity(c)
     for x in halton(64, 2) * 2.0:
         x = x[None]
-        dense = _dense_psi(p, x)
+        dense = dense_psi(p, x)
         assert p.evaluate_all(x).tobytes() == dense.tobytes()
         for i in range(len(c.cuboids)):
             assert p.evaluate(i, x).tobytes() == dense[i].tobytes()
@@ -514,8 +496,7 @@ def test_partition_nan_point_matches_dense():
                  (box, [[1.5, 0.7], [1.2, np.nan], [1.9, 0.9]])):
         p = cov.partition_of_unity(c)
         x = np.array(x)
-        assert p.bumps(x).tobytes() == _dense_bumps(p, x).tobytes()
-        dense = _dense_psi(p, x)
+        dense = dense_psi(p, x)
         assert np.isnan(dense[:, 1]).all()
         assert np.array_equal(p.evaluate_all(x), dense, equal_nan=True)
         for i in range(len(c.cuboids)):
@@ -535,18 +516,16 @@ def test_psi_sum_matches_dense_column_sums(c, data):
     u = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m * d,
                                       max_size=m * d)))
     x = win_lo + u.reshape(m, d) * (win_hi - win_lo)
-    assert p.psi_sum(x).tobytes() == p.evaluate_all(x).sum(axis=0).tobytes()
-    assert p.bump_sum(x).tobytes() == p.bumps(x).sum(axis=0).tobytes()
+    assert p.psi_sum(x).tobytes() == row_sum(dense_psi(p, x)).tobytes()
 
 
-def test_psi_sum_single_probe_sums_pairwise():
-    # one probe is summed pairwise over its full column, >= 3 bumps overlap
+def test_psi_sum_single_probe_sums_in_cuboid_order():
+    # one probe is summed in ascending cuboid order too, >= 3 bumps overlap
     c = cov.covering_uniform(real_line(2), 0.5, ([0.0, 0.0], [2.0, 2.0]), kappa=1.5)
     p = cov.partition_of_unity(c)
     for x in halton(64, 2) * 2.0:
         x = x[None]
-        assert p.psi_sum(x).tobytes() == p.evaluate_all(x).sum(axis=0).tobytes()
-        assert p.bump_sum(x).tobytes() == p.bumps(x).sum(axis=0).tobytes()
+        assert p.psi_sum(x).tobytes() == row_sum(dense_psi(p, x)).tobytes()
 
 
 def test_psi_sum_hole_and_nan_probes():
@@ -574,3 +553,48 @@ def test_partition_evaluate_hole_error():
         p.evaluate(2, np.array([1.5, 100.0]))
     assert np.array_equal(p.evaluate(2, np.array([1.5, 100.0]), strict=False),
                           [1.0, 0.0])
+
+
+def test_partition_nan_beside_hole_stays_nan():
+    # with strict=False, a hole point elsewhere in the call leaves NaN as NaN
+    p = cov.partition_of_unity(cov.covering_bessel((-2, 2)))
+    assert np.isnan(p.evaluate_all([1.5, np.nan, 100.0], strict=False)[:, 1]).all()
+    rows = p.evaluate_rows([2, 2], np.array([[[1.5], [np.nan]], [[100.0], [1.2]]]),
+                           np.ones((2, 2), dtype=bool), strict=False)
+    assert np.array_equal(rows, [1.0, np.nan, 0.0, 1.0], equal_nan=True)
+
+
+_UNIFORM_2D = cov.covering_uniform(real_line(2), 0.5, ([0.0, 0.0], [2.0, 2.0]),
+                                   kappa=1.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.just(_UNIFORM_2D) | _tiling(half=False) | _tiling(half=True)
+       | st.tuples(_tiling(), _tiling(half=True)).map(lambda ab: cov.box_product(*ab)),
+       u=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                            st.sampled_from(["in", "in", "in", "nan", "hole"])),
+                  min_size=1, max_size=64))
+@example(c=_UNIFORM_2D, u=[(a, b, "in") for a, b in halton(64, 2)])
+def test_partition_does_not_depend_on_the_batch(c, u):
+    # psi at a point is the same whatever other points share the call:
+    # NaN points, and hole points under strict=False, included
+    p = cov.partition_of_unity(c)
+    lo, hi = (np.asarray(b) for b in c.window_box)
+    x = lo + np.array([v[:2] for v in u])[:, :c.dimension] * (hi - lo)
+    kind = np.array([v[2] for v in u])
+    x[kind == "nan", 0] = np.nan
+    x[kind == "hole", 0] = hi[0] + 100.0
+    psi = p.evaluate_all(x, strict=False)
+    rows = {}
+    for k in range(len(x)):
+        alone = x[k:k + 1]
+        assert psi[:, k].tobytes() == p.evaluate_all(alone, strict=False)[:, 0].tobytes()
+        for i in {0, *np.flatnonzero(psi[:, k] > 0.0)}:
+            if i not in rows:
+                rows[i] = p.evaluate(i, x, strict=False)
+            assert rows[i][k].tobytes() == p.evaluate(i, alone, strict=False).tobytes()
+    # psi_sum raises at a hole point, so it takes the others
+    y = x[kind != "hole"]
+    total = p.psi_sum(y)
+    for k in range(len(y)):
+        assert total[k:k + 1].tobytes() == p.psi_sum(y[k:k + 1]).tobytes()

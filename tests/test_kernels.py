@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hardykit import kernels as K
+from hardykit import specfun
 from hardykit.atoms import make_local_atom, random_classical_atom
 from hardykit.coverings import covering_bessel
 from hardykit.errors import DomainError, QuadratureError
@@ -376,6 +377,28 @@ def test_radial_profile_above_rho_max(d):
     # the table meets it at rho_max, low by the rule's cut of s > e^60
     below, above = prof(prof.rho_max * np.array([1.0, 1.0 + 1e-12]))
     assert 0.0 <= above / below - 1.0 <= 1e-7
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.7, 0.9])
+def test_tail_series_drops_the_incomplete_gamma(nu, d):
+    # the lower incomplete gamma factor of each term is 1.0 in double at
+    # every rho >= rho_max, so leaving it out changes no bit of the tail
+    from scipy.special import gammainc, gammaln
+    prof = K.radial_profile(nu, d)
+    rho = prof.rho_max * np.array([1.0, 1.0 + 1e-12, 1.5, 10.0, 1e3, 1e100,
+                                   1e200, np.inf])
+    log_half = np.log(0.5 * rho)
+
+    def log_factor(k):
+        a = 0.5 * d + nu * k
+        with np.errstate(over="ignore"):
+            return (gammaln(a) - 2.0 * a * log_half
+                    + np.log(gammainc(a, np.exp(2.0 * log_half))))
+
+    ref = (4.0 * math.pi) ** (-0.5 * d) * specfun.stable_series_sum(
+        nu, log_factor, 1e-17)
+    assert prof._tail_series(rho).tobytes() == ref.tobytes()
 
 
 def test_subordinate_heat_far_from_the_diagonal():
