@@ -452,7 +452,7 @@ def _per_time_row(fn, t, x, y, d: int = 1):
 
     Applies when t carries its own leading axis of times, one that the
     points x and y do not vary along (a t-grid chunk of shape (rows, 1) or
-    one golden-section time per value, (deltas, N)); points of shape (N, d)
+    one refinement time per value, (deltas, N)); points of shape (N, d)
     count as N values when d > 1.  Each row then costs one temporary of
     the size of a single-time call: (nodes x values) and one K15/G7 check
     for a subordinated kernel, (values x modes) for the Schrodinger eigen

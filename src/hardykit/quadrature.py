@@ -3,7 +3,8 @@
 Three pieces used throughout the package:
 
 * geometric t-grids discretizing suprema over the time variable, with a
-  vectorized golden-section refinement pass around the discrete argmax;
+  vectorized Brent-style refinement (parabolic steps, golden-section
+  fallback) around the discrete argmax;
 
 * product midpoint rules over boxes, box complements, and windows, with
   two-level Richardson refinement and a reported error estimate, for
@@ -166,53 +167,76 @@ class SupResult(NamedTuple):
     boundary_frac: np.ndarray  # (deltas,): share of argmaxes at a grid end
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# a golden-section step goes this share of the larger side into the bracket
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 # values per call of ``f`` on the t-grid: a chunk holds max(1, 2**15 // N) times
 _CHUNK_VALUES = 2 ** 15
 
 
-def golden_refine(f: Callable, ts: np.ndarray, idx: np.ndarray,
+def golden_refine(f: Callable, t: np.ndarray, values: np.ndarray,
                   deltas, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section pass in log-t between the grid neighbours of idx.
+    """Brent-style refinement in log t of a grid maximum.
 
-    Row r of ``idx`` (shape (len(deltas), N)) holds the grid argmax of
-    t^deltas[r] * f(t) per batch point; every row is refined in the same
-    calls to ``f``, which receive t of the shape of ``idx``: 2 + iters
-    calls in all, as each iteration shrinks the bracket by 1/phi and
-    evaluates one new point.  Returns (values, maximizers), shaped like
-    ``idx``.
+    ``t`` and ``values`` (shape (3, len(deltas), N)) hold, per batch point
+    and per row r, three consecutive grid times, among them the grid
+    argmax of t^deltas[r] * f(t) (the first, last or middle one), and the
+    weighted values there.  The maximum lies in the bracket between its
+    grid neighbours.  Each of the ``iters`` calls to ``f`` receives one
+    time per value, t of shape (len(deltas), N): the vertex of the
+    parabola through the best three points seen when it lies strictly
+    inside the bracket and off the best point, else a golden-section step
+    0.382 of the way into the larger side of the bracket (Brent 1973,
+    ch. 5).  The bracket closes at the new point, or, when the new point
+    is better, at the old best.  Returns (values, maximizers) shaped like
+    one row of ``t``: the running maximum over the grid value and every
+    evaluation, so that a NaN anywhere propagates, and the time of the
+    best value.
     """
     deltas = [float(d) for d in np.atleast_1d(deltas)]
-    a = np.log(ts[np.maximum(idx - 1, 0)])
-    b = np.log(ts[np.minimum(idx + 1, len(ts) - 1)])
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
+    log_t = np.log(t)
+    pos = np.argmax(values, axis=0)[None]
 
-    def g(log_t):
-        t = np.exp(log_t)
-        rows = t.reshape(len(deltas), -1)
-        weight = np.stack([row ** dl for row, dl in zip(rows, deltas)])
-        return np.asarray(f(t), dtype=float) * weight.reshape(t.shape)
+    def at(arr, i):
+        return np.take_along_axis(arr, i, axis=0)[0]
 
-    f1 = g(x1)
-    f2 = g(x2)
+    # x is the best point, w the second and v the third
+    x, fx = at(log_t, pos), at(values, pos)
+    w, fw = at(log_t, (pos + 1) % 3), at(values, (pos + 1) % 3)
+    v, fv = at(log_t, (pos + 2) % 3), at(values, (pos + 2) % 3)
+    swap = fv > fw
+    w, fw, v, fv = (np.where(swap, v, w), np.where(swap, fv, fw),
+                    np.where(swap, w, v), np.where(swap, fw, fv))
+    a, b = at(log_t, np.maximum(pos - 1, 0)), at(log_t, np.minimum(pos + 1, 2))
+    best, x_grid = fx, x
     for _ in range(iters):
-        # the surviving interior point is the new bracket's other interior
-        # point (Kiefer 1953), so each step evaluates one new point
-        take_left = f1 >= f2
-        b = np.where(take_left, x2, b)
-        a = np.where(take_left, a, x1)
-        x_new = np.where(take_left, b - _INV_PHI * (b - a),
-                         a + _INV_PHI * (b - a))
-        f_new = g(x_new)
-        x1, x2 = (np.where(take_left, x_new, x2),
-                  np.where(take_left, x1, x_new))
-        f1, f2 = (np.where(take_left, f_new, f2),
-                  np.where(take_left, f1, f_new))
-    refined = np.maximum(f1, f2)
-    t_ref = np.exp(np.where(f1 >= f2, x1, x2))
-    return refined, t_ref
+        dw, dv = x - w, x - v
+        r, q = dw * (fx - fv), dv * (fx - fw)
+        # the vertex is 0/0 where the points are flat, NaN or repeated
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = x - (dw * r - dv * q) / (2.0 * (r - q))
+        above, below = b - x, a - x
+        u = np.where((a < u) & (u < b) & (u != x), u,
+                     x + _CGOLD * np.where(above > -below, above, below))
+        t_u = np.exp(u)
+        weight = np.stack([row ** dl for row, dl in zip(t_u, deltas)])
+        f_u = np.asarray(f(t_u), dtype=float) * weight
+        best = np.maximum(best, f_u)
+        better = f_u > fx
+        # x is at least as good as w, so a better point is also above w
+        above_w, above_v = f_u >= fw, f_u >= fv
+        # the old best (better) or the new point (worse) closes the
+        # bracket from below when it lies below the other
+        end = np.where(better, x, u)
+        lower = better == (u > x)
+        a, b = np.where(lower, end, a), np.where(lower, b, end)
+        v, fv = (np.where(above_w, w, np.where(above_v, u, v)),
+                 np.where(above_w, fw, np.where(above_v, f_u, fv)))
+        w, fw = (np.where(better, x, np.where(above_w, u, w)),
+                 np.where(better, fx, np.where(above_w, f_u, fw)))
+        x, fx = np.where(better, u, x), np.where(better, f_u, fx)
+    # exp(x) is the time f saw there
+    return best, np.where(x == x_grid, at(t, pos), np.exp(x))
 
 
 def _grid_values(f: Callable, ts: np.ndarray) -> np.ndarray:
@@ -228,14 +252,15 @@ def _grid_values(f: Callable, ts: np.ndarray) -> np.ndarray:
 
 
 def sup_over_t(f: Callable, grid: TGrid, deltas=(0.0,),
-               golden_iters: int = 18) -> SupResult:
+               golden_iters: int = 5) -> SupResult:
     """max over the t-grid of t^delta * f(t) for every delta, refined by
-    golden section.
+    ``golden_refine`` from the three grid times around each maximum.
 
     ``f`` is called with a column of times, shape (rows, 1), and returns
-    the batch values at each of them, shape (rows, N); the golden pass
-    calls it with one time per value, shape (len(deltas), N).  One grid
-    evaluation and one golden pass serve every delta.
+    the batch values at each of them, shape (rows, N); the refinement
+    calls it ``golden_iters`` times with one time per value, shape
+    (len(deltas), N), and 0 keeps the grid maximum.  One grid evaluation
+    and one refinement serve every delta.
     """
     ts = grid.values
     deltas = [float(d) for d in deltas]
@@ -243,19 +268,23 @@ def sup_over_t(f: Callable, grid: TGrid, deltas=(0.0,),
     n = vals.shape[1]
     cols = np.arange(n)
     idx = np.empty((len(deltas), n), dtype=np.intp)
-    best = np.empty((len(deltas), n))
+    near = np.empty((3, len(deltas), n), dtype=np.intp)
+    fvals = np.empty((3, len(deltas), n))
     for r, delta in enumerate(deltas):
         weighted = vals * (ts[:, None] ** delta)
         idx[r] = np.argmax(weighted, axis=0)
-        best[r] = weighted[idx[r], cols]
+        # three consecutive grid times holding the argmax, one more inside
+        # the grid at either end
+        start = np.maximum(np.minimum(idx[r] - 1, len(ts) - 3), 0)
+        near[:, r] = np.minimum(start + np.arange(3)[:, None], len(ts) - 1)
+        fvals[:, r] = weighted[near[:, r], cols]
     boundary = np.mean((idx == 0) | (idx == len(ts) - 1), axis=1)
     if golden_iters > 0:
-        refined, t_ref = golden_refine(f, ts, idx, deltas, golden_iters)
+        values, t_max = golden_refine(f, ts[near], fvals, deltas,
+                                      golden_iters)
     else:
-        refined, t_ref = best, ts[idx]
-    improved = refined > best
-    return SupResult(np.maximum(best, refined),
-                     np.where(improved, t_ref, ts[idx]), boundary)
+        values, t_max = np.max(fvals, axis=0), ts[idx]
+    return SupResult(values, t_max, boundary)
 
 
 # ---------------------------------------------------------------------------

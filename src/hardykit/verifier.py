@@ -51,7 +51,7 @@ class VerifierSettings:
     nodes_cross: int = 20
     box_nodes: int = 96
     window_factor: float = 50.0
-    golden_iters: int = 15
+    golden_iters: int = 5
     error_budget_rel: float = 0.05
     # hard per-integral budget: exceeding it raises QuadratureError
     # (None keeps errors report-only)
@@ -815,7 +815,8 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     Laguerre(1/2) (erfc at the atom's run boundaries, one call for a whole
     t-grid chunk), a midpoint sum over the cells, one kernel evaluation
     per time, for every other kernel.  The time grid (10 points per
-    decade) starts at the square of half an atom cell; below that the
+    decade, each maximum refined by 4 Brent-style ``golden_refine`` steps)
+    starts at the square of half an atom cell; below that the
     small-time end is realized by the |a(x)| floor (the t -> 0 limit).
     The midpoint sum aliases there, by about 2 e^{-4 pi^2 t/h^2} relative
     at t = (h/2)^2, and so sits about 1.7e-5 relative above the exact
@@ -837,7 +838,7 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     def max_fn(x):
         x = np.asarray(x, dtype=float)
         sup = sup_over_t(lambda t: np.abs(k.step_apply(t, x, atom)), grid,
-                         golden_iters=6).values[0]
+                         golden_iters=4).values[0]
         floor = np.abs(atom(x))
         return np.maximum(sup, floor)
 

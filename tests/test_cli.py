@@ -336,8 +336,8 @@ cells = 64
 
 
 @pytest.mark.parametrize("nu,a1prime,maximal", [
-    (0.5, 1.812659415034112, 3.9746126061174394),
-    (0.3, 1.1709758110284914, 2.876735231428842),
+    (0.5, 1.8128610642943126, 3.9746237435678644),
+    (0.3, 1.1710964437539524, 2.8767410242407054),
 ])
 def test_stable_kernel_verify_and_maximal(tmp_path, nu, a1prime, maximal):
     # at the smallest natural times the window's points lie far above the
@@ -382,7 +382,7 @@ golden_iters = 4
     assert run(["--config", cfg, "--out", out, "--seed", 3, "verify"]) == 0
     rows = (out / "A1prime.csv").read_text().strip().split("\n")[1:]
     for row in rows:
-        assert abs(float(row.split(",")[2]) / 0.16721054460370313 - 1.0) <= 1e-7
+        assert abs(float(row.split(",")[2]) / 0.16721057200569905 - 1.0) <= 1e-7
 
 
 def test_maximal_nan_norm_exit_2(tmp_path, monkeypatch):
@@ -406,6 +406,36 @@ cells = 32
     out = tmp_path / "m"
     assert run(["--config", cfg, "--out", out, "maximal"]) == 2
     assert not (out / "maximal.txt").exists()
+
+
+def test_verify_nan_at_refined_time_exit_2(tmp_path, monkeypatch, capsys):
+    # a kernel that is NaN at the first refined time of every sup (the
+    # first call after the grid with one time per value) makes the sup
+    # NaN, and _max_over_y raises instead of dropping it
+    class NanAtFirstRefinedTime(kernels.BesselKernel):
+        after_grid = False
+
+        def eval(self, t, x, y):
+            v = super().eval(t, x, y)
+            refined = np.shape(t)[-1] > 1
+            first, self.after_grid = refined and self.after_grid, not refined
+            return np.full(np.shape(v), np.nan) if first else v
+
+    monkeypatch.setattr(cli, "build_kernel",
+                        lambda cfg: NanAtFirstRefinedTime(1.0))
+    cfg = write_config(tmp_path / "v.cfg", """
+[covering]
+family = bessel
+window = 0..0
+[conditions]
+list = A1prime
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 0
+golden_iters = 2
+""")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "verify"]) == 2
+    assert "sup integral not finite" in capsys.readouterr().err
 
 
 def test_decompose_roundtrip(tmp_path):

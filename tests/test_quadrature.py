@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from hardykit import quadrature as q
 from hardykit.errors import QuadratureError
+from hardykit.verifier import VerifierSettings
 
 
 def test_tgrid_invariants():
@@ -229,14 +230,32 @@ def test_halton_matches_point_loop(n, dim, start):
     assert got.tobytes() == ref.tobytes()
 
 
+def _grid_near(f, ts, deltas):
+    """Per point and delta: the grid argmax of t^delta f(t), and the three
+    consecutive grid times that hold it (one more inside the grid at
+    either end) with their weighted values, shape (3, len(deltas), N)."""
+    vals = np.stack([np.asarray(f(t), dtype=float) for t in ts])
+    cols = np.arange(vals.shape[1])
+    idx, times, values = [], [], []
+    for delta in deltas:
+        weighted = vals * ts[:, None] ** delta
+        i = np.argmax(weighted, axis=0)
+        start = np.maximum(np.minimum(i - 1, len(ts) - 3), 0)
+        near = np.minimum(start + np.arange(3)[:, None], len(ts) - 1)
+        idx.append(i)
+        times.append(ts[near])
+        values.append(weighted[near, cols])
+    return np.array(idx), np.stack(times, axis=1), np.stack(values, axis=1)
+
+
 def test_golden_refine_quadratic():
     ts = np.geomspace(0.1, 10.0, 33)
     f = lambda t: -(np.log(np.atleast_1d(t)) - 0.3) ** 2 + 1.0
-    vals = np.stack([f(t) for t in ts])
-    idx = np.argmax(vals, axis=0)
-    refined, t_ref = q.golden_refine(f, ts, idx, 0.0, 25)
-    assert abs(refined[0] - 1.0) < 1e-8
-    assert abs(math.log(t_ref[0]) - 0.3) < 1e-4
+    _, t3, f3 = _grid_near(f, ts, [0.0])
+    refined, t_ref = q.golden_refine(f, t3, f3, 0.0, 5)
+    # a parabola in log t: the first vertex is its peak
+    assert abs(refined[0, 0] - 1.0) < 1e-14
+    assert abs(math.log(t_ref[0, 0]) - 0.3) < 1e-7
 
 
 @pytest.mark.parametrize("iters", [0, 1, 6, 15])
@@ -250,20 +269,93 @@ def test_golden_refine_one_call_per_iteration(iters, deltas):
         shapes.append(np.shape(t))
         return np.exp(-(np.log(t) - x) ** 2)
 
-    idx = np.tile(np.argmax(np.stack([f(t) for t in ts]), axis=0),
-                  (len(deltas), 1))
+    _, t3, f3 = _grid_near(f, ts, deltas)
     shapes.clear()
-    q.golden_refine(f, ts, idx, deltas, iters)
-    assert shapes == [(len(deltas), len(x))] * (2 + iters)
+    q.golden_refine(f, t3, f3, deltas, iters)
+    assert shapes == [(len(deltas), len(x))] * iters
 
 
 def test_golden_refine_long_run_stays_on_peak():
     ts = np.geomspace(0.1, 10.0, 33)
     f = lambda t: -(np.log(np.atleast_1d(t)) - 0.3) ** 2 + 1.0
-    idx = np.argmax(np.stack([f(t) for t in ts]), axis=0)[None, :]
-    refined, t_ref = q.golden_refine(f, ts, idx, 0.0, 40)
+    _, t3, f3 = _grid_near(f, ts, [0.0])
+    refined, t_ref = q.golden_refine(f, t3, f3, 0.0, 40)
     assert abs(refined[0, 0] - 1.0) <= 1e-14
     assert abs(math.log(t_ref[0, 0]) - 0.3) <= 1e-6
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_refinement_nan_propagates(k):
+    # a NaN at any refined time makes the sup NaN, as a NaN on the grid does
+    x = np.linspace(0.5, 2.0, 7)
+    calls = []
+
+    def f(t):
+        if np.shape(t)[-1] == len(x):
+            calls.append(t)
+            if len(calls) == k:
+                return np.full(np.shape(t), np.nan)
+        return np.exp(-(np.log(t) - x) ** 2)
+
+    res = q.sup_over_t(f, q.TGrid(0.1, 10.0, 4), golden_iters=6)
+    assert np.all(np.isnan(res.values))
+    assert len(calls) == 6
+
+
+def _heat_sup(r, delta):
+    a = 0.5 - delta
+    return ((r * r / 4.0) ** (delta - 0.5) * a ** a * math.exp(-a)
+            / math.sqrt(4.0 * math.pi))
+
+
+@pytest.mark.parametrize("ppd", [8, 12, 16])
+@pytest.mark.parametrize("delta", [0.0, 0.1, 0.18, -0.1])
+def test_sup_over_t_heat_oracle(ppd, delta):
+    # sup_t t^delta H_t(r) = (r^2/4)^(delta - 1/2) a^a e^-a / sqrt(4 pi),
+    # a = 1/2 - delta, at t = r^2/4a: from 1e-3 to 250, inside the grid;
+    # the verifier's default count of refinement steps
+    rs = np.geomspace(0.05, 20.0, 41)
+    res = q.sup_over_t(
+        lambda t: (4 * math.pi * t) ** -0.5 * np.exp(-rs ** 2 / (4 * t)),
+        q.TGrid(1e-6, 1e4, ppd), [delta], VerifierSettings().golden_iters)
+    exact = np.array([_heat_sup(r, delta) for r in rs])
+    assert np.max(np.abs(res.values[0] / exact - 1.0)) <= 1e-12
+    assert np.all(res.boundary_frac == 0.0)
+
+
+def _shape_fn(shape, x):
+    bump = lambda t, c: np.exp(-(np.log(t) - c) ** 2)
+    if shape == "smooth":
+        return lambda t: bump(t, x)
+    if shape == "kinked":
+        return lambda t: np.abs(bump(t, x) - 0.8 * bump(t, 0.7 - x))
+    if shape == "flat":
+        return lambda t: np.ones(np.broadcast(t, x).shape)
+    return lambda t: np.zeros(np.broadcast(t, x).shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["smooth", "kinked", "flat", "zero"]),
+       n=st.integers(1, 9), log_t_min=st.integers(-3, 0),
+       decades=st.integers(1, 3), ppd=st.integers(1, 9),
+       deltas=st.lists(st.sampled_from([0.0, 0.1, 0.18, -0.1, -0.18]),
+                       min_size=1, max_size=3, unique=True),
+       iters=st.integers(1, 8))
+def test_refinement_stays_in_bracket(shape, n, log_t_min, decades, ppd,
+                                     deltas, iters):
+    # never below the grid maximum, maximiser inside the grid bracket, and
+    # the sup is t^delta f at the maximiser it reports
+    x = np.linspace(-1.5, 1.5, n) + 0.01 * log_t_min
+    f = _shape_fn(shape, x)
+    grid = q.TGrid(10.0 ** log_t_min, 10.0 ** (log_t_min + decades), ppd)
+    res = q.sup_over_t(f, grid, deltas, iters)
+    ts = grid.values
+    idx, _, f3 = _grid_near(f, ts, deltas)
+    assert np.all(res.values >= np.max(f3, axis=0))
+    assert np.all((ts[np.maximum(idx - 1, 0)] <= res.argmax_t)
+                  & (res.argmax_t <= ts[np.minimum(idx + 1, len(ts) - 1)]))
+    at_max = np.stack([row ** dl for row, dl in zip(res.argmax_t, deltas)])
+    assert np.array_equal(res.values, f(res.argmax_t) * at_max)
 
 
 # ---------------------------------------------------------------------------
@@ -271,40 +363,52 @@ def test_golden_refine_long_run_stays_on_peak():
 # ---------------------------------------------------------------------------
 
 def _reference_sup(f, ts, deltas, iters):
-    """One call of f per grid time, one golden pass per delta."""
+    """One call of f per grid time, one refinement per delta."""
     vals = np.stack([np.asarray(f(t), dtype=float) for t in ts.tolist()])
     n = vals.shape[1]
+    cols = np.arange(n)
+    last = len(ts) - 1
     values, argmax, boundary = [], [], []
     for delta in deltas:
         weighted = vals * (ts[:, None] ** delta)
         idx = np.argmax(weighted, axis=0)
-        best = weighted[idx, np.arange(n)]
+        best = weighted[idx, cols]
         t_best = ts[idx]
-        boundary.append(np.mean((idx == 0) | (idx == len(ts) - 1)))
-        if iters > 0:
-            a = np.log(ts[np.maximum(idx - 1, 0)])[None, :]
-            b = np.log(ts[np.minimum(idx + 1, len(ts) - 1)])[None, :]
-
-            def g(log_t):
-                t = np.exp(log_t)
-                return np.asarray(f(t), dtype=float) * t ** delta
-
-            x1 = b - q._INV_PHI * (b - a)
-            x2 = a + q._INV_PHI * (b - a)
-            f1, f2 = g(x1), g(x2)
-            for _ in range(iters):
-                left = f1 >= f2
-                b = np.where(left, x2, b)
-                a = np.where(left, a, x1)
-                x_new = np.where(left, b - q._INV_PHI * (b - a),
-                                 a + q._INV_PHI * (b - a))
-                f_new = g(x_new)
-                x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-                f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-            refined = np.maximum(f1, f2)[0]
-            t_ref = np.exp(np.where(f1 >= f2, x1, x2))[0]
-            t_best = np.where(refined > best, t_ref, t_best)
-            best = np.maximum(best, refined)
+        boundary.append(np.mean((idx == 0) | (idx == last)))
+        # x the argmax, w and v the other two of the three grid times
+        # around it, w the better one; a and b its grid neighbours
+        start = np.maximum(np.minimum(idx - 1, last - 2), 0)
+        ring = [np.minimum(start + (idx - start + k) % 3, last)
+                for k in (0, 1, 2)]
+        x, w, v = (np.log(ts[i])[None, :] for i in ring)
+        fx, fw, fv = (weighted[i, cols][None, :] for i in ring)
+        swap = fv > fw
+        w, v = np.where(swap, v, w), np.where(swap, w, v)
+        fw, fv = np.where(swap, fv, fw), np.where(swap, fw, fv)
+        a = np.log(ts[np.maximum(idx - 1, 0)])[None, :]
+        b = np.log(ts[np.minimum(idx + 1, last)])[None, :]
+        for _ in range(iters):
+            r, s = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = x - ((x - w) * r - (x - v) * s) / (2.0 * (r - s))
+            golden = np.where(b - x > x - a, x + q._CGOLD * (b - x),
+                              x + q._CGOLD * (a - x))
+            u = np.where((a < u) & (u < b) & (u != x), u, golden)
+            t_u = np.exp(u)
+            f_u = np.asarray(f(t_u), dtype=float) * t_u ** delta
+            best = np.maximum(best, f_u[0])
+            better, right = f_u > fx, u > x
+            second = ~better & (f_u >= fw)
+            third = ~better & ~second & (f_u >= fv)
+            a = np.where(better & right, x, np.where(~better & ~right, u, a))
+            b = np.where(better & ~right, x, np.where(~better & right, u, b))
+            v_new = np.where(better | second, w, np.where(third, u, v))
+            fv_new = np.where(better | second, fw, np.where(third, f_u, fv))
+            w_new = np.where(better, x, np.where(second, u, w))
+            fw_new = np.where(better, fx, np.where(second, f_u, fw))
+            x, fx = np.where(better, u, x), np.where(better, f_u, fx)
+            v, fv, w, fw = v_new, fv_new, w_new, fw_new
+            t_best = np.where(better[0], t_u[0], t_best)
         values.append(best)
         argmax.append(t_best)
     return np.array(values), np.array(argmax), np.array(boundary)
