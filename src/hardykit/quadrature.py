@@ -28,8 +28,9 @@ from .errors import QuadratureError
 # The working-set budget: the most elements one temporary array holds on
 # the paths whose arrays would otherwise grow with the input (the box sweep
 # of ``coverings``, the blocks of ``atoms.localize``, the erfc terms of
-# ``kernels``' exact ``step_apply``).  Those paths work in blocks under it,
-# and no result depends on it.
+# ``kernels``' exact ``step_apply``, the t-grid chunks and weighted blocks
+# of ``sup_over_t``).  Those paths work in blocks under it, and no result
+# depends on it.
 WORKING_SET = 2 ** 16
 
 # ---------------------------------------------------------------------------
@@ -162,20 +163,16 @@ class TGrid:
 
 
 class SupResult(NamedTuple):
-    values: np.ndarray         # (deltas, N): sup over t of t^delta f(t, .)
-    argmax_t: np.ndarray       # (deltas, N): refined maximizer
-    boundary_frac: np.ndarray  # (deltas,): share of argmaxes at a grid end
+    values: np.ndarray  # (deltas, N): sup over t of t^delta f(t, .)
+    at_end: np.ndarray  # (deltas, N): grid argmax at the first or last time
 
 
 # a golden-section step goes this share of the larger side into the bracket
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
-# values per call of ``f`` on the t-grid: a chunk holds max(1, 2**15 // N) times
-_CHUNK_VALUES = 2 ** 15
-
 
 def golden_refine(f: Callable, t: np.ndarray, values: np.ndarray,
-                  deltas, iters: int) -> tuple[np.ndarray, np.ndarray]:
+                  deltas, iters: int) -> np.ndarray:
     """Brent-style refinement in log t of a grid maximum.
 
     ``t`` and ``values`` (shape (3, len(deltas), N)) hold, per batch point
@@ -188,10 +185,9 @@ def golden_refine(f: Callable, t: np.ndarray, values: np.ndarray,
     inside the bracket and off the best point, else a golden-section step
     0.382 of the way into the larger side of the bracket (Brent 1973,
     ch. 5).  The bracket closes at the new point, or, when the new point
-    is better, at the old best.  Returns (values, maximizers) shaped like
-    one row of ``t``: the running maximum over the grid value and every
-    evaluation, so that a NaN anywhere propagates, and the time of the
-    best value.
+    is better, at the old best.  Returns the running maximum over the grid
+    value and every evaluation, shaped like one row of ``t``, so that a
+    NaN anywhere propagates.
     """
     deltas = [float(d) for d in np.atleast_1d(deltas)]
     log_t = np.log(t)
@@ -208,7 +204,7 @@ def golden_refine(f: Callable, t: np.ndarray, values: np.ndarray,
     w, fw, v, fv = (np.where(swap, v, w), np.where(swap, fv, fw),
                     np.where(swap, w, v), np.where(swap, fw, fv))
     a, b = at(log_t, np.maximum(pos - 1, 0)), at(log_t, np.minimum(pos + 1, 2))
-    best, x_grid = fx, x
+    best = fx
     for _ in range(iters):
         dw, dv = x - w, x - v
         r, q = dw * (fx - fv), dv * (fx - fw)
@@ -235,15 +231,14 @@ def golden_refine(f: Callable, t: np.ndarray, values: np.ndarray,
         w, fw = (np.where(better, x, np.where(above_w, u, w)),
                  np.where(better, fx, np.where(above_w, f_u, fw)))
         x, fx = np.where(better, u, x), np.where(better, f_u, fx)
-    # exp(x) is the time f saw there
-    return best, np.where(x == x_grid, at(t, pos), np.exp(x))
+    return best
 
 
 def _grid_values(f: Callable, ts: np.ndarray) -> np.ndarray:
     """(T, N) values of f on the t-grid, evaluated in chunks of times."""
     first = np.asarray(f(ts[:1, None]), dtype=float)
     n = first.shape[-1]
-    rows = max(1, _CHUNK_VALUES // n)
+    rows = max(1, (WORKING_SET // 2) // n)
     vals = np.empty((len(ts), n))
     vals[:1] = first
     for i in range(1, len(ts), rows):
@@ -260,31 +255,35 @@ def sup_over_t(f: Callable, grid: TGrid, deltas=(0.0,),
     the batch values at each of them, shape (rows, N); the refinement
     calls it ``golden_iters`` times with one time per value, shape
     (len(deltas), N), and 0 keeps the grid maximum.  One grid evaluation
-    and one refinement serve every delta.
+    and one refinement serve every delta.  Returns the sup and, per delta
+    and point, whether the grid argmax lies at the first or last time.
     """
     ts = grid.values
     deltas = [float(d) for d in deltas]
     vals = _grid_values(f, ts)
+    last = len(ts) - 1
     n = vals.shape[1]
     cols = np.arange(n)
+    # the weighted grid is formed in blocks of points, so that the grid
+    # values are the one (T, N) array held
+    block = max(1, (WORKING_SET // 2) // len(ts))
     idx = np.empty((len(deltas), n), dtype=np.intp)
-    near = np.empty((3, len(deltas), n), dtype=np.intp)
-    fvals = np.empty((3, len(deltas), n))
     for r, delta in enumerate(deltas):
-        weighted = vals * (ts[:, None] ** delta)
-        idx[r] = np.argmax(weighted, axis=0)
-        # three consecutive grid times holding the argmax, one more inside
-        # the grid at either end
-        start = np.maximum(np.minimum(idx[r] - 1, len(ts) - 3), 0)
-        near[:, r] = np.minimum(start + np.arange(3)[:, None], len(ts) - 1)
-        fvals[:, r] = weighted[near[:, r], cols]
-    boundary = np.mean((idx == 0) | (idx == len(ts) - 1), axis=1)
+        weight = ts[:, None] ** delta
+        for s in range(0, n, block):
+            idx[r, s:s + block] = np.argmax(vals[:, s:s + block] * weight,
+                                            axis=0)
+    # three consecutive grid times holding the argmax, one more inside the
+    # grid at either end
+    start = np.maximum(np.minimum(idx - 1, last - 2), 0)
+    near = np.minimum(start + np.arange(3)[:, None, None], last)
+    fvals = np.stack([vals[near[:, r], cols] * ts[near[:, r]] ** delta
+                      for r, delta in enumerate(deltas)], axis=1)
+    at_end = (idx == 0) | (idx == last)
     if golden_iters > 0:
-        values, t_max = golden_refine(f, ts[near], fvals, deltas,
-                                      golden_iters)
-    else:
-        values, t_max = np.max(fvals, axis=0), ts[idx]
-    return SupResult(values, t_max, boundary)
+        return SupResult(golden_refine(f, ts[near], fvals, deltas,
+                                       golden_iters), at_end)
+    return SupResult(np.max(fvals, axis=0), at_end)
 
 
 # ---------------------------------------------------------------------------
@@ -343,39 +342,49 @@ class SpatialRule:
             return np.empty((0, d)), np.empty(0)
         return np.concatenate(pts), np.concatenate(wts)
 
+    def richardson_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, coarse weights, fine weights): the nodes of level 1 and
+        then of level 2, of shape (N,) in one dimension and (N, d) above."""
+        coarse, w_coarse = self.nodes_and_weights(1)
+        fine, w_fine = self.nodes_and_weights(2)
+        pts = np.concatenate([coarse, fine])
+        return (pts[:, 0] if self.dimension == 1 else pts), w_coarse, w_fine
+
 
 class IntegralResult(NamedTuple):
     value: float | list[float]
     error: float | list[float]
 
 
-def integrate(rule: SpatialRule, f, tol: float | None = None) -> IntegralResult:
-    """Weighted sum with two-level Richardson refinement.
+def richardson(vals, w_coarse: np.ndarray, w_fine: np.ndarray,
+               tol: float | None = None) -> IntegralResult:
+    """Two-level Richardson sum of values on ``SpatialRule.richardson_nodes``.
 
-    ``f`` receives nodes of shape (N,) in one dimension, (N, d) above, and
-    returns N values, or rows of N values.  Each row is summed as a call
-    for that row alone would sum it, so value and error are floats, or
-    lists with one float per row.  The reported error is the coarse-fine
-    difference; when ``tol`` is set and any row's error exceeds it, a
-    QuadratureError carrying the largest estimate is raised.
+    ``vals`` holds, along its last axis, the values at the coarse nodes
+    and then at the fine ones; it is one row or rows of them.  Each row is
+    summed as a call for that row alone would sum it, so value and error
+    are floats, or lists with one float per row.  The reported error is
+    the coarse-fine difference; when ``tol`` is set and any row's error
+    exceeds it, a QuadratureError carrying the largest estimate is raised.
     """
-    if not rule.panels:
-        return IntegralResult(0.0, 0.0)
-    d = rule.dimension
-
-    def apply(level):
-        pts, wts = rule.nodes_and_weights(level)
-        x = pts[:, 0] if d == 1 else pts
-        return np.sum(wts * np.asarray(f(x), dtype=float), axis=-1)
-
-    coarse = apply(1)
-    fine = apply(2)
+    n = len(w_coarse)
+    coarse = np.sum(w_coarse * vals[..., :n], axis=-1)
+    fine = np.sum(w_fine * vals[..., n:], axis=-1)
     value = fine + (fine - coarse) / 3.0
     error = np.abs(fine - coarse)
     if tol is not None and np.any(error > tol):
         raise QuadratureError("spatial integral error estimate above tolerance",
                               estimate=float(np.nanmax(error)), budget=tol)
     return IntegralResult(value.tolist(), error.tolist())
+
+
+def integrate(rule: SpatialRule, f, tol: float | None = None) -> IntegralResult:
+    """Weighted sum with two-level Richardson refinement: one call of ``f``
+    on ``rule.richardson_nodes()``, summed by :func:`richardson`."""
+    if not rule.panels:
+        return IntegralResult(0.0, 0.0)
+    x, w_coarse, w_fine = rule.richardson_nodes()
+    return richardson(np.asarray(f(x), dtype=float), w_coarse, w_fine, tol)
 
 
 def rule_for_box(lo, hi, nodes_per_axis) -> SpatialRule:

@@ -31,8 +31,8 @@ from .kernels import KernelFamily, SchrodingerKernel, _dist2, mass
 # golden_refine is unused here; perfbench/tracer.py rebinds it in every
 # module and requires this binding
 from .quadrature import (SpatialRule, TGrid, golden_refine,  # noqa: F401
-                         halton, integrate, rule_for_box, rule_for_complement,
-                         sup_over_t)
+                         halton, integrate, richardson, rule_for_box,
+                         rule_for_complement, sup_over_t)
 
 
 # ---------------------------------------------------------------------------
@@ -198,44 +198,6 @@ def _clamped_grid(k: KernelFamily, t_lo: float, t_hi: float,
     return TGrid(t_lo, t_hi, ppd)
 
 
-def _max_over_y(point_fn: Callable, q: Cuboid, kappa: float,
-                rule: SpatialRule, grid: TGrid, powers: Sequence[float],
-                norms: Sequence[float], s: VerifierSettings,
-                tol: float | None
-                ) -> list[tuple[float, float, float | np.ndarray | None,
-                                float]]:
-    """max over y in Q* of norm * int sup_t t^power point_fn(t, x, y) dx.
-
-    One (norm * value, norm * error, y, boundary_frac) per (power, norm)
-    pair, with y the first sample that attains the maximum and
-    boundary_frac the share of the fine-level nodes whose t-grid argmax
-    lies at a grid end at that y; (0.0, 0.0, None, nan) when no sample
-    gives a positive value.  A value that is not finite raises
-    QuadratureError.  ``point_fn`` must broadcast over t and x.
-    """
-    best = [(0.0, 0.0, None, math.nan)] * len(powers)
-    if not rule.panels:
-        return best
-    for y in y_samples(q, kappa, s.qmc_y):
-        y_pt = y[0] if q.dimension == 1 else y
-        boundary = []
-
-        def sup_values(x):
-            sup = sup_over_t(lambda t: point_fn(t, x, y_pt), grid, powers,
-                             s.golden_iters)
-            # integrate evaluates the fine level last
-            boundary[:] = sup.boundary_frac.tolist()
-            return sup.values
-
-        res = integrate(rule, sup_values, tol)
-        if not all(map(math.isfinite, res.value)):
-            raise QuadratureError(f"sup integral not finite at y = {y_pt}")
-        best = [(v * n, e * n, y_pt, bf) if v * n > b[0] else b
-                for v, e, n, bf, b in zip(res.value, res.error, norms,
-                                          boundary, best)]
-    return best
-
-
 def _edge_tail_estimate(integrand: Callable, win_lo, win_hi, hole_center,
                         d: int) -> float:
     """First-order tail beyond the truncation window.
@@ -276,12 +238,29 @@ def _sup_entries(point_fn: Callable, q: Cuboid, index: int,
                  ) -> list[CuboidEntry]:
     """One entry per delta: max over y in Q* of d_Q^{-2 sign delta}
     int sup_t t^{sign delta} point_fn(t, x, y) dx, sign = 1 for (A1) and
-    (a3), -1 for (A2).  ``tail_fn(delta, y)`` is the truncation tail at the
-    maximising y, weighted as the entry (0 when no y gives a value)."""
+    (a3), -1 for (A2), from one ``sup_over_t`` per y over both Richardson
+    levels.  At the first maximising y, ``boundary_frac`` is the share of
+    fine-level nodes whose t-grid argmax lies at a grid end and
+    ``tail_fn(delta, y)`` the truncation tail, weighted as the entry (nan
+    and 0 when no y gives a value).  A value that is not finite raises
+    QuadratureError.  ``point_fn`` must broadcast over t and x."""
     d_q = q.diameter
+    powers = [sign * delta for delta in deltas]
     norms = [d_q ** (-2.0 * sign * delta) for delta in deltas]
-    best = _max_over_y(point_fn, q, covering.kappa, rule, grid,
-                       [sign * delta for delta in deltas], norms, s, tol)
+    best = [(0.0, 0.0, None, math.nan)] * len(deltas)
+    if rule.panels:
+        x, w_coarse, w_fine = rule.richardson_nodes()
+        for y in y_samples(q, covering.kappa, s.qmc_y):
+            y_pt = y[0] if q.dimension == 1 else y
+            sup = sup_over_t(lambda t: point_fn(t, x, y_pt), grid, powers,
+                             s.golden_iters)
+            res = richardson(sup.values, w_coarse, w_fine, tol)
+            if not all(map(math.isfinite, res.value)):
+                raise QuadratureError(f"sup integral not finite at y = {y_pt}")
+            shares = np.mean(sup.at_end[:, len(w_coarse):], axis=1).tolist()
+            best = [(v * n, e * n, y_pt, bf) if v * n > b[0] else b
+                    for v, e, n, bf, b in zip(res.value, res.error, norms,
+                                              shares, best)]
     entries = []
     for delta, norm, (value, err, y_pt, bf) in zip(deltas, norms, best):
         meta = {"delta": delta, "d_q": d_q, "quad_error": err,
@@ -513,6 +492,9 @@ def verify_a3_a4(k: KernelFamily, covering: AdmissibleCovering,
                     i, x if d > 1 else np.asarray(x), strict=False)
                 return sup * np.abs(psi_x - psi_y[i])
             res = integrate(rule, integrand)
+            if not math.isfinite(res.value):
+                raise QuadratureError(
+                    f"(a4) integral not finite at y = {y_pt}, cuboid {i}")
             total += res.value
             err_total += res.error
         entries_a4.append(CuboidEntry(
@@ -653,6 +635,9 @@ def verify_smalltime_limits(k: KernelFamily, x_samples: Sequence[float],
     Asserted only for probes whose distance to the domain boundary is at
     least r; boundary-adjacent probes are reported without assertion.
     """
+    if k.dimension != 1:
+        raise ValueError(f"small-time limits need a 1-D kernel, "
+                         f"got dimension {k.dimension}")
     dom_lo, dom_hi = k.domain.intervals[0]
     entries = []
     idx = 0
@@ -818,6 +803,8 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     decade, each maximum refined by 4 Brent-style ``golden_refine`` steps)
     starts at the square of half an atom cell; below that the
     small-time end is realized by the |a(x)| floor (the t -> 0 limit).
+    One ``sup_over_t`` per atom covers both rules, the box around the
+    atom and its complement in the window, at both Richardson levels.
     The midpoint sum aliases there, by about 2 e^{-4 pi^2 t/h^2} relative
     at t = (h/2)^2, and so sits about 1.7e-5 relative above the exact
     norm at any number of cells.  A norm that is not finite raises
@@ -834,16 +821,14 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     rule_out = rule_for_complement(win_lo, win_hi, in_lo, in_hi,
                                    nodes_near=24, nodes_cross=16)
     grid = _clamped_grid(k, (atom.cell_width / 2.0) ** 2, 1e4 * d_q * d_q, 10)
-
-    def max_fn(x):
-        x = np.asarray(x, dtype=float)
-        sup = sup_over_t(lambda t: np.abs(k.step_apply(t, x, atom)), grid,
-                         golden_iters=4).values[0]
-        floor = np.abs(atom(x))
-        return np.maximum(sup, floor)
-
-    res_in = integrate(rule_in, max_fn)
-    res_out = integrate(rule_out, max_fn)
+    x_in, w_in_coarse, w_in_fine = rule_in.richardson_nodes()
+    x_out, w_out_coarse, w_out_fine = rule_out.richardson_nodes()
+    x = np.concatenate([x_in, x_out])
+    sup = sup_over_t(lambda t: np.abs(k.step_apply(t, x, atom)), grid,
+                     golden_iters=4).values[0]
+    vals = np.maximum(sup, np.abs(atom(x)))
+    res_in = richardson(vals[:len(x_in)], w_in_coarse, w_in_fine)
+    res_out = richardson(vals[len(x_in):], w_out_coarse, w_out_fine)
     value = res_in.value + res_out.value
     error = res_in.error + res_out.error
     if not math.isfinite(value):

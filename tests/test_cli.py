@@ -438,6 +438,49 @@ golden_iters = 2
     assert "sup integral not finite" in capsys.readouterr().err
 
 
+def test_verify_a4_nan_exit_2(tmp_path, monkeypatch, capsys):
+    # a heat kernel that is NaN below t = 0.5: only the (a4) grid
+    # [1e-8 d_Q^2, d_Q^2] reaches there, and its integral is a numerical
+    # failure, as every other sup integral's is
+    class NanBelowHalf(kernels.EuclideanHeat):
+        def eval(self, t, x, y):
+            v = super().eval(t, x, y)
+            return np.where(np.asarray(t) < 0.5, np.nan, v)
+
+    monkeypatch.setattr(cli, "build_kernel", lambda cfg: NanBelowHalf(1))
+    cfg = write_config(tmp_path / "v.cfg", """
+[covering]
+family = uniform
+tau = 1.0
+window = -2..2
+[conditions]
+list = a3a4
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 1
+golden_iters = 2
+box_nodes = 24
+""")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "verify"]) == 2
+    assert "(a4) integral not finite at y = " in capsys.readouterr().err
+
+
+def test_smalltime_needs_1d_kernel_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "v.cfg", """
+[kernel]
+kind = product
+factors = bessel,laguerre
+[covering]
+family = bessel-laguerre-box
+window = 0..0
+[conditions]
+list = smalltime
+""")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "verify"]) == 1
+    assert "small-time limits need a 1-D kernel, got dimension 2" in \
+        capsys.readouterr().err
+
+
 def test_decompose_roundtrip(tmp_path):
     lo, hi = 2.0 ** -3, 2.0 ** 4
     n = 4096
@@ -644,3 +687,98 @@ def test_a1prime_shared_with_a1_is_byte_identical(tmp_path):
             (tmp_path / "shared" / f"A1prime.{suffix}").read_bytes()
     assert not (tmp_path / "alone" / "A1_delta0.000.csv").exists()
     assert (tmp_path / "shared" / "A1_delta0.180.csv").exists()
+
+
+# (command, config) of each run whose sup-integral outputs are pinned
+SUP_INTEGRAL_RUNS = {
+    "verify": ("verify", """
+[kernel]
+kind = bessel
+beta = 1.0
+[covering]
+family = bessel
+window = 0..0
+[conditions]
+list = A1prime,A2prime,A1,A2
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 1
+"""),
+    "a3a4": ("verify", """
+[kernel]
+kind = euclidean_heat
+[covering]
+family = uniform
+tau = 1.0
+window = -1..1
+[conditions]
+list = a3a4
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 1
+box_nodes = 24
+"""),
+    "maximal": ("maximal", """
+[kernel]
+kind = bessel
+beta = 1.0
+[covering]
+family = bessel
+window = 0..0
+[maximal]
+atoms_per_cuboid = 2
+cells = 32
+"""),
+}
+
+# float.hex of every constant, error and meta.boundary_frac of each report,
+# in file order, and of every value and error of maximal.csv
+SUP_INTEGRAL_BITS = {
+    "A1prime.txt": ["0x1.94f22121ed0f1p+0", "0x1.dd53de39e0000p-14",
+                    "0x0.0p+0"],
+    "A1_delta0.000.txt": ["0x1.94f22121ed0f1p+0", "0x1.dd53de39e0000p-14",
+                          "0x0.0p+0"],
+    "A1_delta0.100.txt": ["0x1.6a0acdc21e24ep+0", "0x1.b399738348000p-15",
+                          "0x0.0p+0"],
+    "A1_delta0.180.txt": ["0x1.6a8dbc1143e71p+0", "0x1.075dd03a10000p-15",
+                          "0x0.0p+0"],
+    "A2prime.txt": ["0x1.218782f94c1c3p-4", "0x1.1cb038f6c0000p-22",
+                    "0x1.0000000000000p+0"],
+    "A2_delta0.000.txt": ["0x1.218782f94c1c3p-4", "0x1.1cb038f6c0000p-22",
+                          "0x1.0000000000000p+0"],
+    "A2_delta0.100.txt": ["0x1.218782f94c1c3p-4", "0x1.1cb038f6c0000p-22",
+                          "0x1.0000000000000p+0"],
+    "A2_delta0.180.txt": ["0x1.218782f94c1c3p-4", "0x1.1cb038f6c0000p-22",
+                          "0x1.0000000000000p+0"],
+    "a3.txt": ["0x1.3696ebcc5e223p-2", "0x1.3ef522ca10000p-17",
+               "0x1.0000000000000p+0", "0x1.3696ebcc5e223p-2",
+               "0x1.3ef522ca10000p-17", "0x1.0000000000000p+0"],
+    "a4.txt": ["0x1.282589b57958cp-2", "0x1.dc3498d1038d0p-8",
+               "0x1.282589b57958dp-2", "0x1.dc3498d1038d0p-8",
+               "0x1.688cb15fa16a2p+0", "0x1.e30be45496240p-6"],
+    "maximal.csv": ["0x1.eb6e883f24f70p+0", "0x1.8fe210e5f6000p-15",
+                    "0x1.5aa9cff5d8158p+0", "0x1.bc080e0ae31b8p-8"],
+}
+
+
+def test_sup_integral_outputs_bit_identical(tmp_path):
+    # every estimator built on sup_over_t: (A1')/(A1), (A2')/(A2), (a3),
+    # (a4) and the maximal norms of atoms
+    keys = ("constant = ", "error = ", "meta.boundary_frac = ")
+    got = {}
+    for name, (command, text) in SUP_INTEGRAL_RUNS.items():
+        cfg = write_config(tmp_path / f"{name}.cfg", text)
+        out = tmp_path / name
+        assert run(["--config", cfg, "--out", out, command]) == 0
+        if command == "maximal":
+            rows = (out / "maximal.csv").read_text().strip().split("\n")[1:]
+            got["maximal.csv"] = [float(v).hex() for row in rows
+                                  for v in row.split(",")[3:5]]
+            continue
+        for path in out.glob("*.txt"):
+            if path.name in SUP_INTEGRAL_BITS:
+                got[path.name] = [
+                    float(line.split(" = ")[1]).hex()
+                    for line in path.read_text().split("\n")
+                    if line.startswith(keys)]
+    assert got == SUP_INTEGRAL_BITS

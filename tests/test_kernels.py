@@ -947,6 +947,7 @@ def test_subordinate_2d_heat_subclass_matches_profile():
                     profile.eval(ts, _POINTS_2D, y), rtol=1e-10)
 
 
+@pytest.mark.slow
 def test_radial_profile_rejects_overflowing_nodes():
     # at nu = 0.01 the rule's nodes reach s = 2.7e-315, where the 2-D heat
     # kernel's (4 pi s)^{-1} overflows; under the suite's warnings-as-errors

@@ -11,8 +11,8 @@ from hardykit import kernels as K
 from hardykit import verifier as V
 from hardykit.domain import real_line
 from hardykit.errors import QuadratureError
-from hardykit.quadrature import (TGrid, integrate_adaptive, rule_for_box,
-                                 sup_over_t)
+from hardykit.quadrature import (TGrid, integrate, integrate_adaptive,
+                                 rule_for_box, sup_over_t)
 from tests.conftest import FAST
 
 TINY = V.VerifierSettings(tgrid_ppd=6, qmc_y=2, nodes_near=24,
@@ -221,19 +221,31 @@ def test_a3_a4_heat_uniform(heat1):
 def test_boundary_frac_is_fine_level_share(heat1):
     # for t >= 1 the heat kernel peaks at the grid start when
     # |x - y|^2 < 2 (1 - 2 delta) and inside the grid beyond, so the share
-    # lies strictly between 0 and 1 and differs between the two levels
+    # lies strictly between 0 and 1; on this box it differs between the
+    # two levels at the maximising y and between that y and the last one
     qu = cov.covering_uniform(real_line(1), 1.0, ([-1.0], [1.0]))
-    rule = rule_for_box([-4.0], [4.0], 15)
+    q0 = qu.cuboids[0]
+    rule = rule_for_box([-3.0], [3.0], 11)
     grid = TGrid(1.0, 1e4, 6)
-    powers = [0.0, 0.2]
-    best = V._max_over_y(heat1.eval, qu.cuboids[0], qu.kappa, rule, grid,
-                         powers, [1.0, 1.0], TINY, None)
-    for r, (_, _, y, frac) in enumerate(best):
-        x = rule.nodes_and_weights(2)[0][:, 0]
-        direct = sup_over_t(lambda t: heat1.eval(t, x, y), grid, powers,
+    deltas = [0.0, 0.2]
+    entries = V._sup_entries(heat1.eval, q0, 0, qu, rule, grid, deltas, 1,
+                             TINY, None)
+    fine = rule.nodes_and_weights(2)[0][:, 0]
+    norms = [q0.diameter ** (-2.0 * delta) for delta in deltas]
+    best = [(0.0, math.nan)] * len(deltas)
+    for y in V.y_samples(q0, qu.kappa, TINY.qmc_y)[:, 0]:
+        value = integrate(rule, lambda x: sup_over_t(
+            lambda t: heat1.eval(t, x, y), grid, deltas,
+            TINY.golden_iters).values).value
+        direct = sup_over_t(lambda t: heat1.eval(t, fine, y), grid, deltas,
                             TINY.golden_iters)
+        share = np.mean(direct.at_end, axis=1)
+        best = [(v * n, share[r]) if v * n > b[0] else b
+                for r, (v, n, b) in enumerate(zip(value, norms, best))]
+    for e, (value, frac) in zip(entries, best):
         assert 0.0 < frac < 1.0
-        assert frac == direct.boundary_frac[r]
+        assert e.constant == value
+        assert e.metadata["boundary_frac"] == frac
     bessel, qb = K.BesselKernel(1.0), cov.covering_bessel((0, 0))
     reports = V.complement_reports(bessel, qb, TINY, gamma=0.2)
     reports += V.comparison_reports(bessel, qb, TINY, gamma=0.2)

@@ -1,13 +1,15 @@
-"""Working-set regression tests on the inputs of the ``atoms`` benchmark.
+"""Working-set regression tests, most on the inputs of the ``atoms`` benchmark.
 
 Each test measures the ``tracemalloc`` peak of one stage: the most memory
 its Python and numpy allocations held at once, what it returns included.
 The bounds are in MB of 10^6 bytes.  With ``quadrature.WORKING_SET`` =
 2^16 elements (0.52 MB of float64 per temporary) the stages measure about
-4.2 (validation), 9.2 (localize), 0.2 (reconstruction check) and 4.1 (one
-maximal norm) MB.  Each bound sits well below what the same stage needed
-when its temporaries grew with the covering or the batch: 14.9, 28.3,
-22.5 and 10.7 MB.
+4.2 (validation), 9.2 (localize), 0.2 (reconstruction check) and 4.5 (one
+maximal norm, both rules in one sup over t) MB.  Each bound sits well below
+what the same stage needed when its temporaries grew with the covering or
+the batch: 14.9, 28.3, 22.5 and 10.7 MB.  The last test bounds one sup over
+t against the (times x points) grid it must hold: 1.8 times that grid,
+where a weighted copy of the grid per delta took 3.2 times.
 """
 
 import tracemalloc
@@ -18,7 +20,8 @@ import pytest
 from hardykit import atoms as at
 from hardykit import coverings as cov
 from hardykit import verifier
-from hardykit.kernels import BesselKernel
+from hardykit.kernels import BesselKernel, EuclideanHeat
+from hardykit.quadrature import TGrid, sup_over_t
 
 MB = 1e6
 
@@ -74,3 +77,15 @@ def test_maximal_norm_working_set():
                                     seed=1003 * 7919 + 1, cells=96)
     assert _peak_mb(verifier.maximal_norm, BesselKernel(1.0), atom,
                     verifier.VerifierSettings()) <= 8.0
+
+
+def test_sup_over_t_working_set():
+    # 20,000 heat points on 145 times: the (T, N) grid values are 23.2 MB,
+    # and the weighted grid of each delta is formed in blocks of points
+    x = np.linspace(-50.0, 50.0, 20000)
+    heat = EuclideanHeat(1)
+    grid = TGrid(1e-8, 1e4, 12)
+    assert len(grid.values) == 145
+    peak = _peak_mb(sup_over_t, lambda t: heat.eval(t, x, 0.0), grid,
+                    (0.0, 0.1, 0.18), 5)
+    assert peak <= 2.2 * 145 * 20000 * 8 / MB
