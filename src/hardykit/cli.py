@@ -428,6 +428,9 @@ def cmd_maximal(cfg: CampaignConfig, out: Path) -> int:
 
 def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
     cov = build_covering(cfg)
+    if cov.dimension != 1:
+        raise ValueError(f"decompose needs a 1-D covering, got dimension "
+                         f"{cov.dimension}")
     depth = cfg.getint("decompose", "depth")
     cells = cfg.getint("decompose", "cells")
     _echo_config(cfg, out)

@@ -1,5 +1,5 @@
 """Semigroup kernels T_t(x, y) with pointwise evaluation, comparison
-kernels, and mass integrals.
+kernels, and mass integrals of 1-D kernels.
 
 Implemented families:
 
@@ -24,7 +24,8 @@ Implemented families:
 
 * ``SubordinateKernel(base, nu)``: the subordinated semigroup evaluated
   at the substituted time, eval(t) = integral_0^inf base(t s) g_nu(s) ds,
-  by a fixed Gauss-Kronrod rule in s (``SubordinationRule``).  With
+  by a fixed Gauss-Kronrod rule in s (``SubordinationRule``; the Laplace
+  oracle ``specfun.stable_laplace_check`` sums the same rule).  With
   base = EuclideanHeat this is the 2nu-stable kernel P_{t^nu, nu}, read
   from a cached radial profile (``RadialProfile``):
   t^{-d/2} P(|x - y|/sqrt t), a table up to |x - y|/sqrt t = rho_max and
@@ -257,10 +258,12 @@ class EuclideanHeat(KernelFamily):
                 * np.exp(-_dist2(x, y, d) / (4.0 * t)))
 
     def step_apply(self, t, x, g):
-        """Exact in 1-D: T_t g(x) = g(x) + 1/2 sum_j c_j sgn(b_j - x)
-        erfc(|b_j - x|/sqrt(4t)) over g's run boundaries b_j and jumps c_j."""
+        """Exact: T_t g(x) = g(x) + 1/2 sum_j c_j sgn(b_j - x)
+        erfc(|b_j - x|/sqrt(4t)) over g's run boundaries b_j and jumps c_j.
+        Grid functions are 1-D: another dimension raises DomainError."""
         if self.dimension != 1:
-            return super().step_apply(t, x, g)
+            raise DomainError(f"step_apply propagates 1-D grid functions, "
+                              f"the kernel has dimension {self.dimension}")
         self._check_time(t)
         return _gaussian_step_apply(g, np.asarray(x, dtype=float),
                                     2.0 * np.sqrt(t))
@@ -867,8 +870,21 @@ def schrodinger_build(potential, box_half_width: float = 20.0,
 # Mass integrals
 # ---------------------------------------------------------------------------
 
-def _mass_1d(k: KernelFamily, t: float, x: float, radius: float,
-             rtol: float) -> float:
+def mass(k: KernelFamily, t: float, x, radius: float = math.inf,
+         rtol: float = 1e-9) -> float:
+    """integral of T_t(x, y) over {y in X : |x - y| <= radius}, for a 1-D
+    kernel (another dimension is a ValueError).
+
+    Bounded by 1 + quadrature error for every implemented kernel.  For a
+    Schrodinger kernel whose ball contains the truncation box the mass is
+    the exact eigen sum; every other mass runs adaptive quadrature.
+    """
+    if not (radius > 0.0):
+        raise DomainError("mass radius must be positive (inf for full domain)")
+    if k.dimension != 1:
+        raise ValueError(f"mass needs a 1-D kernel, "
+                         f"got dimension {k.dimension}")
+    x = float(np.asarray(x).reshape(()))
     dom_lo, dom_hi = k.domain.intervals[0]
     if isinstance(k, SchrodingerKernel):
         dom_lo = max(dom_lo, -k.box_half_width)
@@ -890,44 +906,3 @@ def _mass_1d(k: KernelFamily, t: float, x: float, radius: float,
                                 rtol=rtol, atol=1e-14, breakpoints=seeds,
                                 max_panels=4000)
     return val
-
-
-def _mass_nd(k: KernelFamily, t: float, x, radius: float,
-             rtol: float) -> float:
-    x = np.asarray(x, dtype=float)
-    d = k.dimension
-    if math.isinf(radius):
-        w = 45.0 * math.sqrt(t) + 10.0
-    else:
-        w = radius
-    lo, hi = k.domain.clip_box(x - w, x + w)
-    spans = hi - lo
-    if np.any(spans <= 0):
-        return 0.0
-
-    def masked(pts):
-        vals = k.eval(t, x[None, :], pts)
-        if math.isfinite(radius):
-            inside = np.linalg.norm(pts - x[None, :], axis=1) <= radius
-            vals = np.where(inside, vals, 0.0)
-        return vals
-
-    from .quadrature import integrate, rule_for_box
-    n = max(32, min(128, int(8 * spans.max() / math.sqrt(t))))
-    result = integrate(rule_for_box(lo, hi, n), masked)
-    return result.value
-
-
-def mass(k: KernelFamily, t: float, x, radius: float = math.inf,
-         rtol: float = 1e-9) -> float:
-    """integral of T_t(x, y) over {y in X : |x - y| <= radius}.
-
-    Bounded by 1 + quadrature error for every implemented kernel.  For a
-    Schrodinger kernel whose ball contains the truncation box the mass is
-    the exact eigen sum; every other 1-D mass runs adaptive quadrature.
-    """
-    if not (radius > 0.0):
-        raise DomainError("mass radius must be positive (inf for full domain)")
-    if k.dimension == 1:
-        return _mass_1d(k, t, float(np.asarray(x).reshape(())), radius, rtol)
-    return _mass_nd(k, t, x, radius, rtol)

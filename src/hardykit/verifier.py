@@ -343,12 +343,21 @@ def _weighted_deltas(gamma: float | None,
     return tuple(deltas)
 
 
+def _check_dimensions(k: KernelFamily, covering: AdmissibleCovering):
+    """ValueError unless the kernel has the covering's dimension."""
+    if k.dimension != covering.dimension:
+        raise ValueError(f"kernel {k.kind} has dimension {k.dimension}, "
+                         f"the covering has dimension {covering.dimension}")
+
+
 def _paired_reports(entry_fn: Callable, k: KernelFamily,
                     covering: AdmissibleCovering, ids: Sequence[str], params: dict, gamma: float | None,
                     weighted: Sequence[float]) -> list[VerificationReport]:
     """One entry pass over the covering for delta = 0 and the weighted
     deltas: the ``ids[0]`` report, built from the delta = 0 entries, then
-    one ``ids[1]`` report per weighted delta."""
+    one ``ids[1]`` report per weighted delta.  A kernel whose dimension is
+    not the covering's is a ValueError."""
+    _check_dimensions(k, covering)
     deltas = tuple(dict.fromkeys((0.0,) + tuple(weighted)))
     per_delta: dict[float, list[CuboidEntry]] = {d: [] for d in deltas}
     for i, q in enumerate(covering.cuboids):
@@ -524,6 +533,7 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_dimensions(k, covering)
     entries = []
     t_cap = k.max_valid_time()
     for i, q in enumerate(covering.cuboids):
@@ -583,6 +593,7 @@ def verify_schrodinger_K(k: SchrodingerKernel, covering: AdmissibleCovering,
     the log-log slope and the fitted constant is max F(t)/(t/d_Q^2)^sigma.
     A potential that vanishes on Q*** makes the condition trivially true.
     """
+    _check_dimensions(k, covering)
     grid_x = k.grid
     v = k.potential_values
     entries = []
@@ -643,13 +654,14 @@ def verify_smalltime_limits(k: KernelFamily, x_samples: Sequence[float],
     idx = 0
     worst_asserted = 0.0
     for x in x_samples:
+        # the full-domain mass does not depend on r
+        totals = [mass(k, t, x, math.inf, rtol=1e-8) for t in t_list]
         for r in r_list:
             interior = (x - dom_lo >= r if math.isfinite(dom_lo) else True) \
                 and (dom_hi - x >= r if math.isfinite(dom_hi) else True)
             meta = {"x": x, "r": r, "interior": float(interior)}
-            for t in t_list:
+            for t, total in zip(t_list, totals):
                 inner = mass(k, t, x, r, rtol=1e-8)
-                total = mass(k, t, x, math.inf, rtol=1e-8)
                 meta[f"inner_t{t:g}"] = inner
                 meta[f"outer_t{t:g}"] = max(total - inner, 0.0)
             t_final = t_list[-1]
@@ -807,10 +819,15 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     atom and its complement in the window, at both Richardson levels.
     The midpoint sum aliases there, by about 2 e^{-4 pi^2 t/h^2} relative
     at t = (h/2)^2, and so sits about 1.7e-5 relative above the exact
-    norm at any number of cells.  A norm that is not finite raises
-    QuadratureError.
+    norm at any number of cells.  Atoms are 1-D: a kernel or a host
+    cuboid of another dimension is a ValueError.  A norm that is not
+    finite raises QuadratureError.
     """
     q = atom.host
+    if k.dimension != 1 or q.dimension != 1:
+        raise ValueError(f"maximal norms need a 1-D kernel and covering, got "
+                         f"kernel dimension {k.dimension} and covering "
+                         f"dimension {q.dimension}")
     d_q = q.diameter
     win_lo, win_hi = _window_for(q, settings.window_factor)
     inner = q.enlarged(1.6, 3)

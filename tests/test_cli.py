@@ -481,6 +481,69 @@ list = smalltime
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel,covering,conditions", [
+    # D'/K measured only the first coordinate of each 2-D cuboid and
+    # reported ok
+    ("kind = schrodinger\nn_points = 200", "family = bessel-box\nwindow = 0..0",
+     "list = Dprime,K\n[quadrature]\nqmc_y = 0"),
+    ("kind = product\nfactors = bessel:1,bessel:1",
+     "family = bessel\nwindow = 0..0", "list = A2prime"),
+    ("kind = bessel", "family = bessel-box\nwindow = 0..0",
+     "list = A1prime,A2prime"),
+], ids=["schrodinger-Dprime-K", "product-A2prime", "bessel-box-A1A2"])
+def test_verify_dimension_mismatch_exit_1(tmp_path, capsys, kernel, covering,
+                                          conditions):
+    cfg = write_config(tmp_path / "v.cfg", f"""
+[kernel]
+{kernel}
+[covering]
+{covering}
+[conditions]
+{conditions}
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "verify"]) == 1
+    err = capsys.readouterr().err
+    assert "has dimension" in err and "the covering has dimension" in err
+    assert not (out / "verify_summary.txt").exists()
+
+
+@pytest.mark.parametrize("kernel,dims", [
+    ("kind = product\nfactors = bessel:1,bessel:1", "kernel dimension 2"),
+    ("kind = bessel", "covering dimension 2"),
+], ids=["product", "bessel"])
+def test_maximal_needs_1d_exit_1(tmp_path, capsys, kernel, dims):
+    cfg = write_config(tmp_path / "m.cfg", f"""
+[kernel]
+{kernel}
+[covering]
+family = bessel-box
+window = 0..0
+[maximal]
+atoms_per_cuboid = 2
+cells = 16
+""")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "maximal"]) == 1
+    err = capsys.readouterr().err
+    assert "maximal norms need a 1-D kernel and covering" in err
+    assert dims in err
+
+
+def test_decompose_needs_1d_covering_exit_1(tmp_path, capsys):
+    fpath = tmp_path / "f.txt"
+    atoms.save_grid_function(fpath, atoms.GridFunction(1.5, 3.5, np.ones(16)))
+    cfg = write_config(tmp_path / "d.cfg", """
+[covering]
+family = bessel-box
+window = 0..1
+""")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "decompose", fpath]) == 1
+    assert "decompose needs a 1-D covering, got dimension 2" in \
+        capsys.readouterr().err
+    assert not (out / "decompose_summary.txt").exists()
+
+
 def test_decompose_roundtrip(tmp_path):
     lo, hi = 2.0 ** -3, 2.0 ** 4
     n = 4096

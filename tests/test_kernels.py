@@ -801,8 +801,15 @@ def test_mass_bounded_by_one():
 
 def test_mass_2d_product():
     prod = K.ProductKernel([K.EuclideanHeat(1), K.EuclideanHeat(1)])
-    m = K.mass(prod, 0.2, np.array([0.0, 0.0]))
-    assert abs(m - 1.0) < 1e-6
+    with pytest.raises(ValueError, match="mass needs a 1-D kernel, "
+                                         "got dimension 2"):
+        K.mass(prod, 0.2, np.array([0.0, 0.0]))
+
+
+def test_heat_step_apply_needs_1d():
+    g = make_local_atom(covering_bessel((0, 0), 1.05).cuboids[0], 16)
+    with pytest.raises(DomainError, match="dimension 2"):
+        K.EuclideanHeat(2).step_apply(np.array([[0.5]]), np.array([1.0]), g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import ive
@@ -451,6 +453,22 @@ def test_laplace_identity_examples():
                - math.exp(-1.0)) < 1e-8
     assert abs(sf.stable_laplace_check(sf.StableDensityParams(0.3), 0.0)
                - 1.0) < 1e-6
+
+
+@settings(max_examples=12, deadline=None)
+@given(nu=st.floats(0.2, 0.95),
+       x=st.one_of(st.just(0.0), st.floats(1e-20, 100.0)))
+@example(nu=0.5, x=1e-20)
+@example(nu=0.896484375, x=0.0)
+def test_laplace_identity_is_the_subordination_rule_sum(nu, x):
+    # the oracle sums the rule every subordinated kernel uses; a new nu
+    # builds its rule (0.1 to 0.8 s), so the example count stays small.
+    # The bound leaves room for the K15 error of the rule's first panel,
+    # where g_nu rises from below 1e-300: at nu = 0.8965 the panel
+    # (1/4, 1/2] comes out 4.4e-13 short, the worst seen for nu from 0.2
+    # to 0.95 in steps of 0.005
+    got = sf.stable_laplace_check(sf.StableDensityParams(nu), x)
+    assert abs(got - math.exp(-x ** nu)) <= 1e-12
 
 
 def test_laplace_identity_random_pairs():
