@@ -605,13 +605,12 @@ class RadialProfile:
         e^{-rho^2/4}, which underflows there.
         ``specfun.stable_series_sum`` stops the sum at 1e-17 of it.
         """
-        from scipy.special import gammaln
         nu, d = self.nu, self.d
         log_half = np.log(0.5 * np.asarray(rho, dtype=float))
 
         def log_factor(k):
             a = 0.5 * d + nu * k
-            return gammaln(a) - 2.0 * a * log_half
+            return math.lgamma(a) - 2.0 * a * log_half
 
         return ((4.0 * math.pi) ** (-0.5 * d)
                 * specfun.stable_series_sum(nu, log_factor, 1e-17))
@@ -758,6 +757,10 @@ class SchrodingerKernel(KernelFamily):
     eigenvectors linearly, which coincides with bilinear interpolation of
     the grid kernel.  Times with sqrt(t) > R/4 are outside the validated
     range of the spectral truncation and are rejected.
+
+    The kernel holds one copy of the eigenvectors, ``eigvecs`` (n x n,
+    column-major, as LAPACK returns it): interpolation reads its rows and
+    takes an exact 0.0 at the Dirichlet ends +-R.
     """
 
     def __init__(self, potential_values: np.ndarray, box_half_width: float,
@@ -770,11 +773,8 @@ class SchrodingerKernel(KernelFamily):
         self.h = grid[1] - grid[0]
         self.eigvals = eigvals
         self.eigvecs = eigvecs  # columns, l2-orthonormal
-        # padded grid including the zero boundary values for interpolation
+        # grid with the Dirichlet ends, where every mode is an exact 0.0
         self._xp = np.concatenate(([-box_half_width], grid, [box_half_width]))
-        self._vp = np.vstack([np.zeros((1, eigvecs.shape[1])),
-                              eigvecs,
-                              np.zeros((1, eigvecs.shape[1]))])
         # S_k = sum_j phi_k(x_j): h S_k integrates the interpolated mode
         # over the box exactly (trapezoid on the nodes, zero at +-R)
         self._col_sums = eigvecs.sum(axis=0)
@@ -793,11 +793,22 @@ class SchrodingerKernel(KernelFamily):
         x = np.asarray(x, dtype=float)
         if np.any(np.abs(x) > self.box_half_width):
             raise DomainError("point outside the Schrodinger truncation box")
-        idx = np.clip(np.searchsorted(self._xp, x) - 1, 0, len(self._xp) - 2)
+        n = len(self.grid)
+        # x lies in [xp[idx], xp[idx + 1]]; node j of xp is grid node j - 1
+        idx = np.clip(np.searchsorted(self._xp, x) - 1, 0, n)
         x0 = self._xp[idx]
         w = (x - x0) / (self._xp[idx + 1] - x0)
-        return ((1.0 - w)[..., None] * self._vp[idx, :k_max]
-                + w[..., None] * self._vp[idx + 1, :k_max])
+        # the Dirichlet ends take weight 0 on a clipped, unused node.
+        # eigvecs is column-major, so its transpose has one contiguous row
+        # per mode to gather from: fancy indexing of eigvecs' rows is 5x
+        # slower, and take on eigvecs copies it first
+        modes = self.eigvecs.T[:k_max]
+        lo = modes.take(np.maximum(idx - 1, 0), axis=1)
+        lo *= np.where(idx > 0, 1.0 - w, 0.0)
+        hi = modes.take(np.minimum(idx, n - 1), axis=1)
+        hi *= np.where(idx < n, w, 0.0)
+        lo += hi
+        return np.ascontiguousarray(np.moveaxis(lo, 0, -1))
 
     def _modes_and_weights(self, t, x):
         """phi_k(x) and e^{-t lambda_k}, shape t.shape + (k_max,), for the
@@ -816,6 +827,16 @@ class SchrodingerKernel(KernelFamily):
         self._check_validity(t)
         phi_x, weights = self._modes_and_weights(t, x)
         return float(np.dot(phi_x * weights, self._col_sums[:len(weights)]))
+
+    def _box_mass_floor(self, t: float, x: float) -> float:
+        """Roundoff floor of ``_box_mass(t, x)``:
+        eps sum_k e^{-t lambda_k} (|S_k| + sqrt(n) |phi_k(x)|), the modes
+        of ``_modes_and_weights``.  ``verifier.verify_schrodinger_D``
+        derives it."""
+        phi_x, weights = self._modes_and_weights(t, x)
+        sums = np.abs(self._col_sums[:len(weights)])
+        spread = sums + math.sqrt(len(self.grid)) * np.abs(phi_x)
+        return float(np.finfo(float).eps * np.dot(weights, spread))
 
     def _eigen_sum(self, t, x, y):
         phi_x, weights = self._modes_and_weights(t, x)
@@ -836,7 +857,13 @@ def schrodinger_build(potential, box_half_width: float = 20.0,
     """Discretize -d^2/dx^2 + V on [-R, R] with zero boundary values.
 
     ``potential`` is a callable on the grid or an array of n_points
-    samples; it must be nonnegative.
+    samples; it must be nonnegative.  The tridiagonal eigenproblem runs
+    LAPACK's MRRR driver ``stemr`` (Dhillon and Parlett, Lin. Alg. Appl.
+    387, 2004): O(n) workspace besides the n x n eigenvectors, which the
+    kernel keeps as its one copy, and eigenpairs whose bits do not depend
+    on the BLAS thread count.  The divide-and-conquer default (``stevd``)
+    held a second n x n array during the build (64 against 32 MB at
+    n = 2,000) and its eigenvalues moved with the thread count.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
@@ -860,7 +887,7 @@ def schrodinger_build(potential, box_half_width: float = 20.0,
     diag = 2.0 / h ** 2 + v
     off = np.full(n_points - 1, -1.0 / h ** 2)
     try:
-        eigvals, eigvecs = eigh_tridiagonal(diag, off)
+        eigvals, eigvecs = eigh_tridiagonal(diag, off, lapack_driver="stemr")
     except Exception as exc:  # pragma: no cover - LAPACK failure
         raise QuadratureError(f"eigendecomposition failed: {exc}") from exc
     return SchrodingerKernel(v, box_half_width, grid, eigvals, eigvecs)

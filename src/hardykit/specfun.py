@@ -12,11 +12,13 @@ Three families live here:
   of order 1/2 do not use it: ``kernels._log_space_kernel`` evaluates
   their closed form in linear space;
 
-* the complementary error function ``erfc`` for x >= 0, Cody's rational
-  approximations in numpy (no scipy import), and ``erf_window``, the
-  Taylor series of (erf(u + delta) - erf(u - delta))/2 for small
-  windows.  The order-1/2 kernels propagate step functions with them
-  (``KernelFamily.step_apply``);
+* the complementary error function ``erfc`` and its scaled form
+  ``erfcx`` = e^{x^2} erfc for x >= 0, Cody's rational approximations in
+  numpy (no scipy import), and ``erf_window``, the Taylor series of
+  (erf(u + delta) - erf(u - delta))/2 for small windows.  The order-1/2
+  kernels propagate step functions with them
+  (``KernelFamily.step_apply``), and the (K) condition integrates the
+  heat kernel over time with ``erfcx``;
 
 * the density ``g_nu`` of the one-sided nu-stable subordinator, i.e. the
   probability density on (0, inf) whose Laplace transform is
@@ -204,12 +206,31 @@ def erfc(x):
     DomainError.  Each range gathers its points by index: boolean-mask
     indexing is several times slower on the mixed masks of a kernel batch.
     """
+    return _cody_erfc(x, scaled=False)
+
+
+def erfcx(x):
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0, to
+    about 1e-15 relative.
+
+    The rational parts of ``erfc`` without its factor e^{-x^2} (Cody's
+    CALERF with jint = 2): e^{x^2} (1 - erf x) up to 0.46875, C(x)/D(x)
+    up to 4 and (1/sqrt(pi) - y P(y)/Q(y))/x, y = 1/x^2, above, which is
+    about 1/(sqrt(pi) x) and 0 at x = inf.  NaN stays NaN, and x < 0
+    raises DomainError.
+    """
+    return _cody_erfc(x, scaled=True)
+
+
+def _cody_erfc(x, scaled: bool):
+    """erfc(x), or erfcx(x) where ``scaled``: the body of both."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     out = np.zeros(flat.shape)
     if not (flat >= 0.0).all():
         if (flat < 0.0).any():
-            raise DomainError("erfc is implemented for x >= 0")
+            name = "erfcx" if scaled else "erfc"
+            raise DomainError(f"{name} is implemented for x >= 0")
         out[np.isnan(flat)] = np.nan
 
     idx = (flat <= 0.46875).nonzero()[0]
@@ -217,23 +238,26 @@ def erfc(x):
         xs = flat.take(idx)
         erf = _horner_ratio(xs * xs, _ERFC_A, _ERFC_B)
         erf *= xs
-        out[idx] = 1.0 - erf
+        out[idx] = (1.0 - erf) * np.exp(xs * xs) if scaled else 1.0 - erf
 
     idx = ((flat > 0.46875) & (flat <= 4.0)).nonzero()[0]
     if idx.size:
         xm = flat.take(idx)
-        out[idx] = _times_exp_neg_square(
-            xm, _horner_ratio(xm, _ERFC_C, _ERFC_D))
+        r = _horner_ratio(xm, _ERFC_C, _ERFC_D)
+        out[idx] = r if scaled else _times_exp_neg_square(xm, r)
 
-    idx = ((flat > 4.0) & (flat < _ERFC_ZERO)).nonzero()[0]
+    # erfc is an exact 0 from _ERFC_ZERO on; erfcx runs to x = inf
+    big = flat > 4.0 if scaled else (flat > 4.0) & (flat < _ERFC_ZERO)
+    idx = big.nonzero()[0]
     if idx.size:
         xb = flat.take(idx)
-        y = 1.0 / (xb * xb)
+        with np.errstate(over="ignore"):    # y = 0 above 1.3e154
+            y = 1.0 / (xb * xb)
         r = _horner_ratio(y, _ERFC_P, _ERFC_Q)
         r *= -y
         r += 1.0 / math.sqrt(math.pi)
         r /= xb
-        out[idx] = _times_exp_neg_square(xb, r)
+        out[idx] = r if scaled else _times_exp_neg_square(xb, r)
     out = out.reshape(x.shape)
     return out if out.ndim else float(out)
 
@@ -329,11 +353,9 @@ def stable_series_sum(nu: float, log_factor, rtol: float):
     Gamma(nu k + 1)/k! f_k, once each is at most ``rtol`` of the sum; it
     raises ``QuadratureError`` when that takes more than 400 terms.
     """
-    from scipy.special import gammaln
-
     total = 0.0
     for k in range(1, 401):
-        envelope = np.exp(gammaln(nu * k + 1.0) - gammaln(k + 1.0)
+        envelope = np.exp(math.lgamma(nu * k + 1.0) - math.lgamma(k + 1.0)
                           + log_factor(k))
         total = total + ((-1.0) ** (k + 1) * math.sin(math.pi * nu * k)
                          * envelope)

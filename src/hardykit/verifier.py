@@ -33,6 +33,7 @@ from .kernels import KernelFamily, SchrodingerKernel, _dist2, mass
 from .quadrature import (SpatialRule, TGrid, golden_refine,  # noqa: F401
                          halton, integrate, richardson, rule_for_box,
                          rule_for_complement, sup_over_t)
+from .specfun import erfcx
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +528,22 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
 
     The fitted constant per cuboid is rho_hat = exp(-slope) from the
     least-squares fit of log(mass) against n; the report passes when
-    every cuboid achieves rho_hat >= rho_target.  A mass that is not
-    positive (an eigen sum that has sunk to its roundoff) has no log and
-    raises QuadratureError.
+    every cuboid achieves rho_hat >= rho_target.
+
+    Each mass (the largest over the y samples) is the eigen sum
+    sum_k e^{-t lambda_k} phi_k(x) S_k, S_k = sum_j phi_k(x_j), and it
+    must lie above its roundoff floor, or QuadratureError is raised: a
+    value at the floor carries no digit, and a fit of its log fits noise.
+    The floor: the eigenvectors are orthonormal, and their computed
+    components carry absolute errors of order eps.  So phi_k(x), which
+    interpolates two components, is off by about eps, and S_k by at most
+    sum_j |d phi_k(x_j)| <= sqrt(n) ||d phi_k||_2, about sqrt(n) eps
+    (Cauchy-Schwarz).  Term k is then off by about
+    eps e^{-t lambda_k} (|S_k| + sqrt(n) |phi_k(x)|), which also bounds
+    the rounding of the sum itself (|phi_k(x)| <= 1), and the floor is
+    eps sum_k e^{-t lambda_k} (|S_k| + sqrt(n) |phi_k(x)|)
+    (``SchrodingerKernel._box_mass_floor``).  Near the Dirichlet edge of
+    the truncation box the true masses fall far below it.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -545,11 +559,14 @@ def verify_schrodinger_D(k: SchrodingerKernel, covering: AdmissibleCovering,
         masses = []
         for n in ns:
             t = 2.0 ** n * d_q * d_q
-            m = max(mass(k, t, float(y[0]), math.inf, rtol=1e-8)
-                    for y in y_samples(q, covering.kappa, settings.qmc_y))
-            if not m > 0.0:
-                raise QuadratureError(f"(D') mass not positive at cuboid {i} "
-                                      f"(center {q.center}), n = {n}: {m:g}")
+            m, x = max((mass(k, t, float(y[0]), math.inf, rtol=1e-8),
+                        float(y[0]))
+                       for y in y_samples(q, covering.kappa, settings.qmc_y))
+            floor = k._box_mass_floor(t, x)
+            if not m > floor:
+                raise QuadratureError(
+                    f"(D') mass not above its eigen-sum floor at cuboid {i} "
+                    f"(center {q.center}), n = {n}: {m:g} <= {floor:g}")
             masses.append(m)
         log_m = np.log(masses)
         slope = np.polyfit(np.array(ns, dtype=float), log_m, 1)[0]
@@ -575,9 +592,6 @@ def _heat_time_integral(t, r):
 
     Broadcasts over t > 0 and r.
     """
-    # scipy loads on first use, so importing hardykit does not pay for it
-    from scipy.special import erfcx
-
     sqrt_t = np.sqrt(t)
     u = np.abs(r) / (2.0 * sqrt_t)
     return sqrt_t * np.exp(-u * u) * (1.0 / math.sqrt(math.pi) - u * erfcx(u))

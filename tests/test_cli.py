@@ -252,9 +252,100 @@ cells = 96
     assert csvs[0] == csvs[1]
 
 
+def _cli_at_blas_threads(threads, *argv):
+    """hardykit's CLI in a fresh process at the given BLAS thread count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS=threads,
+               OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "hardykit.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_schrodinger_independent_of_blas_threads(tmp_path):
+    # the spectral benchmark's Schrodinger run: the MRRR eigenpairs, and
+    # so every D' mass and K constant, do not follow the thread count
+    cfg = write_config(tmp_path / "s.cfg", """
+[kernel]
+kind = schrodinger
+potential = one
+box_half_width = 20.0
+n_points = 2000
+[covering]
+family = uniform
+tau = 1.0
+window = -2..0
+[conditions]
+list = Dprime,K
+rho_target = 2.0
+sigma_target = 0.1
+n_max = 8
+[quadrature]
+qmc_y = 2
+""")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = _cli_at_blas_threads(threads, "--config", cfg, "--out", out,
+                                    "verify")
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in
+                        ("Dprime.txt", "K.txt", "Dprime.csv", "K.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_spectral_commands_import_no_scipy_special(tmp_path):
+    # the commands of the spectral benchmark in one process: the stable
+    # series takes math.lgamma and (K) specfun.erfcx, so scipy.special
+    # (about 0.05 s and 3.5 MB after scipy.linalg) is never loaded
+    sub = write_config(tmp_path / "sub.cfg", """
+[kernel]
+kind = subordinate
+base = euclidean_heat
+nu = 0.7
+[covering]
+family = uniform
+tau = 1.0
+window = 0..1
+[conditions]
+list = A2prime
+[quadrature]
+tgrid_ppd = 4
+qmc_y = 1
+""")
+    schr = write_config(tmp_path / "schr.cfg", """
+[kernel]
+kind = schrodinger
+potential = one
+box_half_width = 12.0
+n_points = 600
+[covering]
+family = uniform
+tau = 1.0
+window = -2..0
+[conditions]
+list = Dprime,K
+[quadrature]
+qmc_y = 2
+""")
+    argvs = [["--out", str(tmp_path / "check"), "subordinate-check"],
+             ["--config", sub, "--out", str(tmp_path / "sub"), "verify"],
+             ["--config", schr, "--out", str(tmp_path / "schr"), "verify"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; from hardykit.cli import main; "
+            f"print([main(a) for a in {argvs!r}], "
+            "'scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_dprime_roundoff_mass_exits_2(tmp_path):
-    # near the edge of the x^2 box every D' mass of this cuboid is
-    # eigen-sum roundoff, negative at one BLAS thread (-7.7e-34 at n = 0)
+    # near the edge of the x^2 box every D' mass of this cuboid lies far
+    # below the eigen-sum roundoff floor (5.5e-71 against 1.1e-15 at
+    # n = 0), at every BLAS thread count
     cfg = write_config(tmp_path / "d.cfg", """
 [kernel]
 kind = schrodinger
@@ -267,15 +358,15 @@ list = Dprime
 [quadrature]
 qmc_y = 2
 """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hardykit.cli", "--config", cfg,
-         "--out", str(tmp_path / "out"), "verify"],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 2, proc.stderr
-    assert "cuboid 0 (center (-18.5,)), n = 0: -" in proc.stderr
+    errors = []
+    for threads in ("1", "2"):
+        proc = _cli_at_blas_threads(threads, "--config", cfg, "--out",
+                                    tmp_path / f"blas{threads}", "verify")
+        assert proc.returncode == 2, proc.stderr
+        assert ("not above its eigen-sum floor at cuboid 0 "
+                "(center (-18.5,)), n = 0: ") in proc.stderr
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
 
 
 def test_maximal_command(tmp_path, monkeypatch):

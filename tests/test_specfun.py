@@ -245,6 +245,46 @@ def test_erfc_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _erfcx_40_digits(x):
+    # e^{x^2} erfc(x), and above 1e3 its asymptotic series (term ratio
+    # below 2.3e-5, so 12 terms pass 40 digits), where mpmath's erfc
+    # cannot take the argument
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        if x <= 1000:
+            return mpmath.exp(x * x) * mpmath.erfc(x)
+        total = term = mpmath.mpf(1)
+        for n in range(1, 13):
+            term *= -(2 * n - 1) / (2 * x * x)
+            total += term
+        return total / (x * mpmath.sqrt(mpmath.pi))
+
+
+def test_erfcx_against_mpmath():
+    # each of Cody's ranges, both sides of the switch points 0.46875 and
+    # 4, and far above (y = 1/x^2 is 0 above 1.3e154)
+    switches = [np.nextafter(s, s + side) for s in (0.46875, 4.0)
+                for side in (-1.0, 0.0, 1.0)]
+    x = np.concatenate([np.linspace(0.0, 0.46875, 200),
+                        np.linspace(0.46875, 4.0, 400), switches,
+                        np.geomspace(4.0, 1e6, 400),
+                        np.geomspace(1e6, 1e300, 60)])
+    ours = sf.erfcx(x)
+    ref = np.array([float(_erfcx_40_digits(v)) for v in x])
+    assert np.max(np.abs(ours - ref) / ref) <= 2e-15
+
+
+def test_erfcx_special_values():
+    assert sf.erfcx(0.0) == 1.0
+    assert isinstance(sf.erfcx(1.0), float)
+    out = sf.erfcx(np.array([[np.inf, np.nan], [30.0, 0.0]]))
+    assert out.shape == (2, 2)
+    assert out[0, 0] == 0.0 and math.isnan(out[0, 1])
+    assert out[1, 0] > 0.0 and out[1, 1] == 1.0
+    with pytest.raises(DomainError, match="erfcx"):
+        sf.erfcx(np.array([1.0, -1e-300]))
+
+
 def test_erf_window_against_mpmath():
     # (erf(u + d) - erf(u - d))/2 on the whole allowed region, where the
     # erfc difference would lose up to all digits

@@ -10,6 +10,12 @@ what the same stage needed when its temporaries grew with the covering or
 the batch: 14.9, 28.3, 22.5 and 10.7 MB.  The last test bounds one sup over
 t against the (times x points) grid it must hold: 1.8 times that grid,
 where a weighted copy of the grid per delta took 3.2 times.
+
+The Schrodinger build of the ``spectral`` benchmark (V = 1, 2,000 points)
+measures 32.5 MB: the one n x n copy of the eigenvectors that the kernel
+keeps.  Its bound sits below the 64.2 MB the build held when LAPACK's
+divide-and-conquer driver needed a second n x n array and the kernel kept
+a zero-padded copy of the eigenvectors.
 """
 
 import tracemalloc
@@ -20,7 +26,7 @@ import pytest
 from hardykit import atoms as at
 from hardykit import coverings as cov
 from hardykit import verifier
-from hardykit.kernels import BesselKernel, EuclideanHeat
+from hardykit.kernels import BesselKernel, EuclideanHeat, schrodinger_build
 from hardykit.quadrature import TGrid, sup_over_t
 
 MB = 1e6
@@ -89,3 +95,11 @@ def test_sup_over_t_working_set():
     peak = _peak_mb(sup_over_t, lambda t: heat.eval(t, x, 0.0), grid,
                     (0.0, 0.1, 0.18), 5)
     assert peak <= 2.2 * 145 * 20000 * 8 / MB
+
+
+def test_schrodinger_build_working_set():
+    # the eigenvectors alone are 2,000^2 doubles, 32 MB; a small build
+    # first loads scipy.linalg, whose import is not the build's memory
+    schrodinger_build(np.ones_like, 20.0, 4)
+    peak = _peak_mb(schrodinger_build, np.ones_like, 20.0, 2000)
+    assert peak <= 40.0
