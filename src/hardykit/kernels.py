@@ -487,11 +487,17 @@ class RadialProfile:
 
     log P is tabulated in u = log rho as piecewise Chebyshev interpolants
     of degree 16 on panels of width at most 1 over [rho_min, rho_max].
-    Every node value comes from ``SubordinationRule.apply`` (with its
-    K15/G7 check), one panel of 17 nodes and 4 off-node points per call.
-    A panel is halved while log P at its off-node points differs from the
-    rule by more than 1e-12; a panel narrower than 2^-10 raises
-    ``QuadratureError``.
+    The build goes pass by pass.  A pass takes every pending panel's 17
+    nodes and 4 off-node points from ``SubordinationRule.apply``, one call
+    per panel (its K15/G7 check is relative to the largest value of the
+    call, so each panel keeps its own), fits all panels with one
+    multi-column ``chebfit`` and checks them at the off-node points at
+    once.  A panel whose log P there differs from the rule by more than
+    1e-12 (or whose P is 0) is halved into the next pass; a failing panel
+    narrower than 2^-10 raises ``QuadratureError``.  Evaluation runs
+    numpy's ``chebval`` Clenshaw recurrence one degree at a time on each
+    point's coefficient, with the bits of ``chebval`` and no (17 x points)
+    gather, so a point's value does not depend on the other points.
 
     The ends are explicit bounds, not fits:
     * below rho_min, P is the exact P(0) = (4 pi)^{-d/2} m_{d/2}, with the
@@ -557,37 +563,47 @@ class RadialProfile:
 
         u_lo, u_hi = math.log(self.rho_min), math.log(self.rho_max)
         edges = np.linspace(u_lo, u_hi, math.ceil(u_hi - u_lo) + 1)
-        todo = list(zip(edges[-2::-1], edges[:0:-1]))   # lowest panel last
+        ua, ub = edges[:-1], edges[1:]
         z = np.concatenate([_CHEB_Z, _CHEB_CHECK])
         lo, hi, coef = [], [], []
-        while todo:
-            ua, ub = todo.pop()
+        while ua.size:
+            # one pass: every pending panel, then one fit and one check
             mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-            log_p = np.log(rule.apply(radial_heat, 1.0,
-                                      np.exp(mid + half * z), 0.0))
+            vals = [rule.apply(radial_heat, 1.0, np.exp(m + h * z), 0.0)
+                    for m, h in zip(mid, half)]
+            with np.errstate(divide="ignore"):
+                log_p = np.log(vals).T              # one column per panel
+            # a P that underflows to 0 fails its panel, and is kept out of
+            # the fit, whose lstsq scales every column by the largest value
+            broken = ~np.all(np.isfinite(log_p), axis=0)
+            log_p[:, broken] = 0.0
             c_k = chebfit(_CHEB_Z, log_p[:_CHEB_DEG + 1], _CHEB_DEG)
             err = np.max(np.abs(chebval(_CHEB_CHECK, c_k)
-                                - log_p[_CHEB_DEG + 1:]))
-            if not err <= 1e-12:
-                if half < 2.0 ** -11:
-                    raise QuadratureError(
-                        "radial profile interpolation above budget",
-                        estimate=float(err), budget=1e-12)
-                todo += [(mid, ub), (ua, mid)]
-                continue
-            lo.append(ua)
-            hi.append(ub)
-            coef.append(c_k)
+                                - log_p[_CHEB_DEG + 1:].T), axis=1)
+            err[broken] = np.inf
+            fail = ~(err <= 1e-12)
+            narrow = fail & (half < 2.0 ** -11)
+            if np.any(narrow):
+                raise QuadratureError(
+                    "radial profile interpolation above budget",
+                    estimate=float(np.max(err[narrow])), budget=1e-12)
+            lo.append(ua[~fail])
+            hi.append(ub[~fail])
+            coef.append(c_k[:, ~fail])
+            ua, ub = (np.concatenate([ua[fail], mid[fail]]),
+                      np.concatenate([mid[fail], ub[fail]]))
+        lo = np.concatenate(lo)
+        order = np.argsort(lo)
+        self.lo = lo[order]
+        self.hi = np.concatenate(hi)[order]
+        self.coef = np.concatenate(coef, axis=1)[:, order]  # one row per degree
         # the table meets the tail series at rho_max, where every T_k is 1
-        err = abs(math.expm1(
-            sum(coef[-1]) - math.log(self._tail_series(self.rho_max))))
+        err = abs(math.expm1(sum(self.coef[:, -1])
+                             - math.log(self._tail_series(self.rho_max))))
         if not err <= 1e-7:
             raise QuadratureError(
                 "radial profile table and tail series disagree at rho_max",
                 estimate=err, budget=1e-7)
-        self.lo = np.array(lo)
-        self.hi = np.array(hi)
-        self.coef = np.array(coef).T     # one row per degree
 
     def _tail_series(self, rho):
         """P(rho) for rho >= rho_max, from the series of g_nu.
@@ -616,14 +632,26 @@ class RadialProfile:
                 * specfun.stable_series_sum(nu, log_factor, 1e-17))
 
     def __call__(self, rho):
-        from numpy.polynomial.chebyshev import chebval
         rho = np.asarray(rho, dtype=float)
         u = np.log(np.clip(rho, self.rho_min, self.rho_max))
         i = np.clip(np.searchsorted(self.lo, u, side="right") - 1,
                     0, len(self.lo) - 1)
         lo, hi = self.lo[i], self.hi[i]
-        p = np.exp(chebval((2.0 * u - lo - hi) / (hi - lo), self.coef[:, i],
-                           tensor=False))
+        z = (2.0 * u - lo - hi) / (hi - lo)
+        # numpy's chebval recurrence (c0, c1 = c_k - c1, c0 + c1 2z), one
+        # degree at a time and in place: the same bits without a
+        # (degrees x points) gather of the coefficients
+        z2 = 2 * z
+        c0, c1 = self.coef[-2].take(i), self.coef[-1].take(i)
+        for row in self.coef[-3::-1]:
+            c_k = row.take(i)
+            c_k -= c1
+            c1 *= z2
+            c1 += c0
+            c0 = c_k
+        c1 *= z
+        c1 += c0
+        p = np.exp(c1)
         p = np.where(rho < self.rho_min, self.p0, p)
         far = rho > self.rho_max
         if np.any(far):

@@ -415,7 +415,8 @@ def _stable_kanter(nu: float, s: float) -> float:
 
 
 def stable_density(params: StableDensityParams, s):
-    """Density g_nu(s) of the one-sided nu-stable subordinator, s > 0.
+    """Density g_nu(s) of the one-sided nu-stable subordinator, s > 0
+    (``DomainError`` names the first s that is not, NaN included).
 
     Dispatch: closed form at nu = 1/2, the alternating series for
     s >= stable_series_switch(nu), an exact 0 where the bound
@@ -424,8 +425,10 @@ def stable_density(params: StableDensityParams, s):
     ``_stable_log_bound``), and Kanter's integral in between.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise DomainError("stable density requires s > 0")
+    bad = ~(s_arr > 0.0)            # NaN included
+    if np.any(bad):
+        raise DomainError("stable density requires s > 0, got s = "
+                          f"{float(s_arr[bad][0])!r}")
     nu = params.nu
     if nu == 0.5:
         out = np.exp(-0.25 / s_arr) / (2.0 * math.sqrt(math.pi) * s_arr ** 1.5)

@@ -294,6 +294,41 @@ qmc_y = 2
     assert outputs[0] == outputs[1]
 
 
+def test_radial_profile_independent_of_blas_threads(tmp_path):
+    # the spectral benchmark's subordinated runs: each radial-profile build
+    # pass fits all its panels in one multi-column lstsq, whose bits must
+    # not follow the thread count
+    cfg = write_config(tmp_path / "s.cfg", """
+[kernel]
+kind = subordinate
+base = euclidean_heat
+d = 1
+nu = 0.7
+[covering]
+family = uniform
+tau = 1.0
+window = -1.0..0.0
+[conditions]
+list = A2prime
+[quadrature]
+tgrid_ppd = 8
+qmc_y = 1
+""")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        check = _cli_at_blas_threads(threads, "--out", out / "check",
+                                     "subordinate-check")
+        sub = _cli_at_blas_threads(threads, "--config", cfg, "--out",
+                                   out / "sub", "verify")
+        assert check.returncode == 0, check.stderr
+        assert sub.returncode == 0, sub.stderr
+        outputs.append([(out / name).read_bytes() for name in
+                        ("check/subordinate_check.txt", "sub/A2prime.txt",
+                         "sub/A2prime.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_spectral_commands_import_no_scipy_special(tmp_path):
     # the commands of the spectral benchmark in one process: the stable
     # series takes math.lgamma and (K) specfun.erfcx, so scipy.special

@@ -379,6 +379,51 @@ def test_radial_profile_above_rho_max(d):
     assert 0.0 <= above / below - 1.0 <= 1e-7
 
 
+def _gathered_profile(prof, rho):
+    """P(rho) from numpy's chebval on the (degrees x points) gather of the
+    table's coefficients, the reference for the degree-wise evaluation."""
+    from numpy.polynomial.chebyshev import chebval
+    rho = np.asarray(rho, dtype=float)
+    u = np.log(np.clip(rho, prof.rho_min, prof.rho_max))
+    i = np.clip(np.searchsorted(prof.lo, u, side="right") - 1,
+                0, len(prof.lo) - 1)
+    lo, hi = prof.lo[i], prof.hi[i]
+    z = (2.0 * u - lo - hi) / (hi - lo)
+    p = np.exp(chebval(z, prof.coef[:, i], tensor=False))
+    p = np.where(rho < prof.rho_min, prof.p0, p)
+    far = rho > prof.rho_max
+    if np.any(far):
+        p[far] = prof._tail_series(rho[far])
+    return p
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.7])
+def test_radial_profile_evaluation_bits(nu, d):
+    # every panel edge and midpoint, the head below rho_min and the tail
+    # above rho_max, in the bits of numpy's chebval
+    prof = K.radial_profile(nu, d)
+    rho = np.concatenate([
+        np.exp(prof.lo), np.exp(prof.hi), np.exp(0.5 * (prof.lo + prof.hi)),
+        [0.0, 1e-300, prof.rho_min / 10.0, prof.rho_min, prof.rho_max,
+         10.0 * prof.rho_max, 1e100]])
+    ref = _gathered_profile(prof, rho)
+    for r, want in zip(rho, ref):
+        got = prof(r)
+        assert got.shape == () and got.tobytes() == want.tobytes()
+    rows = np.resize(rho, 4 * math.ceil(rho.size / 4)).reshape(4, -1)
+    got = prof(rows)
+    assert got.shape == rows.shape
+    assert got.tobytes() == _gathered_profile(prof, rows).tobytes()
+    # a point's value does not depend on the other points of its call
+    rng = np.random.default_rng(7)
+    batch = np.exp(rng.uniform(math.log(prof.rho_min) - 2.0,
+                               math.log(prof.rho_max) + 2.0, 2 ** 15))
+    where = rng.choice(batch.size, rho.size, replace=False)
+    batch[where] = rho
+    assert prof(batch)[where].tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.7, 0.9])
 def test_tail_series_drops_the_incomplete_gamma(nu, d):

@@ -452,6 +452,16 @@ def test_density_domain_error():
         sf.stable_density(sf.StableDensityParams(0.5), 0.0)
 
 
+@pytest.mark.parametrize("s", [math.nan, [1.0, math.nan, 2.0]],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.7])
+def test_density_nan_argument_fails_loudly(nu, s):
+    # a NaN must not run Kanter's loop to its panel budget (nu != 1/2) or
+    # come back as a NaN density (nu = 1/2)
+    with pytest.raises(DomainError, match=r"requires s > 0, got s = nan"):
+        sf.stable_density(sf.StableDensityParams(nu), s)
+
+
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.7, 0.9])
 def test_density_total_mass(nu):
     mass = sf.stable_laplace_check(sf.StableDensityParams(nu), 0.0)

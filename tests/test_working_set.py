@@ -16,6 +16,12 @@ measures 32.5 MB: the one n x n copy of the eigenvectors that the kernel
 keeps.  Its bound sits below the 64.2 MB the build held when LAPACK's
 divide-and-conquer driver needed a second n x n array and the kernel kept
 a zero-padded copy of the eigenvectors.
+
+One 2^15-point call of the ``spectral`` benchmark's nu = 0.7 radial
+profile measures 2.7 MB: a few point-sized arrays, as its Clenshaw
+recurrence takes the coefficients one degree at a time.  Its bound sits
+below the 10.2 MB the call held when it gathered a (17 x points)
+coefficient array and copied it.
 """
 
 import tracemalloc
@@ -26,7 +32,8 @@ import pytest
 from hardykit import atoms as at
 from hardykit import coverings as cov
 from hardykit import verifier
-from hardykit.kernels import BesselKernel, EuclideanHeat, schrodinger_build
+from hardykit.kernels import (BesselKernel, EuclideanHeat, radial_profile,
+                              schrodinger_build)
 from hardykit.quadrature import TGrid, sup_over_t
 
 MB = 1e6
@@ -103,3 +110,11 @@ def test_schrodinger_build_working_set():
     schrodinger_build(np.ones_like, 20.0, 4)
     peak = _peak_mb(schrodinger_build, np.ones_like, 20.0, 2000)
     assert peak <= 40.0
+
+
+def test_radial_profile_call_working_set():
+    # 2^15 points over the head and the table, as one A2' t-grid chunk;
+    # the build (cached) is not the call's memory
+    prof = radial_profile(0.7, 1)
+    rho = np.geomspace(prof.rho_min / 10.0, prof.rho_max, 2 ** 15)
+    assert _peak_mb(prof, rho) <= 4.0
