@@ -41,16 +41,6 @@ class DomainSpec:
     def upper(self) -> np.ndarray:
         return np.array([b for _, b in self.intervals])
 
-    def contains(self, x) -> np.ndarray:
-        """Membership in the closure, vectorized over leading axes of x."""
-        pts = np.asarray(x, dtype=float)
-        if self.dimension == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., None]
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for j, (a, b) in enumerate(self.intervals):
-            ok &= (pts[..., j] >= a) & (pts[..., j] <= b)
-        return ok
-
     def clip_box(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Intersect the closed box [lo, hi] with the domain closure."""
         lo = np.maximum(np.asarray(lo, dtype=float), self.lower)

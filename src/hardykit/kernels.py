@@ -54,7 +54,7 @@ from . import specfun
 from .domain import DomainSpec, half_line, product_domain, real_line
 from .errors import DomainError, QuadratureError
 from .quadrature import (GK15_WG, GK15_WK, GK15_X, WORKING_SET,
-                         integrate_adaptive)
+                         bisect_panels, integrate_adaptive)
 
 
 def _log_sinh(u):
@@ -222,9 +222,9 @@ class KernelFamily:
         return math.inf
 
     def _check_points(self, *points):
-        """DomainError unless every point lies in the closure of the
-        domain, as ``DomainSpec.contains`` has it: one min and one max
-        reduction per axis, which a NaN fails."""
+        """DomainError unless every point lies in the closed domain, each
+        axis's interval with its ends: one min and one max reduction per
+        axis, which a NaN fails."""
         d = self.dimension
         for p in points:
             arr = np.asarray(p, dtype=float)
@@ -380,16 +380,22 @@ class SubordinationRule:
     mass is cut at the left end.  Panels whose density values are all
     below 1e-300 are dropped and cost no kernel evaluation in ``apply``
     (66 panels are kept at nu = 0.7, 72 at nu = 1/2).
-    A kept panel is halved, left half first and in its place, while the
-    K15/G7 difference of its own integral of g_nu is above 1e-7 (a tenth
-    of the 1e-6 budget of ``apply`` against a total mass of 1), or that of
-    g_nu(s)/s is above 1e-8 E S^{-1} = 1e-8 Gamma(1 + 1/nu).  The second
+    A kept panel is halved while the K15/G7 difference of its own integral
+    of g_nu is above 1e-7 (a tenth of the 1e-6 budget of ``apply`` against
+    a total mass of 1), or that of g_nu(s)/s is above
+    1e-8 E S^{-1} = 1e-8 Gamma(1 + 1/nu), or either is NaN.  The second
     test weighs s as the 2-D heat kernel does at x = y.  Without it the
     check of ``apply`` fails there at nu = 0.804 and 0.844, and the rule
     misses the exact value at x = y by up to 3.6e-10 (nu = 0.9925); with
     it, by at most 4.9e-13 for nu from 0.05 to 0.995 in steps of 0.0025.
     Up to nu = 0.7 no panel is split (probed from nu = 0.05), and above
     it a few panels are (68 panels at nu = 0.9, 66 at nu = 0.7).
+    The halving goes pass by pass (``quadrature.bisect_panels``): each
+    pass evaluates the density on the nodes of every pending panel in one
+    ``specfun.stable_density`` call.  The halves keep their seed panel's
+    key, so the nodes run in seed order and, inside a seed panel, from
+    left to right.  A build that would hold more than twice as many
+    panels as it has seed panels raises ``QuadratureError``.
     The polynomial right tail is cut at s = e^60 and not counted.  For a
     heat base the cut is below 1e-8 relative as long as |x - y|/sqrt(t)
     stays below ``RadialProfile.rho_max``, and above it the profile does
@@ -398,38 +404,37 @@ class SubordinationRule:
 
     def __init__(self, nu: float):
         params = specfun.StableDensityParams(nu)
-        edges = []
-        for k in range(1074):   # 2^-1074 is the smallest double
-            if specfun.stable_negligible(nu, 2.0 ** -k):
-                break
-            edges.append((2.0 ** (-k - 1), 2.0 ** (-k)))
-        else:
+        # 2^-k down to 2^-1073, above the smallest double 2^-1074
+        negligible = specfun.stable_negligible(nu, 2.0 ** -np.arange(1074.0))
+        if not negligible.any():
             raise DomainError(f"nu = {nu:g}: the stable density does not "
                               "vanish above the smallest double")
-        edges += [(math.exp(u), math.exp(u + 1.0)) for u in range(_LOG_S_MAX)]
+        k = int(np.argmax(negligible))
+        efold = [math.exp(u) for u in range(_LOG_S_MAX + 1)]
+        lo = np.concatenate([2.0 ** -np.arange(1.0, k + 1.0), efold[:-1]])
+        hi = np.concatenate([2.0 ** -np.arange(float(k)), efold[1:]])
         inv_mean = math.exp(math.lgamma(1.0 + 1.0 / nu))    # E S^{-1}
-        nodes, wk, wg = [], [], []
-        todo = edges[::-1]      # a stack: the seed panels pop in order
-        while todo:
-            a, b = todo.pop()
-            h = 0.5 * (b - a)
-            s = 0.5 * (a + b) + h * GK15_X
+
+        def check(a, b, _):
+            h = 0.5 * (b - a)[:, None]
+            s = 0.5 * (a + b)[:, None] + h * GK15_X
             g = specfun.stable_density(params, s)
-            if np.all(g < 1e-300):
-                continue
             panel_k, panel_g = h * GK15_WK * g, h * GK15_WG * g
-            if (abs(panel_k.sum() - panel_g.sum()) > 1e-7
-                    or abs(((panel_k - panel_g) / s).sum()) > 1e-8 * inv_mean):
-                m = 0.5 * (a + b)
-                todo += [(m, b), (a, m)]
-                continue
-            nodes.append(s)
-            wk.append(panel_k)
-            wg.append(panel_g)
-        self.nodes = np.concatenate(nodes)
-        self.weights_k = np.concatenate(wk)
-        self.weights_g = np.concatenate(wg)
-        self.panel_count = len(nodes)
+            err = np.abs(panel_k.sum(axis=1) - panel_g.sum(axis=1))
+            live = ~np.all(g < 1e-300, axis=1)
+            # written so that a NaN density fails its panel
+            ok = ~live | ((err <= 1e-7) & (np.abs(
+                ((panel_k - panel_g) / s).sum(axis=1)) <= 1e-8 * inv_mean))
+            return ok, err, s, panel_k, panel_g, live
+
+        # one key per seed panel: the kept halves stay in the seed order
+        *_, s, panel_k, panel_g, live = bisect_panels(
+            lo, hi, check, np.arange(lo.size), 2 * lo.size,
+            "subordination rule")
+        self.nodes = s[live].reshape(-1)
+        self.weights_k = panel_k[live].reshape(-1)
+        self.weights_g = panel_g[live].reshape(-1)
+        self.panel_count = int(np.count_nonzero(live))
 
     def apply(self, base_eval, t, x, y, d: int = 1, rtol: float = 1e-6):
         """integral base(t s, x, y) g_nu(s) ds with a K15/G7 error check."""
@@ -487,14 +492,16 @@ class RadialProfile:
 
     log P is tabulated in u = log rho as piecewise Chebyshev interpolants
     of degree 16 on panels of width at most 1 over [rho_min, rho_max].
-    The build goes pass by pass.  A pass takes every pending panel's 17
-    nodes and 4 off-node points from ``SubordinationRule.apply``, one call
-    per panel (its K15/G7 check is relative to the largest value of the
-    call, so each panel keeps its own), fits all panels with one
-    multi-column ``chebfit`` and checks them at the off-node points at
-    once.  A panel whose log P there differs from the rule by more than
-    1e-12 (or whose P is 0) is halved into the next pass; a failing panel
-    narrower than 2^-10 raises ``QuadratureError``.  Evaluation runs
+    The build goes pass by pass (``quadrature.bisect_panels``).  A pass
+    takes every pending panel's 17 nodes and 4 off-node points from
+    ``SubordinationRule.apply``, one call per panel (its K15/G7 check is
+    relative to the largest value of the call, so each panel keeps its
+    own), fits all panels with one multi-column ``chebfit`` and checks
+    them at the off-node points at once.  A panel whose log P there
+    differs from the rule by more than 1e-12 (or whose P is 0) is halved
+    into the next pass.  A table that would hold more than 256 panels,
+    kept and pending, raises ``QuadratureError``, so a profile that no
+    panel width resolves fails after a few hundred panels.  Evaluation runs
     numpy's ``chebval`` Clenshaw recurrence one degree at a time on each
     point's coefficient, with the bits of ``chebval`` and no (17 x points)
     gather, so a point's value does not depend on the other points.
@@ -563,10 +570,9 @@ class RadialProfile:
 
         u_lo, u_hi = math.log(self.rho_min), math.log(self.rho_max)
         edges = np.linspace(u_lo, u_hi, math.ceil(u_hi - u_lo) + 1)
-        ua, ub = edges[:-1], edges[1:]
         z = np.concatenate([_CHEB_Z, _CHEB_CHECK])
-        lo, hi, coef = [], [], []
-        while ua.size:
+
+        def check(ua, ub, _):
             # one pass: every pending panel, then one fit and one check
             mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
             vals = [rule.apply(radial_heat, 1.0, np.exp(m + h * z), 0.0)
@@ -581,22 +587,14 @@ class RadialProfile:
             err = np.max(np.abs(chebval(_CHEB_CHECK, c_k)
                                 - log_p[_CHEB_DEG + 1:].T), axis=1)
             err[broken] = np.inf
-            fail = ~(err <= 1e-12)
-            narrow = fail & (half < 2.0 ** -11)
-            if np.any(narrow):
-                raise QuadratureError(
-                    "radial profile interpolation above budget",
-                    estimate=float(np.max(err[narrow])), budget=1e-12)
-            lo.append(ua[~fail])
-            hi.append(ub[~fail])
-            coef.append(c_k[:, ~fail])
-            ua, ub = (np.concatenate([ua[fail], mid[fail]]),
-                      np.concatenate([mid[fail], ub[fail]]))
-        lo = np.concatenate(lo)
-        order = np.argsort(lo)
-        self.lo = lo[order]
-        self.hi = np.concatenate(hi)[order]
-        self.coef = np.concatenate(coef, axis=1)[:, order]  # one row per degree
+            return err <= 1e-12, err, c_k.T
+
+        # a budget of 256 panels, kept and pending: the tables hold 36 to
+        # 70 for nu in [0.05, 0.95], d = 1, 2
+        self.lo, self.hi, _, coef = bisect_panels(
+            edges[:-1], edges[1:], check, np.arange(edges.size - 1), 256,
+            "radial profile interpolation")
+        self.coef = np.ascontiguousarray(coef.T)    # one row per degree
         # the table meets the tail series at rho_max, where every T_k is 1
         err = abs(math.expm1(sum(self.coef[:, -1])
                              - math.log(self._tail_series(self.rho_max))))

@@ -10,9 +10,11 @@ Three pieces used throughout the package:
   two-level Richardson refinement and a reported error estimate, for
   integrands of one value or of rows of values per node;
 
-* 15-point Gauss-Kronrod panels plus ``integrate_adaptive``, the one
-  adaptive 1-D driver (the stable density's Kanter integral and clipped
-  mass integrals).
+* 15-point Gauss-Kronrod panels, ``bisect_panels``, the one pass-by-pass
+  bisection loop behind every adaptive table (the subordination rule and
+  the radial profile in ``kernels``, the stable density's Kanter
+  integrals), and ``integrate_adaptive``, the adaptive 1-D integral on it
+  (clipped mass integrals).
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .errors import QuadratureError
 # the paths whose arrays would otherwise grow with the input (the box sweep
 # of ``coverings``, the blocks of ``atoms.localize``, the erfc terms of
 # ``kernels``' exact ``step_apply``, the t-grid chunks and weighted blocks
-# of ``sup_over_t``).  Those paths work in blocks under it, and no result
-# depends on it.
+# of ``sup_over_t``, the blocks of Kanter's integrals in
+# ``specfun.stable_density``).  Those paths work in blocks under it, and no
+# result depends on it.
 WORKING_SET = 2 ** 16
 
 # ---------------------------------------------------------------------------
@@ -60,55 +63,108 @@ GK15_WK = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
 GK15_WG = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
 
 
-def gauss_kronrod_15(f, a: float, b: float) -> tuple[float, float]:
-    """One K15/G7 panel on [a, b]: (K15 integral, error estimate).
+def gauss_kronrod_15(f, a, b):
+    """K15/G7 panels on [a, b], arrays of panel ends: (K15 integrals,
+    error estimates), shaped like a and b, from one call of ``f`` on the
+    1-D array of every panel's 15 nodes, panel by panel.
 
     The estimate is QUADPACK's qk15 (Piessens et al. 1983):
     resasc * min(1, (200 |K15 - G7| / resasc)^1.5), where resasc is the
     K15 integral of |f - mean f|, so it scales with the integrand.
     """
     h = 0.5 * (b - a)
-    y = np.asarray(f(0.5 * (a + b) + h * GK15_X), dtype=float)
-    resk = float(np.dot(GK15_WK, y))
+    x = (0.5 * (a + b))[..., None] + h[..., None] * GK15_X
+    y = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
+    resk = y @ GK15_WK
     k15 = h * resk
-    g7 = h * float(np.dot(GK15_WG, y))
-    diff = abs(k15 - g7)
-    resasc = h * float(np.dot(GK15_WK, np.abs(y - 0.5 * resk)))
-    if resasc == 0.0 or diff == 0.0:
-        return k15, diff
-    return k15, resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+    diff = np.abs(k15 - h * (y @ GK15_WG))
+    resasc = h * (np.abs(y - 0.5 * resk[..., None]) @ GK15_WK)
+    # where resasc = 0 the ratio is inf or NaN, which fmin drops: err = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return k15, resasc * np.fmin(1.0, (200.0 * diff / resasc) ** 1.5)
+
+
+def bisect_panels(lo, hi, check, key, max_panels: int, what: str):
+    """Refine the panels [lo, hi] pass by pass: the one bisection loop of
+    ``integrate_adaptive``, the stable density's Kanter integrals, the
+    subordination rule and the radial profile.
+
+    Each pass makes one call ``check(lo, hi, key)`` on every pending
+    panel.  It returns ``(ok, err, *data)``, arrays with one entry or row
+    per panel: the panels where ``ok`` holds are kept with their data, and
+    the others are halved into the next pass, both halves under their
+    panel's key.  Once the panels kept and pending would number more than
+    ``max_panels``, raises QuadratureError("<what> above budget") with the
+    largest ``err`` of a failing panel, so a panel that never passes costs
+    bounded work.  Returns lo, hi, key and the data of the kept panels,
+    sorted by (key, lo).
+    """
+    kept = []
+    while lo.size:
+        ok, err, *data = check(lo, hi, key)
+        kept.append([lo[ok], hi[ok], key[ok], *(d[ok] for d in data)])
+        fail = ~ok
+        count = sum(len(k[0]) for k in kept) + 2 * np.count_nonzero(fail)
+        if count > max_panels:
+            raise QuadratureError(f"{what} above budget",
+                                  estimate=float(np.max(err[fail])),
+                                  budget=max_panels)
+        # rows: left ends, midpoints, right ends of the failing panels
+        ends = np.stack([lo[fail], 0.5 * (lo + hi)[fail], hi[fail]])
+        lo, hi, key = ends[:-1].ravel(), ends[1:].ravel(), np.tile(key[fail], 2)
+    out = [np.concatenate(c) for c in zip(*kept)]
+    order = np.lexsort((out[0], out[2]))
+    return [c[order] for c in out]
+
+
+def integrate_keyed(f, lo, hi, key, *, rtol: float, atol: float = 0.0,
+                    max_panels: int) -> np.ndarray:
+    """Adaptive Gauss-Kronrod integrals, one per key, refined together by
+    ``bisect_panels``: key k integrates over its seed panels [lo, hi].
+
+    ``f(x, k)`` takes a 1-D array of nodes and each node's key.  A pass
+    makes one call of ``f`` on the 15 nodes of every pending panel.  Each
+    key's tolerance is max(atol, rtol * |integral|), the integral summed
+    over its panels kept so far and those of the pass.  A panel is kept
+    when its error estimate is within its share (hi - lo)/(key's span) of
+    it, and all of a key's pending panels are kept once its estimates,
+    kept and pending, sum to within it; this stops a key whose integrand
+    is only resolved to its rounding noise, as worst-panel-first
+    refinement does.  Returns per key, as the two rows of one array, the
+    integral and the summed estimate of its kept panels.
+    """
+    span = np.bincount(key, hi - lo)
+    done = np.zeros((2, span.size))     # the sums over the kept panels
+
+    def check(lo, hi, key):
+        val, err = gauss_kronrod_15(lambda x: f(x, np.repeat(key, 15)), lo, hi)
+        total, spent = done + [np.bincount(key, v, minlength=span.size)
+                               for v in (val, err)]
+        tol = np.maximum(atol, rtol * np.abs(total))
+        ok = (err <= (hi - lo) / span[key] * tol[key]) | (spent <= tol)[key]
+        done[:] += [np.bincount(key[ok], v[ok], minlength=span.size)
+                    for v in (val, err)]
+        return ok, err
+
+    bisect_panels(lo, hi, check, key, max_panels, "adaptive quadrature")
+    return done
 
 
 def integrate_adaptive(f, a: float, b: float, *, rtol: float = 1e-10,
                        atol: float = 0.0, breakpoints=(),
                        max_panels: int = 2000) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod on [a, b] with optional seed breakpoints.
-
-    Bisects the worst-error panel until the summed error estimate meets
-    max(atol, rtol * |integral|); raises QuadratureError with the achieved
-    estimate once the panel budget is exhausted.
+    """Adaptive Gauss-Kronrod on [a, b] with optional seed breakpoints:
+    ``integrate_keyed`` with one key, so the summed error estimate meets
+    max(atol, rtol * |integral|).  Raises QuadratureError once more than
+    ``max_panels`` panels would be needed.
     """
-    edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = gauss_kronrod_15(f, lo, hi)
-        panels.append((err, lo, hi, val))
-    while True:
-        total = math.fsum(p[3] for p in panels)
-        err = math.fsum(p[0] for p in panels)
-        if err <= max(atol, rtol * abs(total)):
-            return total, err
-        if len(panels) >= max_panels:
-            raise QuadratureError(
-                "adaptive quadrature budget exhausted",
-                estimate=err, budget=max_panels)
-        panels.sort(key=lambda p: p[0])
-        _, lo, hi, _ = panels.pop()
-        mid = 0.5 * (lo + hi)
-        v1, e1 = gauss_kronrod_15(f, lo, mid)
-        v2, e2 = gauss_kronrod_15(f, mid, hi)
-        panels.append((e1, lo, mid, v1))
-        panels.append((e2, mid, hi, v2))
+    if a == b:
+        return 0.0, 0.0
+    edges = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}))
+    val, err = integrate_keyed(lambda x, _: f(x), edges[:-1], edges[1:],
+                               np.zeros(len(edges) - 1, dtype=np.intp),
+                               rtol=rtol, atol=atol, max_panels=max_panels)
+    return float(val[0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .errors import DomainError, QuadratureError
 # _gk15 is unused here; perfbench/tracer.py rebinds it in every module and
 # requires this binding
 from .quadrature import gauss_kronrod_15 as _gk15  # noqa: F401
-from .quadrature import integrate_adaptive
+from .quadrature import WORKING_SET, integrate_keyed
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +349,20 @@ def stable_series_sum(nu: float, log_factor, rtol: float):
     """pi^{-1} sum_{k >= 1} (-1)^{k+1} sin(pi nu k) Gamma(nu k + 1)/k! f_k,
     shaped as ``log_factor(k)`` = log f_k (a float gives a float).
 
-    sin may vanish at single k, so the sum stops on the envelopes
-    Gamma(nu k + 1)/k! f_k, once each is at most ``rtol`` of the sum; it
-    raises ``QuadratureError`` when that takes more than 400 terms.
+    sin may vanish at single k, so each element stops on its envelopes
+    Gamma(nu k + 1)/k! f_k, once one is at most ``rtol`` of its sum, and
+    takes no term after that: its value does not depend on the other
+    elements of the call.  Raises ``QuadratureError`` when an element
+    takes more than 400 terms.
     """
-    total = 0.0
+    total, active = 0.0, True
     for k in range(1, 401):
         envelope = np.exp(math.lgamma(nu * k + 1.0) - math.lgamma(k + 1.0)
                           + log_factor(k))
-        total = total + ((-1.0) ** (k + 1) * math.sin(math.pi * nu * k)
-                         * envelope)
-        if np.all(envelope <= rtol * np.abs(total)):
+        term = (-1.0) ** (k + 1) * math.sin(math.pi * nu * k) * envelope
+        total = np.where(active, total + term, total)
+        active = active & ~(envelope <= rtol * np.abs(total))
+        if not np.any(active):
             total = total / math.pi
             return float(total) if np.ndim(total) == 0 else total
     raise QuadratureError("stable series did not converge in 400 terms",
@@ -377,9 +380,9 @@ def _stable_series(nu: float, s: np.ndarray) -> np.ndarray:
     return stable_series_sum(nu, lambda k: -(nu * k + 1.0) * log_s, 1e-14)
 
 
-def _stable_kanter(nu: float, s: float) -> float:
+def _stable_kanter(nu: float, s):
     """g_nu(s) from Kanter's integral (Kanter 1975; Chambers, Mallows and
-    Stuck 1976):
+    Stuck 1976), for every s of an array at once (a float gives a float):
 
         g_nu(s) = (p/pi) s^{-1/(1-nu)} int_0^pi A(phi) e^{-x A(phi)} dphi,
 
@@ -389,29 +392,37 @@ def _stable_kanter(nu: float, s: float) -> float:
     quadrature runs on A e^{-x(A-B)}, with log(A/B) written from sinc so
     that it stays exact near 0, and e^{-x B} is applied in log space.
     Near 0, log A ~ log B + nu phi^2/2, so the integrand has width
-    w = sqrt(2/(x B nu)); the seed breakpoints are w, 2w, 4w, ... and
-    every pi/8.
+    w = sqrt(2/(x B nu)); each s's seed breakpoints are w, 2w, 4w, ...
+    and every pi/8.  The integrals, one per s, are one keyed batch of
+    ``quadrature.integrate_keyed`` at rtol 1e-12: each pass evaluates the
+    pending K15/G7 panels of every s in one call.
     """
     p = nu / (1.0 - nu)
     log_b = math.log1p(-nu) + p * math.log(nu)   # B = A(0+) = (1-nu) nu^p
-    xb = math.exp(log_b - p * math.log(s))
+    xb = np.exp(log_b - p * np.log(np.atleast_1d(s)))
 
-    def integrand(phi):
+    def integrand(phi, xb):
         log_ratio = (nu * np.log(np.sinc(nu * phi / math.pi))
                      + (1.0 - nu) * np.log(np.sinc((1.0 - nu) * phi / math.pi))
                      - np.log(np.sinc(phi / math.pi))) / (1.0 - nu)
         with np.errstate(over="ignore"):
             return np.exp(log_b + log_ratio - xb * np.expm1(log_ratio))
 
-    edges = [k * math.pi / 8.0 for k in range(1, 8)]
-    w = math.sqrt(2.0 / (xb * nu))
-    while w < math.pi:
-        edges.append(w)
-        w *= 2.0
-    total, _ = integrate_adaptive(integrand, 0.0, math.pi, rtol=1e-12,
-                                  breakpoints=edges)
-    return math.exp(math.log(p / math.pi * total)
-                    - (1.0 + p) * math.log(s) - xb)
+    # one row of edges per s: every k pi/8 and the w 2^j, sorted.  The
+    # doublings at or above pi are cut to pi and give empty panels, left
+    # out; 64 of them reach pi from any w above 2^-64 pi, that is x B nu
+    # below 7e37, far past the zero region of every nu
+    w = np.sqrt(2.0 / (xb * nu))[:, None] * 2.0 ** np.arange(64)
+    edges = np.sort(np.concatenate([
+        np.broadcast_to(np.arange(9) * (math.pi / 8.0), (xb.size, 9)),
+        np.minimum(w, math.pi)], axis=1), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    live = lo < hi
+    total, _ = integrate_keyed(lambda phi, key: integrand(phi, xb[key]),
+                               lo[live], hi[live], np.nonzero(live)[0],
+                               rtol=1e-12, max_panels=2000 * xb.size)
+    g = np.exp(np.log(p / math.pi * total) - (1.0 + p) * np.log(s) - xb)
+    return g if np.ndim(s) else float(g[0])
 
 
 def stable_density(params: StableDensityParams, s):
@@ -438,9 +449,13 @@ def stable_density(params: StableDensityParams, s):
     big = s_arr >= stable_series_switch(nu)
     if np.any(big):
         out[big] = _stable_series(nu, s_arr[big])
-    kanter = ~big & ~stable_negligible(nu, s_arr)
-    if np.any(kanter):
-        out[kanter] = [_stable_kanter(nu, float(si)) for si in s_arr[kanter]]
+    kanter = np.flatnonzero(~big & ~stable_negligible(nu, s_arr))
+    # Kanter's integrals go in blocks of points, each integral about 16
+    # panels of 15 nodes, so that a pass's temporaries stay near the
+    # working-set budget; no value depends on its block
+    for i in range(0, kanter.size, WORKING_SET // 256):
+        block = kanter[i:i + WORKING_SET // 256]
+        out.flat[block] = _stable_kanter(nu, s_arr.flat[block])
     return out if out.ndim else float(out)
 
 

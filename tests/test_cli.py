@@ -851,6 +851,20 @@ def test_subordinate_check(tmp_path):
     assert "status = ok" in text
 
 
+def test_subordinate_check_nan_error_fails(tmp_path, monkeypatch, capsys):
+    # a NaN error must not drop out of the maximum and read as ok
+    closed_form = kernels.poisson_kernel
+
+    def nan_far(t, x, y, d=1):
+        return np.where(np.asarray(x) > 6.0, np.nan, closed_form(t, x, y, d))
+
+    monkeypatch.setattr(kernels, "poisson_kernel", nan_far)
+    out = tmp_path / "out"
+    assert run(["--out", out, "subordinate-check"]) == 1
+    assert "poisson_kernel_max_rel_err = nan" in capsys.readouterr().out
+    assert "status = FAIL" in (out / "subordinate_check.txt").read_text()
+
+
 def test_missing_config_errors(tmp_path):
     assert run(["--config", tmp_path / "nope.cfg", "--out", tmp_path,
                 "covering"]) == 1

@@ -265,6 +265,20 @@ def test_subordinate_values_without_noise_panels():
     assert K.SubordinationRule(0.5).nodes.size == 1080
 
 
+def test_subordination_rule_rejects_nan_density(monkeypatch):
+    # a density that is NaN on a short interval (three nodes of the rule)
+    # fails every panel that meets it: the build raises within its panel
+    # budget, and keeps no NaN weight
+    density = specfun.stable_density
+
+    def nan_band(params, s):
+        return np.where((2.6 < s) & (s < 2.72), np.nan, density(params, s))
+
+    monkeypatch.setattr(specfun, "stable_density", nan_band)
+    with pytest.raises(QuadratureError, match="subordination rule above budget"):
+        K.SubordinationRule(0.7)
+
+
 @pytest.mark.parametrize("nu", [0.7, 0.79, 0.9, 0.95])
 def test_subordinate_heat_against_fourier_inversion(nu):
     # eval(t, x, y) = (1/pi) int_0^inf cos(xi r) exp(-t^nu xi^{2 nu}) dxi,
@@ -465,12 +479,15 @@ def test_subordinate_heat_far_from_the_diagonal():
 
 
 class _FakeRule:
-    """Stands in for the subordination rule: P(rho) = fn(rho)."""
+    """Stands in for the subordination rule: P(rho) = fn(rho).  Counts the
+    calls of ``apply``, one per panel evaluated."""
 
     def __init__(self, fn):
         self.fn = fn
+        self.calls = 0
 
     def apply(self, base_eval, t, x, y):
+        self.calls += 1
         return self.fn(np.asarray(x, dtype=float))
 
 
@@ -481,10 +498,14 @@ class _FakeRule:
 ], ids=["unresolved", "short_tail"])
 def test_radial_profile_build_checks(monkeypatch, fn, match):
     # an unresolvable ripple fails the off-node check on every halving; a
-    # tail far below the stable one fails the check against the tail series
-    monkeypatch.setattr(K, "subordination_rule", lambda nu: _FakeRule(fn))
+    # tail far below the stable one fails the check against the tail series.
+    # The ripple raises once the table would pass its panel budget, after
+    # a few hundred panel evaluations (38 seed panels, then 76 and 152)
+    rule = _FakeRule(fn)
+    monkeypatch.setattr(K, "subordination_rule", lambda nu: rule)
     with pytest.raises(QuadratureError, match=match):
         K.RadialProfile(0.7, 1)
+    assert rule.calls <= 300
 
 
 def test_stable_scaling_covariance():
@@ -999,7 +1020,6 @@ def test_subordinate_2d_heat_subclass_matches_profile():
                     profile.eval(ts, _POINTS_2D, y), rtol=1e-10)
 
 
-@pytest.mark.slow
 def test_radial_profile_rejects_overflowing_nodes():
     # at nu = 0.01 the rule's nodes reach s = 2.7e-315, where the 2-D heat
     # kernel's (4 pi s)^{-1} overflows; under the suite's warnings-as-errors

@@ -424,6 +424,19 @@ def test_stable_series_sum_raises_without_decay():
     assert type(sf.stable_series_sum(nu, lambda k: -3.0 * k, 1e-16)) is float
 
 
+def test_density_value_independent_of_batch():
+    # each value stops its series on its own terms (and its Kanter
+    # integral on its own panels), so it has the same bytes alone and in
+    # a batch with a slower point, s = 0.95, near the series switch
+    nu = 0.7
+    p = sf.StableDensityParams(nu)
+    s = np.concatenate([np.geomspace(1.0, 1e6, 400),
+                        np.geomspace(_zero_threshold(nu), 0.9, 40)])
+    alone = np.array([sf.stable_density(p, si) for si in s])
+    batch = sf.stable_density(p, np.append(s, 0.95))[:-1]
+    assert batch.tobytes() == alone.tobytes()
+
+
 def test_zero_branch_skips_kanter(monkeypatch):
     nu = 0.7
     s_star = _zero_threshold(nu)
