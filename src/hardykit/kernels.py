@@ -253,9 +253,12 @@ class EuclideanHeat(KernelFamily):
         self._check_time(t)
         t = np.asarray(t, dtype=float)
         d = self.dimension
+        # a t so small that |x - y|^2/(4t) overflows gives exp(-inf) = 0,
+        # the kernel's limit there
+        with np.errstate(over="ignore"):
+            arg = _dist2(x, y, d) / (4.0 * t)
         # np.power, a ufunc, gives the same bits for every shape of t
-        return (np.power(4.0 * math.pi * t, -d / 2.0)
-                * np.exp(-_dist2(x, y, d) / (4.0 * t)))
+        return np.power(4.0 * math.pi * t, -d / 2.0) * np.exp(-arg)
 
     def step_apply(self, t, x, g):
         """Exact: T_t g(x) = g(x) + 1/2 sum_j c_j sgn(b_j - x)
@@ -394,8 +397,9 @@ class SubordinationRule:
     pass evaluates the density on the nodes of every pending panel in one
     ``specfun.stable_density`` call.  The halves keep their seed panel's
     key, so the nodes run in seed order and, inside a seed panel, from
-    left to right.  A build that would hold more than twice as many
-    panels as it has seed panels raises ``QuadratureError``.
+    left to right.  A build that would hold more than 64 panels in one
+    seed panel raises ``QuadratureError`` (at most 13 are held for nu
+    from 0.999 to 0.9997).
     The polynomial right tail is cut at s = e^60 and not counted.  For a
     heat base the cut is below 1e-8 relative as long as |x - y|/sqrt(t)
     stays below ``RadialProfile.rho_max``, and above it the profile does
@@ -429,8 +433,7 @@ class SubordinationRule:
 
         # one key per seed panel: the kept halves stay in the seed order
         *_, s, panel_k, panel_g, live = bisect_panels(
-            lo, hi, check, np.arange(lo.size), 2 * lo.size,
-            "subordination rule")
+            lo, hi, check, np.arange(lo.size), 64, "subordination rule")
         self.nodes = s[live].reshape(-1)
         self.weights_k = panel_k[live].reshape(-1)
         self.weights_g = panel_g[live].reshape(-1)
@@ -499,9 +502,12 @@ class RadialProfile:
     own), fits all panels with one multi-column ``chebfit`` and checks
     them at the off-node points at once.  A panel whose log P there
     differs from the rule by more than 1e-12 (or whose P is 0) is halved
-    into the next pass.  A table that would hold more than 256 panels,
-    kept and pending, raises ``QuadratureError``, so a profile that no
-    panel width resolves fails after a few hundred panels.  Evaluation runs
+    into the next pass.  A table that would hold more than four times as
+    many panels, kept and pending, as it has seed panels raises
+    ``QuadratureError``, so a profile that no panel width resolves fails
+    after seven times as many panel evaluations (the tables hold at most 3
+    panels in a seed panel for nu in [0.05, 0.95], d = 1, 2; the seed
+    panels grow like 1/nu, 252 at nu = 0.01, d = 1).  Evaluation runs
     numpy's ``chebval`` Clenshaw recurrence one degree at a time on each
     point's coefficient, with the bits of ``chebval`` and no (17 x points)
     gather, so a point's value does not depend on the other points.
@@ -589,11 +595,10 @@ class RadialProfile:
             err[broken] = np.inf
             return err <= 1e-12, err, c_k.T
 
-        # a budget of 256 panels, kept and pending: the tables hold 36 to
-        # 70 for nu in [0.05, 0.95], d = 1, 2
+        # one key: the seed panels and their halves run from left to right
         self.lo, self.hi, _, coef = bisect_panels(
-            edges[:-1], edges[1:], check, np.arange(edges.size - 1), 256,
-            "radial profile interpolation")
+            edges[:-1], edges[1:], check, np.zeros(edges.size - 1, np.intp),
+            4 * (edges.size - 1), "radial profile interpolation")
         self.coef = np.ascontiguousarray(coef.T)    # one row per degree
         # the table meets the tail series at rho_max, where every T_k is 1
         err = abs(math.expm1(sum(self.coef[:, -1])

@@ -93,19 +93,20 @@ def bisect_panels(lo, hi, check, key, max_panels: int, what: str):
     panel.  It returns ``(ok, err, *data)``, arrays with one entry or row
     per panel: the panels where ``ok`` holds are kept with their data, and
     the others are halved into the next pass, both halves under their
-    panel's key.  Once the panels kept and pending would number more than
-    ``max_panels``, raises QuadratureError("<what> above budget") with the
-    largest ``err`` of a failing panel, so a panel that never passes costs
-    bounded work.  Returns lo, hi, key and the data of the kept panels,
-    sorted by (key, lo).
+    panel's key (all left halves, then all right halves).  Once the panels
+    kept and pending under one key would number more than ``max_panels``,
+    raises QuadratureError("<what> above budget") with the largest ``err``
+    of a failing panel, so a panel that never passes costs bounded work.
+    Returns lo, hi, key and the data of the kept panels, sorted by
+    (key, lo).
     """
     kept = []
     while lo.size:
         ok, err, *data = check(lo, hi, key)
         kept.append([lo[ok], hi[ok], key[ok], *(d[ok] for d in data)])
         fail = ~ok
-        count = sum(len(k[0]) for k in kept) + 2 * np.count_nonzero(fail)
-        if count > max_panels:
+        held = np.concatenate([k[2] for k in kept] + [key[fail]] * 2)
+        if fail.any() and np.max(np.bincount(held)) > max_panels:
             raise QuadratureError(f"{what} above budget",
                                   estimate=float(np.max(err[fail])),
                                   budget=max_panels)
@@ -120,30 +121,39 @@ def bisect_panels(lo, hi, check, key, max_panels: int, what: str):
 def integrate_keyed(f, lo, hi, key, *, rtol: float, atol: float = 0.0,
                     max_panels: int) -> np.ndarray:
     """Adaptive Gauss-Kronrod integrals, one per key, refined together by
-    ``bisect_panels``: key k integrates over its seed panels [lo, hi].
+    ``bisect_panels``: key k integrates over its seed panels [lo, hi], in
+    at most ``max_panels`` panels.
 
     ``f(x, k)`` takes a 1-D array of nodes and each node's key.  A pass
     makes one call of ``f`` on the 15 nodes of every pending panel.  Each
     key's tolerance is max(atol, rtol * |integral|), the integral summed
     over its panels kept so far and those of the pass.  A panel is kept
     when its error estimate is within its share (hi - lo)/(key's span) of
-    it, and all of a key's pending panels are kept once its estimates,
-    kept and pending, sum to within it; this stops a key whose integrand
-    is only resolved to its rounding noise, as worst-panel-first
-    refinement does.  Returns per key, as the two rows of one array, the
-    integral and the summed estimate of its kept panels.
+    it.  All of a key's pending panels are kept once its estimates, kept
+    and pending, sum to within it, or once the halves of its panels that
+    failed the last pass sum to no smaller an estimate than those panels
+    did, and to a value within it of theirs: then halving no longer helps
+    and the estimates are the integrand's rounding noise, where a
+    worst-panel-first loop stops too.  Returns per key, as the two rows
+    of one array, the integral and the summed estimate of its kept panels.
     """
     span = np.bincount(key, hi - lo)
     done = np.zeros((2, span.size))     # the sums over the kept panels
+    last = np.full((2, span.size), np.inf)  # and over the last failures
+
+    def sums(key, *values):     # per key, as rows
+        return np.array([np.bincount(key, v, span.size) for v in values])
 
     def check(lo, hi, key):
         val, err = gauss_kronrod_15(lambda x: f(x, np.repeat(key, 15)), lo, hi)
-        total, spent = done + [np.bincount(key, v, minlength=span.size)
-                               for v in (val, err)]
+        pend = sums(key, val, err)
+        total, spent = done + pend
         tol = np.maximum(atol, rtol * np.abs(total))
-        ok = (err <= (hi - lo) / span[key] * tol[key]) | (spent <= tol)[key]
-        done[:] += [np.bincount(key[ok], v[ok], minlength=span.size)
-                    for v in (val, err)]
+        stop = (spent <= tol) | ((pend[1] >= last[1])
+                                 & (np.abs(pend[0] - last[0]) <= tol))
+        ok = (err <= (hi - lo) / span[key] * tol[key]) | stop[key]
+        done[:] += sums(key[ok], val[ok], err[ok])
+        last[:] = sums(key[~ok], val[~ok], err[~ok])
         return ok, err
 
     bisect_panels(lo, hi, check, key, max_panels, "adaptive quadrature")

@@ -394,8 +394,9 @@ def _stable_kanter(nu: float, s):
     Near 0, log A ~ log B + nu phi^2/2, so the integrand has width
     w = sqrt(2/(x B nu)); each s's seed breakpoints are w, 2w, 4w, ...
     and every pi/8.  The integrals, one per s, are one keyed batch of
-    ``quadrature.integrate_keyed`` at rtol 1e-12: each pass evaluates the
-    pending K15/G7 panels of every s in one call.
+    ``quadrature.integrate_keyed`` at rtol 1e-12 and at most 2000 panels
+    per s: each pass evaluates the pending K15/G7 panels of every s in one
+    call.
     """
     p = nu / (1.0 - nu)
     log_b = math.log1p(-nu) + p * math.log(nu)   # B = A(0+) = (1-nu) nu^p
@@ -420,7 +421,7 @@ def _stable_kanter(nu: float, s):
     live = lo < hi
     total, _ = integrate_keyed(lambda phi, key: integrand(phi, xb[key]),
                                lo[live], hi[live], np.nonzero(live)[0],
-                               rtol=1e-12, max_panels=2000 * xb.size)
+                               rtol=1e-12, max_panels=2000)
     g = np.exp(np.log(p / math.pi * total) - (1.0 + p) * np.log(s) - xb)
     return g if np.ndim(s) else float(g[0])
 

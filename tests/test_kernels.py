@@ -279,6 +279,16 @@ def test_subordination_rule_rejects_nan_density(monkeypatch):
         K.SubordinationRule(0.7)
 
 
+def test_subordination_rule_near_one():
+    # at nu = 0.9995 some of Kanter's integrals reach the rounding noise of
+    # their integrand (estimates of 1e-17 against a tolerance of 9e-18):
+    # their refinement stops there, and the rule has the same 73 panels as
+    # a worst-panel-first refinement of each integral gives
+    rule = K.SubordinationRule(0.9995)
+    assert rule.panel_count == 73
+    assert abs(np.sum(rule.weights_k) - 1.0) < 1e-6
+
+
 @pytest.mark.parametrize("nu", [0.7, 0.79, 0.9, 0.95])
 def test_subordinate_heat_against_fourier_inversion(nu):
     # eval(t, x, y) = (1/pi) int_0^inf cos(xi r) exp(-t^nu xi^{2 nu}) dxi,
@@ -1018,6 +1028,14 @@ def test_subordinate_2d_heat_subclass_matches_profile():
     assert rule.profile is None and profile.profile is not None
     assert_allclose(rule.eval(ts, _POINTS_2D, y),
                     profile.eval(ts, _POINTS_2D, y), rtol=1e-10)
+
+
+@pytest.mark.parametrize("nu,d,panels", [(0.01, 1, 252), (0.02, 2, 143)])
+def test_radial_profile_small_nu(nu, d, panels):
+    # the seed panels grow like 1/nu (252 at nu = 0.01, d = 1), and the
+    # table's budget with them; the rule's nodes there reach s = 2.7e-315,
+    # where the 1-D heat kernel is 0 away from the diagonal
+    assert K.radial_profile(nu, d).lo.size == panels
 
 
 def test_radial_profile_rejects_overflowing_nodes():

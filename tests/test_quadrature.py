@@ -184,6 +184,41 @@ def test_adaptive_gk_budget_error():
     assert info.value.estimate is not None
 
 
+def test_bisect_panels_budget_binds_only_on_failure():
+    # ten seed panels under one key against a budget of four: all pass at
+    # once, so the table is whole and nothing is above budget
+    lo = np.arange(10.0)
+
+    def check(a, b, k):
+        return np.ones(a.size, dtype=bool), np.zeros(a.size)
+
+    out = q.bisect_panels(lo, lo + 1.0, check, np.zeros(10, dtype=np.intp),
+                          4, "test table")
+    np.testing.assert_array_equal(out[0], lo)
+
+
+def test_integrate_keyed_budget_per_key():
+    # the budget holds per integral: ten integrals of cos(40 x) over [0, 1]
+    # take 16 panels each, 160 in all, within a budget of 16
+    val, _ = q.integrate_keyed(lambda x, k: np.cos(40.0 * x), np.zeros(10),
+                               np.ones(10), np.arange(10), rtol=1e-10,
+                               max_panels=16)
+    assert_allclose(val, math.sin(40.0) / 40.0, rtol=1e-10)
+    # key 9 never resolves (NaN): it raises at its own budget of 50 panels,
+    # without the panels the other keys leave unused, so no pass holds more
+    # than 32 panels of 15 nodes
+    sizes = []
+
+    def f(x, k):
+        sizes.append(x.size)
+        return np.where(k == 9, np.nan, np.cos(x))
+
+    with pytest.raises(QuadratureError, match="adaptive quadrature above"):
+        q.integrate_keyed(f, np.zeros(10), np.ones(10), np.arange(10),
+                          rtol=1e-10, max_panels=50)
+    assert max(sizes) <= 15 * 32
+
+
 def test_gauss_kronrod_constants_full_precision():
     # QUADPACK's qk15 nodes and weights to 33 digits: both weight sets sum
     # to 2, K15 is exact on x^k for k <= 22 and G7 for k <= 13 up to
