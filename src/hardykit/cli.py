@@ -16,7 +16,9 @@ subordinate-check run the nu = 1/2 closed-form oracles for the
 Configs are sectioned key=value files; every default is echoed into
 ``config_echo.txt`` in the output directory so runs are reproducible.
 Exit codes: 0 all asserted conditions within budget, 1 condition
-failure, 2 numerical failure (a quadrature budget was exhausted).
+failure (an integral's error column above ``error_budget_rel`` of its
+value included), 2 numerical failure (a quadrature budget was exhausted
+or a value is not finite).
 
 Subordinate kernels are exposed at the substituted time: with base
 kernel T and index nu, ``eval(t)`` is the fractional-power kernel at
@@ -53,7 +55,7 @@ _DEFAULTS = {
         "list": "A1prime,A2prime", "gamma": "0.2", "rho_target": "2.0",
         "sigma_target": "0.1", "n_max": "8",
     },
-    "quadrature": {f.name: "" if f.default is None else str(f.default)
+    "quadrature": {f.name: str(f.default)
                    for f in fields(verifier.VerifierSettings)},
     "maximal": {"atoms_per_cuboid": "4", "cells": "128"},
     "decompose": {"depth": "8", "cells": "1024"},
@@ -90,7 +92,10 @@ def load_config(path: str | None, seed: int, threads: int) -> CampaignConfig:
     parser = configparser.ConfigParser()
     parser.read_dict(_DEFAULTS)
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ValueError(f"config file {path!r}: {exc}") from exc
         if not read:
             raise FileNotFoundError(f"config file {path!r} not found")
     for key in parser.defaults():
@@ -149,29 +154,33 @@ _POTENTIALS = {
 }
 
 
-def _base_kernel(kind: str, cfg: CampaignConfig) -> kernels.KernelFamily:
-    kind = kind.strip().lower()
-    if kind.startswith("euclidean_heat"):
+def _base_kernel(name: str, cfg: CampaignConfig,
+                 factor: bool = False) -> kernels.KernelFamily:
+    """The kernel whose kind is exactly ``name``.  A product factor may
+    give Bessel's beta or Laguerre's alpha after a colon: ``bessel:2``."""
+    name = name.strip().lower()
+    kind, colon, arg = name.partition(":")
+    if colon and not (factor and kind in ("bessel", "laguerre")):
+        raise ValueError(f"unknown kernel kind {name!r}")
+    if kind == "euclidean_heat":
         return kernels.EuclideanHeat(cfg.getint("kernel", "d"))
-    if kind.startswith("bessel"):
-        _, _, arg = kind.partition(":")
+    if kind == "bessel":
         beta = float(arg) if arg else cfg.getfloat("kernel", "beta")
         return kernels.BesselKernel(beta)
-    if kind.startswith("laguerre"):
-        _, _, arg = kind.partition(":")
+    if kind == "laguerre":
         alpha = float(arg) if arg else cfg.getfloat("kernel", "alpha")
         return kernels.LaguerreKernel(alpha)
-    if kind.startswith("stable"):
+    if kind == "stable":
         return kernels.StableKernel(cfg.getfloat("kernel", "nu"),
                                     cfg.getint("kernel", "d"))
-    if kind.startswith("schrodinger"):
-        name = cfg.get("kernel", "potential").strip().lower()
-        if name not in _POTENTIALS:
-            raise ValueError(f"unknown [kernel] potential {name!r}")
+    if kind == "schrodinger":
+        potential = cfg.get("kernel", "potential").strip().lower()
+        if potential not in _POTENTIALS:
+            raise ValueError(f"unknown [kernel] potential {potential!r}")
         return kernels.schrodinger_build(
-            _POTENTIALS[name], cfg.getfloat("kernel", "box_half_width"),
+            _POTENTIALS[potential], cfg.getfloat("kernel", "box_half_width"),
             cfg.getint("kernel", "n_points"))
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    raise ValueError(f"unknown kernel kind {name!r}")
 
 
 def build_kernel(cfg: CampaignConfig) -> kernels.KernelFamily:
@@ -180,24 +189,18 @@ def build_kernel(cfg: CampaignConfig) -> kernels.KernelFamily:
         base = _base_kernel(cfg.get("kernel", "base"), cfg)
         return kernels.SubordinateKernel(base, cfg.getfloat("kernel", "nu"))
     if kind == "product":
-        factors = [_base_kernel(f, cfg)
+        factors = [_base_kernel(f, cfg, factor=True)
                    for f in cfg.get("kernel", "factors").split(",") if f.strip()]
         return kernels.ProductKernel(factors)
     return _base_kernel(kind, cfg)
 
 
 def build_settings(cfg: CampaignConfig) -> verifier.VerifierSettings:
-    """Each [quadrature] key parsed as the type of its default; a key whose
-    default is None takes a float, or None when blank."""
+    """Each [quadrature] key parsed as the type of its default."""
     q = cfg.raw["quadrature"]
-    values = {}
-    for f in fields(verifier.VerifierSettings):
-        text = q[f.name].strip()
-        if f.default is None:
-            values[f.name] = float(text) if text else None
-        else:
-            values[f.name] = type(f.default)(text)
-    return verifier.VerifierSettings(**values)
+    return verifier.VerifierSettings(**{
+        f.name: type(f.default)(q[f.name].strip())
+        for f in fields(verifier.VerifierSettings)})
 
 
 def gamma_window(k: kernels.KernelFamily) -> float:
@@ -400,8 +403,7 @@ def cmd_maximal(cfg: CampaignConfig, out: Path) -> int:
     cells = cfg.getint("maximal", "cells")
     _echo_config(cfg, out)
     rows = ["atom_index,cuboid_index,kind,value,error,atom_l1"]
-    worst = 0.0
-    idx = 0
+    entries = []
     for ci, q in enumerate(cov.cuboids):
         # every even j is the same local atom |Q|^{-1} chi_Q: measured once
         local = atoms.make_local_atom(q, cells)
@@ -414,16 +416,24 @@ def cmd_maximal(cfg: CampaignConfig, out: Path) -> int:
                     q, cov.kappa, seed=cfg.seed * 7919 + ci * 131 + j,
                     cells=cells)
                 value, err, _ = verifier.maximal_norm(k, atom, settings)
+            idx = len(entries)
             rows.append(f"{idx},{ci},{atom.kind},{value!r},{err!r},"
                         f"{atom.l1_norm!r}")
-            worst = max(worst, value)
-            idx += 1
+            entries.append(verifier.CuboidEntry(idx, atom.kind, value, err))
+    # each atom's norm is held to the error budget of the verify reports
+    report = verifier.VerificationReport(
+        "maximal", verifier.covering_id(cov), k.kind, {}, entries)
+    ok = report.within_error_budget(settings.error_budget_rel)
+    status = "ok" if ok else "FAIL"
+    worst = report.sup_constant
     _write(out / "maximal.csv", "\n".join(rows) + "\n")
     _write(out / "maximal.txt",
-           f"atoms = {idx}\nmax_maximal_norm = {worst!r}\n"
-           f"kernel = {k.kind}\ncovering = {verifier.covering_id(cov)}\n")
-    print(f"max over {idx} atoms of the maximal-function norm: {worst:.6g}")
-    return 0
+           f"atoms = {len(entries)}\nmax_maximal_norm = {worst!r}\n"
+           f"kernel = {k.kind}\ncovering = {report.covering_id}\n"
+           f"status = {status}\n")
+    print(f"max over {len(entries)} atoms of the maximal-function norm: "
+          f"{worst:.6g} [{status}]")
+    return 0 if ok else 1
 
 
 def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
@@ -451,23 +461,15 @@ def cmd_decompose(cfg: CampaignConfig, out: Path, input_path: str) -> int:
     partition = coverings.partition_of_unity(cov)
     pieces = atoms.localize(f, partition, cells)
     decs = atoms.decompose_pieces(pieces, depth)
-    # every piece's reconstruct() as one (pieces x cells) matrix: the atoms
-    # of the pieces that have any, then the remainders
-    values = np.stack([fq.values for _, fq in pieces])
-    rec = np.zeros_like(values)
-    for p in [p for p, dec in enumerate(decs) if dec.terms]:
-        rec[p] = decs[p].reconstruct(include_remainder=False).values
-    rec += np.stack([dec.remainder.values for dec in decs])
-    width = np.array([fq.cell_width for _, fq in pieces])
-    errors = (width * np.abs(rec - values).sum(axis=1)).tolist()
     total_l1 = 0.0
     residual = 0.0
     recon_err = 0.0
     lines = []
-    for dec, err in zip(decs, errors):
+    for (_, fq), dec in zip(pieces, decs):
         total_l1 += dec.coefficient_l1
         residual += dec.residual_norm
-        recon_err += err
+        recon_err += float(fq.cell_width * np.abs(
+            dec.reconstruct().values - fq.values).sum())
         lines.extend(atoms.decomposition_to_lines(dec))
     probes = np.linspace(win_lo, win_hi, 2049)[1:-1]
     identity_err = atoms.localize_reconstruction_error(f, partition, probes)

@@ -90,8 +90,9 @@ class AdmissibleCovering:
     def __post_init__(self):
         if not self.cuboids:
             raise ValueError("covering window is empty")
-        if self.kappa <= 1.0:
-            raise ValueError("kappa must exceed 1")
+        if not (math.isfinite(self.kappa) and self.kappa > 1.0):
+            raise ValueError(f"kappa must be finite and exceed 1, "
+                             f"got {self.kappa}")
 
     @property
     def dimension(self) -> int:

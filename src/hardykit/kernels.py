@@ -371,6 +371,11 @@ class LaguerreKernel(KernelFamily):
 # The subordination rule's right end: log of the largest s it integrates to
 _LOG_S_MAX = 60
 
+# The largest nu the subordination rule is built for: in a sweep in steps of
+# 1e-6, Kanter's integrals (``specfun._stable_kanter``) missed their tolerance
+# at every nu from 0.999743 up, and at 34 of 701 in [0.999, 0.9997].
+_NU_MAX = 0.9997
+
 
 class SubordinationRule:
     """Fixed Gauss-Kronrod rule in s for integral T(t s) g_nu(s) ds.
@@ -399,7 +404,8 @@ class SubordinationRule:
     key, so the nodes run in seed order and, inside a seed panel, from
     left to right.  A build that would hold more than 64 panels in one
     seed panel raises ``QuadratureError`` (at most 13 are held for nu
-    from 0.999 to 0.9997).
+    from 0.999 to 0.9997).  A nu above ``_NU_MAX`` = 0.9997 raises
+    ``DomainError`` before any density is evaluated.
     The polynomial right tail is cut at s = e^60 and not counted.  For a
     heat base the cut is below 1e-8 relative as long as |x - y|/sqrt(t)
     stays below ``RadialProfile.rho_max``, and above it the profile does
@@ -408,6 +414,9 @@ class SubordinationRule:
 
     def __init__(self, nu: float):
         params = specfun.StableDensityParams(nu)
+        if nu > _NU_MAX:
+            raise DomainError(f"nu = {nu} is above {_NU_MAX}, the largest "
+                              "index the subordination rule is built for")
         # 2^-k down to 2^-1073, above the smallest double 2^-1074
         negligible = specfun.stable_negligible(nu, 2.0 ** -np.arange(1074.0))
         if not negligible.any():

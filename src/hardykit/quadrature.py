@@ -345,11 +345,8 @@ def sup_over_t(f: Callable, grid: TGrid, deltas=(0.0,),
     near = np.minimum(start + np.arange(3)[:, None, None], last)
     fvals = np.stack([vals[near[:, r], cols] * ts[near[:, r]] ** delta
                       for r, delta in enumerate(deltas)], axis=1)
-    at_end = (idx == 0) | (idx == last)
-    if golden_iters > 0:
-        return SupResult(golden_refine(f, ts[near], fvals, deltas,
-                                       golden_iters), at_end)
-    return SupResult(np.max(fvals, axis=0), at_end)
+    return SupResult(golden_refine(f, ts[near], fvals, deltas, golden_iters),
+                     (idx == 0) | (idx == last))
 
 
 # ---------------------------------------------------------------------------
@@ -422,35 +419,33 @@ class IntegralResult(NamedTuple):
     error: float | list[float]
 
 
-def richardson(vals, w_coarse: np.ndarray, w_fine: np.ndarray,
-               tol: float | None = None) -> IntegralResult:
+def richardson(vals, w_coarse: np.ndarray,
+               w_fine: np.ndarray) -> IntegralResult:
     """Two-level Richardson sum of values on ``SpatialRule.richardson_nodes``.
 
     ``vals`` holds, along its last axis, the values at the coarse nodes
     and then at the fine ones; it is one row or rows of them.  Each row is
     summed as a call for that row alone would sum it, so value and error
     are floats, or lists with one float per row.  The reported error is
-    the coarse-fine difference; when ``tol`` is set and any row's error
-    exceeds it, a QuadratureError carrying the largest estimate is raised.
+    the coarse-fine difference; ``verify`` and ``maximal`` judge it, not
+    this sum, against ``error_budget_rel`` of the value.
     """
     n = len(w_coarse)
     coarse = np.sum(w_coarse * vals[..., :n], axis=-1)
     fine = np.sum(w_fine * vals[..., n:], axis=-1)
     value = fine + (fine - coarse) / 3.0
     error = np.abs(fine - coarse)
-    if tol is not None and np.any(error > tol):
-        raise QuadratureError("spatial integral error estimate above tolerance",
-                              estimate=float(np.nanmax(error)), budget=tol)
     return IntegralResult(value.tolist(), error.tolist())
 
 
-def integrate(rule: SpatialRule, f, tol: float | None = None) -> IntegralResult:
+def integrate(rule: SpatialRule, f) -> IntegralResult:
     """Weighted sum with two-level Richardson refinement: one call of ``f``
-    on ``rule.richardson_nodes()``, summed by :func:`richardson`."""
+    on ``rule.richardson_nodes()``, summed by :func:`richardson`, whose
+    error is reported, not judged."""
     if not rule.panels:
         return IntegralResult(0.0, 0.0)
     x, w_coarse, w_fine = rule.richardson_nodes()
-    return richardson(np.asarray(f(x), dtype=float), w_coarse, w_fine, tol)
+    return richardson(np.asarray(f(x), dtype=float), w_coarse, w_fine)
 
 
 def rule_for_box(lo, hi, nodes_per_axis) -> SpatialRule:

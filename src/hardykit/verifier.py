@@ -54,9 +54,6 @@ class VerifierSettings:
     window_factor: float = 50.0
     golden_iters: int = 5
     error_budget_rel: float = 0.05
-    # hard per-integral budget: exceeding it raises QuadratureError
-    # (None keeps errors report-only)
-    hard_quad_tol: float | None = None
 
     def __post_init__(self):
         for name in ("tgrid_ppd", "nodes_near", "nodes_cross", "box_nodes"):
@@ -69,8 +66,6 @@ class VerifierSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
-        if self.hard_quad_tol is not None and not self.hard_quad_tol > 0.0:
-            raise ValueError("hard_quad_tol must be positive or blank")
 
 
 @dataclass
@@ -235,8 +230,7 @@ def _edge_tail_estimate(integrand: Callable, win_lo, win_hi, hole_center,
 def _sup_entries(point_fn: Callable, q: Cuboid, index: int,
                  covering: AdmissibleCovering, rule: SpatialRule, grid: TGrid,
                  deltas: Sequence[float], sign: int, s: VerifierSettings,
-                 tol: float | None, tail_fn: Callable | None = None
-                 ) -> list[CuboidEntry]:
+                 tail_fn: Callable | None = None) -> list[CuboidEntry]:
     """One entry per delta: max over y in Q* of d_Q^{-2 sign delta}
     int sup_t t^{sign delta} point_fn(t, x, y) dx, sign = 1 for (A1) and
     (a3), -1 for (A2), from one ``sup_over_t`` per y over both Richardson
@@ -255,7 +249,7 @@ def _sup_entries(point_fn: Callable, q: Cuboid, index: int,
             y_pt = y[0] if q.dimension == 1 else y
             sup = sup_over_t(lambda t: point_fn(t, x, y_pt), grid, powers,
                              s.golden_iters)
-            res = richardson(sup.values, w_coarse, w_fine, tol)
+            res = richardson(sup.values, w_coarse, w_fine)
             if not all(map(math.isfinite, res.value)):
                 raise QuadratureError(f"sup integral not finite at y = {y_pt}")
             shares = np.mean(sup.at_end[:, len(w_coarse):], axis=1).tolist()
@@ -295,7 +289,7 @@ def _a1_entry(k: KernelFamily, q: Cuboid, index: int,
             win_lo, win_hi, q.center, q.dimension)
 
     return _sup_entries(k.eval, q, index, covering, rule, grid, deltas, 1, s,
-                        s.hard_quad_tol, tail)
+                        tail)
 
 
 def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
@@ -313,7 +307,7 @@ def _a2_entry(k: KernelFamily, comp: KernelFamily, q: Cuboid, index: int,
         return np.abs(v - (v if comp is k else comp.eval(t, x, y)))
 
     return _sup_entries(diff, q, index, covering, rule_for_box(lo, hi, nodes),
-                        grid, deltas, -1, s, s.hard_quad_tol)
+                        grid, deltas, -1, s)
 
 
 def _a3_entry(k: KernelFamily, q: Cuboid, index: int,
@@ -323,10 +317,8 @@ def _a3_entry(k: KernelFamily, q: Cuboid, index: int,
     lo, hi = q.enlarged(covering.kappa, 2).box()
     grid = _clamped_grid(k, d_q * d_q, _TGRID_SPAN[1] * d_q * d_q,
                          s.tgrid_ppd)
-    # report-only: no hard quadrature budget
     return _sup_entries(k.eval, q, index, covering,
-                        rule_for_box(lo, hi, s.box_nodes), grid, deltas, 1, s,
-                        None)
+                        rule_for_box(lo, hi, s.box_nodes), grid, deltas, 1, s)
 
 
 def _weighted_deltas(gamma: float | None,
@@ -833,9 +825,10 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     atom and its complement in the window, at both Richardson levels.
     The midpoint sum aliases there, by about 2 e^{-4 pi^2 t/h^2} relative
     at t = (h/2)^2, and so sits about 1.7e-5 relative above the exact
-    norm at any number of cells.  Atoms are 1-D: a kernel or a host
-    cuboid of another dimension is a ValueError.  A norm that is not
-    finite raises QuadratureError.
+    norm at any number of cells.  The error, the coarse-fine difference of
+    both rules, is judged by ``hardykit maximal``, not here.  Atoms are
+    1-D: a kernel or a host cuboid of another dimension is a ValueError.
+    A norm that is not finite raises QuadratureError.
     """
     q = atom.host
     if k.dimension != 1 or q.dimension != 1:

@@ -289,6 +289,15 @@ def test_subordination_rule_near_one():
     assert abs(np.sum(rule.weights_k) - 1.0) < 1e-6
 
 
+def test_subordination_rule_rejects_nu_above_limit():
+    # above 0.9997 Kanter's integrals do not reach their tolerance: the
+    # build raised QuadratureError, most often after overflow warnings
+    assert K.SubordinationRule(K._NU_MAX).panel_count == 74
+    for nu in (0.99975, 0.9998, 0.9999, 0.99999):
+        with pytest.raises(DomainError, match="above 0.9997"):
+            K.SubordinationRule(nu)
+
+
 @pytest.mark.parametrize("nu", [0.7, 0.79, 0.9, 0.95])
 def test_subordinate_heat_against_fourier_inversion(nu):
     # eval(t, x, y) = (1/pi) int_0^inf cos(xi r) exp(-t^nu xi^{2 nu}) dxi,

@@ -524,14 +524,6 @@ def test_report_serialization(bessel1, qb_small):
     assert len(h) == 12 and all(c in "0123456789abcdef" for c in h)
 
 
-def test_hard_quadrature_budget(bessel1, qb_small):
-    strict = V.VerifierSettings(tgrid_ppd=4, qmc_y=0, nodes_near=8,
-                                golden_iters=0, window_factor=20.0,
-                                hard_quad_tol=1e-18)
-    with pytest.raises(QuadratureError):
-        V.verify_A1prime(bessel1, qb_small, strict)
-
-
 # ---------------------------------------------------------------------------
 # Atom maximal norms
 # ---------------------------------------------------------------------------
