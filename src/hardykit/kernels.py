@@ -371,6 +371,9 @@ class LaguerreKernel(KernelFamily):
 # The subordination rule's right end: log of the largest s it integrates to
 _LOG_S_MAX = 60
 
+# The relative error budget of ``SubordinationRule.apply``
+_APPLY_RTOL = 1e-6
+
 # The largest nu the subordination rule is built for: in a sweep in steps of
 # 1e-6, Kanter's integrals (``specfun._stable_kanter``) missed their tolerance
 # at every nu from 0.999743 up, and at 34 of 701 in [0.999, 0.9997].
@@ -448,7 +451,7 @@ class SubordinationRule:
         self.weights_g = panel_g[live].reshape(-1)
         self.panel_count = int(np.count_nonzero(live))
 
-    def apply(self, base_eval, t, x, y, d: int = 1, rtol: float = 1e-6):
+    def apply(self, base_eval, t, x, y, d: int = 1):
         """integral base(t s, x, y) g_nu(s) ds with a K15/G7 error check."""
         t = np.asarray(t, dtype=float)
         # in a base of dimension d > 1 the points' last axis is coordinates
@@ -461,9 +464,9 @@ class SubordinationRule:
         err = np.max(np.abs(k15 - g7))
         scale = np.max(np.abs(k15))
         # written so that a NaN estimate (or scale) fails the check
-        if not err <= max(rtol * scale, 1e-13):
+        if not err <= max(_APPLY_RTOL * scale, 1e-13):
             raise QuadratureError("subordination quadrature error above budget",
-                                  estimate=float(err), budget=rtol)
+                                  estimate=float(err), budget=_APPLY_RTOL)
         return k15
 
 

@@ -106,6 +106,13 @@ class VerificationReport:
         return all(e.error <= rel * max(abs(e.constant), scale * 1e-3) + 1e-12
                    for e in self.per_cuboid)
 
+    def passed(self, rel: float) -> bool:
+        """The one verdict of ``verify`` and ``maximal``: every constant
+        finite, every error within ``rel`` of its value, and the target
+        check the estimator recorded as ``parameters["passed"]``, if any."""
+        return (self.finite and self.within_error_budget(rel)
+                and bool(self.parameters.get("passed", True)))
+
     def spread(self) -> float:
         """max/min ratio of the per-entry constants (scale stability)."""
         vals = [e.constant for e in self.per_cuboid
@@ -790,6 +797,7 @@ def verify_laguerre_envelope(k: KernelFamily, n_probes: int = 10000,
     [log_held_out] = _max_log_ratios(k, [log_env(c_star)], n_probes, t_range,
                                      x_range, start=7 + n_probes)
     violation = math.exp(log_held_out - scan[c_star])
+    passed = violation <= 1.0 + 1e-9
     t, x, y = _probe_set(n_probes, t_range, x_range, 1)
     branch_small = float(np.mean(np.log(x * y) < np.log(t)))
     entry = CuboidEntry(
@@ -799,7 +807,8 @@ def verify_laguerre_envelope(k: KernelFamily, n_probes: int = 10000,
     return VerificationReport(
         condition_id="laguerre_envelope", covering_id="(probe set)",
         kernel_id=k.kind,
-        parameters={"alpha": alpha, "n_probes": n_probes, "c": c_star},
+        parameters={"alpha": alpha, "n_probes": n_probes, "c": c_star,
+                    "passed": passed},
         per_cuboid=[entry],
         notes=[f"max violation ratio {violation:.12f} on {n_probes} held-out "
                "probes (must be <= 1 + 1e-9)"])

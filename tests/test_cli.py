@@ -866,9 +866,13 @@ golden_iters = 0
 box_nodes = 48
 """)
     out = tmp_path / "out"
-    assert run(["--config", cfg, "--out", out, "verify"]) == 0
+    # the coarse box rule leaves (a4) errors above the budget of its value
+    assert run(["--config", cfg, "--out", out, "verify"]) == 1
     for name in ("K", "a3", "a4"):
         assert (out / f"{name}.csv").exists()
+    verdicts = {line.split(":")[0]: line.rsplit(" ", 1)[1] for line in
+                (out / "verify_summary.txt").read_text().splitlines()}
+    assert verdicts == {"K": "[ok]", "a3": "[ok]", "a4": "[FAIL]"}
 
 
 def test_verify_product_kernel_config(tmp_path):
@@ -933,6 +937,13 @@ def test_malformed_config_exit_1(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: config file") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_config_value_is_text(tmp_path, capsys):
+    cfg = write_config(tmp_path / "pct.cfg", "[covering]\nfamily = bes%sel\n")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "covering"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown covering family 'bes%sel'\n"
 
 
 def test_a1prime_shared_with_a1_is_byte_identical(tmp_path):

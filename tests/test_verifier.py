@@ -438,6 +438,49 @@ def test_laguerre_envelope_held_out_check_can_fail():
     assert report.per_cuboid[0].metadata["max_violation_ratio"] > 1.1
 
 
+def test_laguerre_envelope_records_held_out_verdict():
+    report = V.verify_laguerre_envelope(K.LaguerreKernel(0.0))
+    assert report.parameters["passed"] is False
+    assert report.finite and not report.passed(0.05)
+
+
+# ---------------------------------------------------------------------------
+# The one verdict: VerificationReport.passed
+# ---------------------------------------------------------------------------
+
+def _report(constants, errors, **parameters):
+    return V.VerificationReport(
+        "test", "(none)", "none", parameters,
+        [V.CuboidEntry(i, f"Q{i}", c, e)
+         for i, (c, e) in enumerate(zip(constants, errors))])
+
+
+def test_passed_within_budget():
+    assert _report([1.0, 2.0], [0.01, 0.05]).passed(0.05)
+    assert _report([1.0, 2.0], [0.0, 0.0], passed=True).passed(0.05)
+
+
+def test_passed_fails_infinite_constant():
+    report = _report([1.0, math.inf], [0.01, 0.0])
+    # the budget alone accepts it: its scale, the sup constant, is inf
+    assert report.within_error_budget(0.05)
+    assert not report.passed(0.05)
+    assert not _report([1.0, math.nan], [0.01, 0.0]).passed(0.05)
+
+
+def test_passed_fails_error_above_budget():
+    report = _report([1.0, 2.0], [0.01, 0.11])
+    assert not report.within_error_budget(0.05)
+    assert not report.passed(0.05)
+    assert report.passed(0.06)
+
+
+def test_passed_fails_recorded_target_check():
+    report = _report([1.0], [0.0], passed=False)
+    assert report.finite and report.within_error_budget(0.05)
+    assert not report.passed(0.05)
+
+
 # ---------------------------------------------------------------------------
 # Propagation and negative controls
 # ---------------------------------------------------------------------------
