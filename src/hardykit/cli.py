@@ -114,39 +114,42 @@ def load_config(path: str | None, seed: int, threads: int) -> CampaignConfig:
     return CampaignConfig(raw=parser, seed=seed, threads=threads)
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _parse_window(text: str, kind=int) -> tuple:
+    """``lo..hi`` as two ``kind`` values; other text is a ValueError."""
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return kind(lo), kind(hi)
+    except ValueError:
+        raise ValueError(f"[covering] window = {text.strip()!r} is not "
+                         "lo..hi") from None
 
 
 def build_covering(cfg: CampaignConfig) -> coverings.AdmissibleCovering:
     family = cfg.get("covering", "family").strip().lower()
     kappa = cfg.getfloat("covering", "kappa")
-    window = cfg.get("covering", "window")
+    w = _parse_window(cfg.get("covering", "window"),
+                      float if family == "uniform" else int)
     if family == "bessel":
-        return coverings.covering_bessel(_parse_window(window), kappa)
+        return coverings.covering_bessel(w, kappa)
     if family == "laguerre":
-        return coverings.covering_laguerre(_parse_window(window), kappa)
+        return coverings.covering_laguerre(w, kappa)
     if family == "uniform":
         tau = cfg.getfloat("covering", "tau")
-        lo, hi = (float(v) for v in window.split(".."))
-        return coverings.covering_uniform(real_line(1), tau, ([lo], [hi]), kappa)
+        return coverings.covering_uniform(real_line(1), tau, ([w[0]], [w[1]]),
+                                          kappa)
     if family == "bessel-box":
-        w = _parse_window(window)
         return coverings.box_product(coverings.covering_bessel(w, kappa),
                                      coverings.covering_bessel(w, kappa))
     if family == "laguerre-box":
-        w = _parse_window(window)
         return coverings.box_product(coverings.covering_laguerre(w, kappa),
                                      coverings.covering_laguerre(w, kappa))
     if family == "bessel-laguerre-box":
-        w = _parse_window(window)
         return coverings.box_product(coverings.covering_bessel(w, kappa),
                                      coverings.covering_laguerre(w, kappa))
     if family == "line-bessel":
         extent = cfg.getfloat("covering", "extent")
         return coverings.covering_line_strips(
-            coverings.covering_bessel(_parse_window(window), kappa), extent)
+            coverings.covering_bessel(w, kappa), extent)
     raise ValueError(f"unknown covering family {family!r}")
 
 
@@ -173,9 +176,6 @@ def _base_kernel(name: str, cfg: CampaignConfig,
     if kind == "laguerre":
         alpha = float(arg) if arg else cfg.getfloat("kernel", "alpha")
         return kernels.LaguerreKernel(alpha)
-    if kind == "stable":
-        return kernels.StableKernel(cfg.getfloat("kernel", "nu"),
-                                    cfg.getint("kernel", "d"))
     if kind == "schrodinger":
         potential = cfg.get("kernel", "potential").strip().lower()
         if potential not in _POTENTIALS:

@@ -158,10 +158,15 @@ def covering_uniform(domain: DomainSpec, tau: float,
                      window: tuple[Sequence[float], Sequence[float]],
                      kappa: float = DEFAULT_KAPPA) -> AdmissibleCovering:
     """Grid of congruent cubes with diameter tau over the window box."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"covering tau = {tau} is not finite and positive")
     d = domain.dimension
     side = tau / math.sqrt(d)
     lo = np.asarray(window[0], dtype=float)
     hi = np.asarray(window[1], dtype=float)
+    if not np.all((-math.inf < lo) & (lo < hi) & (hi < math.inf)):
+        raise ValueError(f"covering window {lo.tolist()}..{hi.tolist()} "
+                         "is not finite with lo < hi on every axis")
     counts = [max(1, int(math.ceil((hi[j] - lo[j]) / side - 1e-9)))
               for j in range(d)]
     axes = [lo[j] + side * (np.arange(counts[j]) + 0.5) for j in range(d)]
@@ -177,8 +182,8 @@ def covering_uniform(domain: DomainSpec, tau: float,
                                   tuple(float(v) for v in hi)))
 
 
-def covering_line_strips(inner: AdmissibleCovering, extent: float,
-                         kappa: float | None = None) -> AdmissibleCovering:
+def covering_line_strips(inner: AdmissibleCovering,
+                         extent: float) -> AdmissibleCovering:
     """Covering of R x X_2: each strip R x Q_2 is tiled by intervals
     whose half-width equals d_{Q_2}, anchored at the origin.
 
@@ -186,7 +191,6 @@ def covering_line_strips(inner: AdmissibleCovering, extent: float,
     full-size cells; the window box used for coverage checks stays at
     [-extent, extent].
     """
-    kappa = kappa if kappa is not None else inner.kappa
     dom = product_domain(real_line(), inner.domain)
     cuboids: list[Cuboid] = []
     for q2 in inner.cuboids:
@@ -200,7 +204,7 @@ def covering_line_strips(inner: AdmissibleCovering, extent: float,
                                   (r1, *q2.half_widths), dom))
     win2_lo, win2_hi = inner.window_box
     return AdmissibleCovering(
-        cuboids=tuple(cuboids), kappa=kappa, domain=dom,
+        cuboids=tuple(cuboids), kappa=inner.kappa, domain=dom,
         window_box=((-extent, *win2_lo), (extent, *win2_hi)),
         family=f"line_strips({inner.family})", window=(extent, inner.window))
 
@@ -565,8 +569,11 @@ def partition_of_unity(covering: AdmissibleCovering) -> PartitionOfUnity:
 # SVG emitter
 # ---------------------------------------------------------------------------
 
-def covering_svg(c: AdmissibleCovering, size: int = 640,
-                 log_axes: bool = False, margin: float = 12.0) -> str:
+# the SVG's width and height, and its margin around the drawing, in pixels
+_SVG_SIZE, _SVG_MARGIN = 640, 12.0
+
+
+def covering_svg(c: AdmissibleCovering, log_axes: bool = False) -> str:
     """One rectangle per cuboid of a 2-D covering; optional log-log axes."""
     if c.dimension != 2:
         raise ValueError("SVG emitter draws 2-D coverings")
@@ -578,17 +585,17 @@ def covering_svg(c: AdmissibleCovering, size: int = 640,
     mn = lo.min(axis=0)
     mx = hi.max(axis=0)
     span = np.maximum(mx - mn, 1e-300)
-    scale = (size - 2 * margin) / span.max()
+    scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span.max()
 
     def sx(v):
-        return margin + (v - mn[0]) * scale
+        return _SVG_MARGIN + (v - mn[0]) * scale
 
     def sy(v):
-        return size - margin - (v - mn[1]) * scale
+        return _SVG_SIZE - _SVG_MARGIN - (v - mn[1]) * scale
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+        f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'
     ]
     for (l0, l1), (h0, h1) in zip(lo, hi):
         x, y = sx(l0), sy(h1)

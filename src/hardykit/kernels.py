@@ -31,10 +31,6 @@ Implemented families:
   t^{-d/2} P(|x - y|/sqrt t), a table up to |x - y|/sqrt t = rho_max and
   a tail series above it;
 
-* ``StableKernel(nu, d)``: the same object in its natural time
-  parameter, eval(t) = P_{t, nu}: the subordinated heat kernel at time
-  t^{1/nu};
-
 * ``ProductKernel(factors)``: coordinate-wise product at a shared t.
 
 All evaluators broadcast over numpy arrays in t, x, y, and give the same
@@ -204,7 +200,10 @@ class KernelFamily:
         The midpoint sum over g's cells: one (points x cells) evaluation
         and matvec per row of t.  Its cell sum aliases where the kernel is
         as narrow as a cell, by about 2 e^{-4 pi^2 t/h^2} relative for the
-        heat kernel, so it is an estimate, not the integral.
+        heat kernel, so it is an estimate, not the integral.  A subordinated
+        heat kernel mixes in narrower heat kernels and aliases more: at
+        nu = 0.3 the maximal norm of the local atom of [-1, 0] moves from
+        2.0537 (error 0.0115) at 64 cells to 2.0703 (0.0044) at 256.
         """
         x = np.asarray(x, dtype=float)
         centers = g.centers
@@ -246,6 +245,8 @@ class KernelFamily:
 
 class EuclideanHeat(KernelFamily):
     def __init__(self, d: int = 1):
+        if not d >= 1:
+            raise DomainError(f"heat kernel dimension d = {d} is below 1")
         self.domain = real_line(d)
         self.kind = f"euclidean_heat(d={d})"
 
@@ -277,8 +278,8 @@ class EuclideanHeat(KernelFamily):
 
 class BesselKernel(KernelFamily):
     def __init__(self, beta: float):
-        if beta <= 0.0:
-            raise DomainError("bessel kernel requires beta > 0")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"bessel beta = {beta} is not in (0, inf)")
         self.beta = beta
         self.tau = beta - 0.5
         self.domain = half_line()
@@ -310,8 +311,8 @@ class BesselKernel(KernelFamily):
 
 class LaguerreKernel(KernelFamily):
     def __init__(self, alpha: float):
-        if alpha <= -0.5:
-            raise DomainError("laguerre kernel requires alpha > -1/2")
+        if not -0.5 < alpha < math.inf:
+            raise DomainError(f"laguerre alpha = {alpha} is not in (-1/2, inf)")
         self.alpha = alpha
         self.domain = half_line()
         self.kind = f"laguerre(alpha={alpha:g})"
@@ -685,7 +686,8 @@ class SubordinateKernel(KernelFamily):
     ``eval(t, x, y)`` returns the kernel of the fractional-power
     semigroup at time t^nu, i.e. integral base(t s) g_nu(s) ds.  All
     estimates consume the kernel in exactly this parameterization, and
-    the CLI documents the convention.
+    the CLI documents the convention.  The natural-time kernel P_{t, nu}
+    is ``eval(t ** (1 / nu), x, y)``.
 
     A base of type exactly ``EuclideanHeat`` reads the cached
     ``RadialProfile``: eval = t^{-d/2} P(|x - y|/sqrt t), a few ufunc
@@ -721,21 +723,6 @@ class SubordinateKernel(KernelFamily):
         if isinstance(self.base, EuclideanHeat):
             return self
         return SubordinateKernel(EuclideanHeat(self.dimension), self.nu)
-
-
-class StableKernel(SubordinateKernel):
-    """Kernel of the 2nu-stable semigroup in its natural time, P_{t, nu}:
-    the subordinated heat kernel evaluated at t^{1/nu}."""
-
-    def __init__(self, nu: float, d: int = 1):
-        if not 0.0 < nu < 1.0:
-            raise DomainError("stable kernel requires nu in (0, 1)")
-        super().__init__(EuclideanHeat(d), nu)
-        self.kind = f"stable(nu={nu:g}, d={d})"
-
-    def eval(self, t, x, y):
-        self._check_time(t)
-        return super().eval(np.asarray(t, dtype=float) ** (1.0 / self.nu), x, y)
 
 
 def poisson_kernel(t, x, y, d: int = 1):

@@ -700,8 +700,19 @@ def verify_smalltime_limits(k: KernelFamily, x_samples: Sequence[float],
 # Envelope fits
 # ---------------------------------------------------------------------------
 
-def _probe_set(n: int, t_range, x_range, d: int,
-               start: int = 7) -> tuple[np.ndarray, ...]:
+# Each fit's Halton probes, (count, t range, x range): log-uniform in t
+# and uniform in x and y over their ranges
+_A0_PROBES = (4000, (1e-4, 1e3), (0.05, 16.0))
+_GAUSS_PROBES = (4000, (1e-4, 1e2), (0.05, 16.0))
+_LAGUERRE_PROBES = (10000, (1e-4, 10.0), (0.05, 20.0))
+_PROBE_KEYS = ("n_probes", "t_range", "x_range")
+# the widths c each envelope fit scans
+_GAUSS_C = (4.0, 4.5, 5.0, 6.0, 8.0, 12.0, 20.0)
+_LAGUERRE_C = tuple(float(c) for c in np.geomspace(1e-3, 0.26, 24))
+
+
+def _probe_set(probes, d: int, start: int = 7) -> tuple[np.ndarray, ...]:
+    n, t_range, x_range = probes
     pts = halton(n, 1 + 2 * d, start=start)
     t = t_range[0] * (t_range[1] / t_range[0]) ** pts[:, 0]
     x = x_range[0] + (x_range[1] - x_range[0]) * pts[:, 1:1 + d]
@@ -711,15 +722,14 @@ def _probe_set(n: int, t_range, x_range, d: int,
     return t, x, y
 
 
-def _max_log_ratios(k: KernelFamily, log_envs: Sequence[Callable],
-                    n_probes: int, t_range, x_range,
+def _max_log_ratios(k: KernelFamily, log_envs: Sequence[Callable], probes,
                     start: int = 7) -> list[float]:
-    """max over Halton probes start, ..., start + n_probes - 1 of
+    """max over Halton probes start, ..., start + n - 1 of
     log T_t(x, y) - log_env(t, x, y, |x - y|^2), one per log_env, from one
     kernel evaluation.  Kernel values at the underflow floor (1e-250)
     carry no envelope information and count as log T = -inf."""
     d = k.dimension
-    t, x, y = _probe_set(n_probes, t_range, x_range, d, start)
+    t, x, y = _probe_set(probes, d, start)
     vals = k.eval(t, x, y)
     log_vals = np.where(vals > 1e-250, np.log(np.maximum(vals, 1e-300)),
                         -np.inf)
@@ -728,77 +738,67 @@ def _max_log_ratios(k: KernelFamily, log_envs: Sequence[Callable],
             for log_env in log_envs]
 
 
-def verify_A0prime(k: KernelFamily, nu: float = 0.5, n_probes: int = 4000,
-                   t_range=(1e-4, 1e3), x_range=(0.05, 16.0)) -> VerificationReport:
+def verify_A0prime(k: KernelFamily, nu: float = 0.5) -> VerificationReport:
     """Fitted constant in T_t <= C t^nu / (t + |x-y|^2)^{d/2 + nu}."""
     p = k.dimension / 2.0 + nu
     [log_c] = _max_log_ratios(
         k, [lambda t, x, y, r2: nu * np.log(t) - p * np.log(t + r2)],
-        n_probes, t_range, x_range)
+        _A0_PROBES)
     entry = CuboidEntry(
         index=0, label="probe set", constant=math.exp(log_c), error=0.0,
-        metadata={"n_probes": float(n_probes), "nu": nu})
+        metadata={"n_probes": float(_A0_PROBES[0]), "nu": nu})
     return VerificationReport(
         condition_id="A0prime", covering_id="(probe set)",
         kernel_id=k.kind,
-        parameters={"nu": nu, "n_probes": n_probes,
-                    "t_range": t_range, "x_range": x_range},
+        parameters={"nu": nu, **dict(zip(_PROBE_KEYS, _A0_PROBES))},
         per_cuboid=[entry])
 
 
-def fit_gaussian_envelope(k: KernelFamily, n_probes: int = 4000,
-                          t_range=(1e-4, 1e2), x_range=(0.05, 16.0),
-                          c_candidates=(4.0, 4.5, 5.0, 6.0, 8.0, 12.0, 20.0)
-                          ) -> VerificationReport:
+def fit_gaussian_envelope(k: KernelFamily) -> VerificationReport:
     """Fitted (C, c) in T_t <= C t^{-d/2} exp(-|x-y|^2 / (c t)) (1-D factors)."""
     d = k.dimension
     log_cs = _max_log_ratios(
         k, [lambda t, x, y, r2, c=c: -(d / 2.0) * np.log(t) - r2 / (c * t)
-            for c in c_candidates],
-        n_probes, t_range, x_range)
-    scan = {c: float(np.exp(lc)) for c, lc in zip(c_candidates, log_cs)}
-    c_star = next((c for c in c_candidates if math.isfinite(scan[c])), None)
+            for c in _GAUSS_C], _GAUSS_PROBES)
+    scan = {c: float(np.exp(lc)) for c, lc in zip(_GAUSS_C, log_cs)}
+    c_star = next((c for c in _GAUSS_C if math.isfinite(scan[c])), None)
     entry = CuboidEntry(
         index=0, label="probe set", constant=scan[c_star], error=0.0,
         metadata={"c": c_star, **{f"C_at_c{c:g}": v for c, v in scan.items()}})
     return VerificationReport(
         condition_id="A0gauss", covering_id="(probe set)",
         kernel_id=k.kind,
-        parameters={"n_probes": n_probes, "t_range": t_range,
-                    "x_range": x_range, "c": c_star},
+        parameters={**dict(zip(_PROBE_KEYS, _GAUSS_PROBES)), "c": c_star},
         per_cuboid=[entry])
 
 
-def verify_laguerre_envelope(k: KernelFamily, n_probes: int = 10000,
-                             t_range=(1e-4, 10.0), x_range=(0.05, 20.0),
-                             c_grid=None) -> VerificationReport:
+def verify_laguerre_envelope(k: KernelFamily) -> VerificationReport:
     """Smallest (C, c) with
     T_t <= C t^{-1/2} e^{-c|x-y|^2/t} e^{-c t x y} min(1, (xy/t)^{alpha+1/2}).
 
     The fit scans c, takes C(c) as the max probe ratio, keeps the largest
     c whose C stays within a factor 3 of the best, then checks the fitted
-    constants on the next ``n_probes`` Halton points, held out of the fit:
-    the check passes when no held-out ratio exceeds 1 + 1e-9.
+    constants on the next n Halton points, held out of the fit: the check
+    passes when no held-out ratio exceeds 1 + 1e-9.
     """
     alpha = k.alpha
+    n_probes = _LAGUERRE_PROBES[0]
 
     def log_env(c):
         return lambda t, x, y, r2: (
             -0.5 * np.log(t) - c * r2 / t - c * t * (x * y)
             + np.minimum(0.0, (alpha + 0.5) * (np.log(x * y) - np.log(t))))
 
-    cs = [float(c) for c in (np.geomspace(1e-3, 0.26, 24) if c_grid is None
-                             else c_grid)]
-    scan = dict(zip(cs, _max_log_ratios(k, [log_env(c) for c in cs],
-                                        n_probes, t_range, x_range)))
+    scan = dict(zip(_LAGUERRE_C, _max_log_ratios(
+        k, [log_env(c) for c in _LAGUERRE_C], _LAGUERRE_PROBES)))
     cut = min(scan.values()) + math.log(3.0)
     c_star = max(c for c, lr in scan.items() if lr <= cut)
     c_fit = math.exp(scan[c_star])
-    [log_held_out] = _max_log_ratios(k, [log_env(c_star)], n_probes, t_range,
-                                     x_range, start=7 + n_probes)
+    [log_held_out] = _max_log_ratios(k, [log_env(c_star)], _LAGUERRE_PROBES,
+                                     start=7 + n_probes)
     violation = math.exp(log_held_out - scan[c_star])
     passed = violation <= 1.0 + 1e-9
-    t, x, y = _probe_set(n_probes, t_range, x_range, 1)
+    t, x, y = _probe_set(_LAGUERRE_PROBES, 1)
     branch_small = float(np.mean(np.log(x * y) < np.log(t)))
     entry = CuboidEntry(
         index=0, label="probe set", constant=c_fit, error=0.0,
@@ -828,14 +828,17 @@ def maximal_norm(k: KernelFamily, atom: Atom,
     t-grid chunk), a midpoint sum over the cells, one kernel evaluation
     per time, for every other kernel.  The time grid (10 points per
     decade, each maximum refined by 4 Brent-style ``golden_refine`` steps)
-    starts at the square of half an atom cell; below that the
-    small-time end is realized by the |a(x)| floor (the t -> 0 limit).
-    One ``sup_over_t`` per atom covers both rules, the box around the
-    atom and its complement in the window, at both Richardson levels.
-    The midpoint sum aliases there, by about 2 e^{-4 pi^2 t/h^2} relative
-    at t = (h/2)^2, and so sits about 1.7e-5 relative above the exact
-    norm at any number of cells.  The error, the coarse-fine difference of
-    both rules, is judged by ``hardykit maximal``, not here.  Atoms are
+    starts at the square of half an atom cell, a start for kernels of
+    width about sqrt(t), as every kernel here is at small t; below that
+    the small-time end is realized by the |a(x)| floor (the t -> 0
+    limit).  One ``sup_over_t`` per atom covers both rules, the box
+    around the atom and its complement in the window, at both Richardson
+    levels.  For the heat kernel the midpoint sum aliases there, by about
+    2 e^{-4 pi^2 t/h^2} relative at t = (h/2)^2, and so sits about 1.7e-5
+    relative above the exact norm at any number of cells; a subordinated
+    heat kernel aliases more (``KernelFamily.step_apply``).  The error,
+    the coarse-fine difference of both rules, is judged by ``hardykit
+    maximal``, not here.  Atoms are
     1-D: a kernel or a host cuboid of another dimension is a ValueError.
     A norm that is not finite raises QuadratureError.
     """

@@ -218,15 +218,6 @@ def test_subordinate_poisson_oracle():
     assert np.max(np.abs(mine - ref) / ref) < 1e-6
 
 
-def test_stable_natural_time():
-    st = K.StableKernel(0.5, 1)
-    assert_allclose(st.eval(1.0, 0.0, 0.0), 1.0 / math.pi, rtol=1e-9)
-    # consistency with the substituted-time kernel
-    sub = K.SubordinateKernel(K.EuclideanHeat(1), 0.5)
-    assert_allclose(st.eval(0.7, 1.0, 0.2), sub.eval(0.7 ** 2, 1.0, 0.2),
-                    rtol=1e-12)
-
-
 # SubordinateKernel(base, 0.7).eval(t, x, y), recorded with the stable
 # density from Kanter's integral
 _HEAT_07 = {
@@ -482,20 +473,21 @@ def test_tail_series_drops_the_incomplete_gamma(nu, d):
 
 
 def test_subordinate_heat_far_from_the_diagonal():
-    # a stable kernel at small natural time puts every point far above
-    # rho_max; the kernel reads the tail series, not the rule
+    # the stable kernel at small natural time t, the subordinated heat
+    # kernel at t^{1/nu}, puts every point far above rho_max; the kernel
+    # reads the tail series, not the rule
     nu = 0.3
-    stable = K.StableKernel(nu, 1)
+    sub = K.SubordinateKernel(K.EuclideanHeat(1), nu)
     t = np.array([[1e-8], [1e-6]])
     y = np.array([0.5, 3.0, 50.0])
     rho = y / np.sqrt(t ** (1.0 / nu))
-    assert np.all(rho > stable.profile.rho_max)
+    assert np.all(rho > sub.profile.rho_max)
     tail = (math.gamma(1.0 + 2.0 * nu) * math.sin(math.pi * nu) / math.pi
             * t ** (-1.0 / (2.0 * nu)) * rho ** (-1.0 - 2.0 * nu))
     # the next term is smaller by about rho^{-2 nu} < 2e-6
-    assert_allclose(stable.eval(t, 0.0, y), tail, rtol=1e-5)
+    assert_allclose(sub.eval(t ** (1.0 / nu), 0.0, y), tail, rtol=1e-5)
     # only the exact heat type reads the table
-    assert stable.profile is K.radial_profile(nu, 1)
+    assert sub.profile is K.radial_profile(nu, 1)
     assert K.SubordinateKernel(_RippledHeat(1), nu).profile is None
 
 
@@ -541,11 +533,11 @@ def test_stable_scaling_covariance():
 
 def test_stable_envelope_bound():
     # P_{t,nu} <= C t / (t^{1/nu} + r^2)^{d/2 + nu} with a finite C
-    st = K.StableKernel(0.7, 1)
+    sub = K.SubordinateKernel(K.EuclideanHeat(1), 0.7)
     rng = np.random.default_rng(9)
     t = 10 ** rng.uniform(-1, 1, 50)
     r = 10 ** rng.uniform(-1, 1, 50)
-    vals = st.eval(t, r, 0.0)
+    vals = sub.eval(t ** (1 / 0.7), r, 0.0)
     env = t / (t ** (1 / 0.7) + r ** 2) ** (0.5 + 0.7)
     assert np.isfinite(np.max(vals / env))
 
@@ -567,9 +559,8 @@ def test_product_kernel():
 def test_comparison_designations():
     assert isinstance(K.BesselKernel(1.0).comparison(), K.EuclideanHeat)
     assert isinstance(K.LaguerreKernel(0.5).comparison(), K.EuclideanHeat)
-    for own in (K.SubordinateKernel(K.EuclideanHeat(1), 0.7),
-                K.StableKernel(0.7, 1)):
-        assert own.comparison() is own
+    own = K.SubordinateKernel(K.EuclideanHeat(1), 0.7)
+    assert own.comparison() is own
     sub_comp = K.SubordinateKernel(K.BesselKernel(1.0), 0.5).comparison()
     assert isinstance(sub_comp, K.SubordinateKernel)
     assert isinstance(sub_comp.base, K.EuclideanHeat)
@@ -591,6 +582,17 @@ def test_parameter_domain_errors():
         K.LaguerreKernel(-0.5)
     with pytest.raises(DomainError):
         K.SubordinateKernel(K.EuclideanHeat(1), 1.5)
+    # a NaN or infinite order fails here, not later as a series overflow
+    # or a sup integral that is not finite
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="beta"):
+            K.BesselKernel(bad)
+        with pytest.raises(DomainError, match="alpha"):
+            K.LaguerreKernel(bad)
+    # d < 1 fails when built, not as numpy's negative index in the profile
+    for d in (0, -1):
+        with pytest.raises(DomainError, match=f"d = {d}"):
+            K.EuclideanHeat(d)
 
 
 def test_point_domain_errors():
@@ -982,7 +984,7 @@ def test_subordinate_time_column_is_row_by_row():
     x = np.linspace(-2.0, 2.0, 9)
     ts = np.geomspace(1e-3, 1e3, 7)
     for k in (K.SubordinateKernel(K.EuclideanHeat(1), 0.7),
-              K.StableKernel(0.7, 1), K.SubordinateKernel(_RippledHeat(1), 0.5)):
+              K.SubordinateKernel(_RippledHeat(1), 0.5)):
         column = k.eval(ts[:, None], x, 0.3)
         rows = np.stack([k.eval(t, x, 0.3) for t in ts])
         assert np.array_equal(column, rows)

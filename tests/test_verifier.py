@@ -509,6 +509,28 @@ def test_subordinate_propagation():
     assert subr.sup_constant <= base.sup_constant + 0.05 * base.sup_constant
 
 
+def test_subordination_domination():
+    # P_t = integral T_s eta_t(s) ds with eta_t a probability density, so
+    # sup_t |P_t f| <= sup_s |T_s f| at every point: each A1' constant and
+    # each maximal norm of the subordinated heat kernel is at most heat's,
+    # within the two error columns.  nu = 0.99 sits 0.010 below heat's A1'
+    # with errors of 4.7e-4 each
+    qu = cov.covering_uniform(real_line(1), 1.0, ([-1.0], [1.0]))
+    heat = K.EuclideanHeat(1)
+    base = V.verify_A1prime(heat, qu, TINY).per_cuboid
+    for nu in (0.3, 0.5, 0.95, 0.99):
+        sub = K.SubordinateKernel(heat, nu)
+        for s, b in zip(V.verify_A1prime(sub, qu, TINY).per_cuboid, base):
+            assert s.constant <= b.constant + b.error + s.error
+    q = qu.cuboids[0]
+    for atom in (at.make_local_atom(q, 64),
+                 at.random_classical_atom(q, qu.kappa, seed=0, cells=64)):
+        value, err, _ = V.maximal_norm(heat, atom)
+        for nu in (0.3, 0.95):
+            v, e, _ = V.maximal_norm(K.SubordinateKernel(heat, nu), atom)
+            assert v <= value + err + e
+
+
 def test_negative_control_distorted_covering(bessel1):
     dom = bessel1.domain
     bad = cov.AdmissibleCovering(
