@@ -112,10 +112,29 @@ class AdmissibleCovering:
         return self.domain.clip_box(z - r, z + r)
 
 
+# The dyadic indices n whose half-widths 2^{n - 1} have normal squares, as
+# the diameters 2 sqrt(sum r^2) need
+_DYADIC_RANGE = (-510, 512)
+
+
+def _dyadic_window(window) -> tuple[int, int]:
+    """The window's (n_lo, n_hi), or ValueError naming it when an end lies
+    outside ``_DYADIC_RANGE``: above it the diameters overflow (and 2^n
+    itself above 1023), below it they round to 0 (and the half-widths
+    below -1073)."""
+    n_lo, n_hi = window
+    lo, hi = _DYADIC_RANGE
+    if not (lo <= n_lo <= hi and lo <= n_hi <= hi):
+        raise ValueError(f"[covering] window = {n_lo}..{n_hi} is outside "
+                         f"{lo}..{hi}, the dyadic indices n whose half-widths "
+                         "2^(n-1) have normal squares")
+    return n_lo, n_hi
+
+
 def covering_bessel(window: tuple[int, int],
                     kappa: float = DEFAULT_KAPPA) -> AdmissibleCovering:
     """Dyadic intervals [2^n, 2^{n+1}] on (0, inf) for n in the window."""
-    n_lo, n_hi = window
+    n_lo, n_hi = _dyadic_window(window)
     dom = half_line()
     cuboids = tuple(
         Cuboid((3.0 * 2.0 ** (n - 1),), (2.0 ** (n - 1),), dom)
@@ -136,7 +155,7 @@ def covering_laguerre(window: tuple[int, int],
     2^{2n+1} congruent intervals of length 2^{-n-1} tiling [2^n, 2^{n+1}]
     (refinement toward large x).
     """
-    n_lo, n_hi = window
+    n_lo, n_hi = _dyadic_window(window)
     dom = half_line()
     cuboids: list[Cuboid] = []
     for m in range(n_lo, min(n_hi, -1) + 1):

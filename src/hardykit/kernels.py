@@ -49,7 +49,7 @@ import numpy as np
 from . import specfun
 from .domain import DomainSpec, half_line, product_domain, real_line
 from .errors import DomainError, QuadratureError
-from .quadrature import (GK15_WG, GK15_WK, GK15_X, WORKING_SET,
+from .quadrature import (GK15_WG, GK15_WK, GK15_X, WORKING_SET, ChebTable,
                          bisect_panels, integrate_adaptive)
 
 
@@ -168,8 +168,10 @@ def _gaussian_step_rows(runs, x, sigma, shift, odd):
     terms *= coef
     total = level + np.sum(terms, axis=-1)
     if near.any():
-        total[near] = np.sum(runs.jumps * specfun.erf_window(
-            b / sig[near][:, None], delta[near][:, None]), axis=-1)
+        # b_j/sigma capped at 28 here too: erf_window vanishes above, and
+        # its e^{-u^2} would overflow to NaN above about 1e4
+        total[near] = np.sum(runs.jumps * specfun.erf_window(np.minimum(
+            b / sig[near][:, None], 28.0), delta[near][:, None]), axis=-1)
     return total
 
 
@@ -179,7 +181,8 @@ class KernelFamily:
     ``step_apply`` propagates a 1-D grid function (an atom): by default a
     midpoint sum over its cells, one kernel evaluation per time; heat
     (d = 1), Bessel(beta = 1) and Laguerre(alpha = 1/2) are Gaussian in y
-    and override it with the exact integral over its runs.
+    and override it with the exact integral over its runs, and a
+    subordinated kernel off the heat profile subordinates its base's.
     """
 
     domain: DomainSpec
@@ -201,9 +204,13 @@ class KernelFamily:
         and matvec per row of t.  Its cell sum aliases where the kernel is
         as narrow as a cell, by about 2 e^{-4 pi^2 t/h^2} relative for the
         heat kernel, so it is an estimate, not the integral.  A subordinated
-        heat kernel mixes in narrower heat kernels and aliases more: at
-        nu = 0.3 the maximal norm of the local atom of [-1, 0] moves from
-        2.0537 (error 0.0115) at 64 cells to 2.0703 (0.0044) at 256.
+        heat kernel mixes in heat kernels narrower than any cell, so the
+        sum is biased at the smallest times, which shrink with the cells:
+        the maximal norm of the local atom of [-1, 0] (uniform tau = 1
+        covering of -1..1) is 2.5097 +- 0.0107 at nu = 1/2 and
+        1.9975 +- 0.0111 at nu = 0.3 through ``SubordinateKernel``'s exact
+        rule path over a heat subclass, and the midpoint sum reads 2.5277
+        and 2.0537 at 64 cells, 2.5341 and 2.0703 at 256.
         """
         x = np.asarray(x, dtype=float)
         centers = g.centers
@@ -493,37 +500,22 @@ def subordination_rule(nu: float) -> SubordinationRule:
     return SubordinationRule(nu)
 
 
-# Chebyshev extrema of degree 16 on [-1, 1], and four off-node check
-# points at angle midpoints, where the aliased error T_17 - T_15 of the
-# interpolant is largest
-_CHEB_DEG = 16
-_CHEB_Z = np.cos(math.pi * np.arange(_CHEB_DEG + 1) / _CHEB_DEG)
-_CHEB_CHECK = np.cos(math.pi * (np.array([3, 7, 8, 12]) + 0.5) / _CHEB_DEG)
-
-
-class RadialProfile:
+class RadialProfile(ChebTable):
     """P(rho) = integral H_s(rho) g_nu(s) ds, the subordinated heat kernel
     on R^d at t = 1 as a function of rho = |x - y|.  The heat kernel
     scales, so the subordinated one at any t is t^{-d/2} P(|x - y|/sqrt t).
 
-    log P is tabulated in u = log rho as piecewise Chebyshev interpolants
-    of degree 16 on panels of width at most 1 over [rho_min, rho_max].
-    The build goes pass by pass (``quadrature.bisect_panels``).  A pass
-    takes every pending panel's 17 nodes and 4 off-node points from
-    ``SubordinationRule.apply``, one call per panel (its K15/G7 check is
-    relative to the largest value of the call, so each panel keeps its
-    own), fits all panels with one multi-column ``chebfit`` and checks
-    them at the off-node points at once.  A panel whose log P there
-    differs from the rule by more than 1e-12 (or whose P is 0) is halved
-    into the next pass.  A table that would hold more than four times as
-    many panels, kept and pending, as it has seed panels raises
-    ``QuadratureError``, so a profile that no panel width resolves fails
-    after seven times as many panel evaluations (the tables hold at most 3
-    panels in a seed panel for nu in [0.05, 0.95], d = 1, 2; the seed
-    panels grow like 1/nu, 252 at nu = 0.01, d = 1).  Evaluation runs
-    numpy's ``chebval`` Clenshaw recurrence one degree at a time on each
-    point's coefficient, with the bits of ``chebval`` and no (17 x points)
-    gather, so a point's value does not depend on the other points.
+    log P is a ``quadrature.ChebTable`` in u = log rho over [rho_min,
+    rho_max], seeded with panels of width at most 1 and checked to 1e-12
+    off-node.  Its f makes one ``SubordinationRule.apply`` per panel (the
+    K15/G7 check is relative to the largest value of the call, so each
+    panel keeps its own), and a P that underflows to 0 fails its panel.
+    A table that would hold more than four times as many panels, kept and
+    pending, as it has seed panels raises ``QuadratureError``, so a
+    profile that no panel width resolves fails after seven times as many
+    panel evaluations (the tables hold at most 3 panels in a seed panel
+    for nu in [0.05, 0.95], d = 1, 2; the seed panels grow like 1/nu, 252
+    at nu = 0.01, d = 1).
 
     The ends are explicit bounds, not fits:
     * below rho_min, P is the exact P(0) = (4 pi)^{-d/2} m_{d/2}, with the
@@ -550,9 +542,6 @@ class RadialProfile:
     """
 
     def __init__(self, nu: float, d: int):
-        # imported here, as scipy is: at module level it adds 0.7 MB to
-        # every command, subordinated or not
-        from numpy.polynomial.chebyshev import chebfit, chebval
         self.nu, self.d = nu, d
         rule = subordination_rule(nu)
         heat = EuclideanHeat(d)
@@ -587,32 +576,14 @@ class RadialProfile:
             x = rho if d == 1 else np.pad(rho[:, None], ((0, 0), (0, d - 1)))
             return heat.eval(s, x, 0.0)
 
+        def log_p(u):
+            with np.errstate(divide="ignore"):
+                return np.log(rule.apply(radial_heat, 1.0, np.exp(u), 0.0))
+
         u_lo, u_hi = math.log(self.rho_min), math.log(self.rho_max)
         edges = np.linspace(u_lo, u_hi, math.ceil(u_hi - u_lo) + 1)
-        z = np.concatenate([_CHEB_Z, _CHEB_CHECK])
-
-        def check(ua, ub, _):
-            # one pass: every pending panel, then one fit and one check
-            mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-            vals = [rule.apply(radial_heat, 1.0, np.exp(m + h * z), 0.0)
-                    for m, h in zip(mid, half)]
-            with np.errstate(divide="ignore"):
-                log_p = np.log(vals).T              # one column per panel
-            # a P that underflows to 0 fails its panel, and is kept out of
-            # the fit, whose lstsq scales every column by the largest value
-            broken = ~np.all(np.isfinite(log_p), axis=0)
-            log_p[:, broken] = 0.0
-            c_k = chebfit(_CHEB_Z, log_p[:_CHEB_DEG + 1], _CHEB_DEG)
-            err = np.max(np.abs(chebval(_CHEB_CHECK, c_k)
-                                - log_p[_CHEB_DEG + 1:].T), axis=1)
-            err[broken] = np.inf
-            return err <= 1e-12, err, c_k.T
-
-        # one key: the seed panels and their halves run from left to right
-        self.lo, self.hi, _, coef = bisect_panels(
-            edges[:-1], edges[1:], check, np.zeros(edges.size - 1, np.intp),
-            4 * (edges.size - 1), "radial profile interpolation")
-        self.coef = np.ascontiguousarray(coef.T)    # one row per degree
+        super().__init__(log_p, edges, 1e-12, 4 * (edges.size - 1),
+                         "radial profile interpolation")
         # the table meets the tail series at rho_max, where every T_k is 1
         err = abs(math.expm1(sum(self.coef[:, -1])
                              - math.log(self._tail_series(self.rho_max))))
@@ -649,25 +620,8 @@ class RadialProfile:
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        u = np.log(np.clip(rho, self.rho_min, self.rho_max))
-        i = np.clip(np.searchsorted(self.lo, u, side="right") - 1,
-                    0, len(self.lo) - 1)
-        lo, hi = self.lo[i], self.hi[i]
-        z = (2.0 * u - lo - hi) / (hi - lo)
-        # numpy's chebval recurrence (c0, c1 = c_k - c1, c0 + c1 2z), one
-        # degree at a time and in place: the same bits without a
-        # (degrees x points) gather of the coefficients
-        z2 = 2 * z
-        c0, c1 = self.coef[-2].take(i), self.coef[-1].take(i)
-        for row in self.coef[-3::-1]:
-            c_k = row.take(i)
-            c_k -= c1
-            c1 *= z2
-            c1 += c0
-            c0 = c_k
-        c1 *= z
-        c1 += c0
-        p = np.exp(c1)
+        p = np.exp(super().__call__(
+            np.log(np.clip(rho, self.rho_min, self.rho_max))))
         p = np.where(rho < self.rho_min, self.p0, p)
         far = rho > self.rho_max
         if np.any(far):
@@ -718,6 +672,20 @@ class SubordinateKernel(KernelFamily):
         return _per_time_row(
             lambda tr: self.rule.apply(self.base.eval, tr, x, y, d),
             t, x, y, d)
+
+    def step_apply(self, t, x, g):
+        """The identity ``eval`` uses, on the base's own ``step_apply``:
+        integral T_{ts} g(x) g_nu(s) ds by ``SubordinationRule.apply``, one
+        row of t at a time, each with its own K15/G7 check and a (nodes x
+        points) temporary whatever the number of cells.  Exact to the
+        rule's budget over heat (d = 1, a subclass), Bessel(1) and
+        Laguerre(1/2) bases; other bases sum their midpoint rules at every
+        node.  A heat base reads the profile through the midpoint sum."""
+        if self.profile is not None:
+            return super().step_apply(t, x, g)
+        return _per_time_row(lambda tr: self.rule.apply(
+            lambda ts, xs, _: self.base.step_apply(ts, xs, g), tr, x, 0.0),
+            t, x, 0.0)
 
     def comparison(self) -> "KernelFamily":
         if isinstance(self.base, EuclideanHeat):

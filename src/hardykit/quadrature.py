@@ -11,10 +11,11 @@ Three pieces used throughout the package:
   integrands of one value or of rows of values per node;
 
 * 15-point Gauss-Kronrod panels, ``bisect_panels``, the one pass-by-pass
-  bisection loop behind every adaptive table (the subordination rule and
-  the radial profile in ``kernels``, the stable density's Kanter
-  integrals), and ``integrate_adaptive``, the adaptive 1-D integral on it
-  (clipped mass integrals).
+  bisection loop behind every adaptive table (the subordination rule in
+  ``kernels``, the stable density's Kanter integrals), and on it
+  ``integrate_adaptive``, the adaptive 1-D integral (clipped mass
+  integrals), and ``ChebTable``, the piecewise Chebyshev table (the
+  radial profile in ``kernels``).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def gauss_kronrod_15(f, a, b):
 def bisect_panels(lo, hi, check, key, max_panels: int, what: str):
     """Refine the panels [lo, hi] pass by pass: the one bisection loop of
     ``integrate_adaptive``, the stable density's Kanter integrals, the
-    subordination rule and the radial profile.
+    subordination rule and ``ChebTable``.
 
     Each pass makes one call ``check(lo, hi, key)`` on every pending
     panel.  It returns ``(ok, err, *data)``, arrays with one entry or row
@@ -175,6 +176,83 @@ def integrate_adaptive(f, a: float, b: float, *, rtol: float = 1e-10,
                                np.zeros(len(edges) - 1, dtype=np.intp),
                                rtol=rtol, atol=atol, max_panels=max_panels)
     return float(val[0]), float(err[0])
+
+
+# ---------------------------------------------------------------------------
+# Piecewise Chebyshev tables
+# ---------------------------------------------------------------------------
+
+# Chebyshev extrema of degree 16 on [-1, 1], and four off-node check
+# points at angle midpoints, where the aliased error T_17 - T_15 of the
+# interpolant is largest
+_CHEB_DEG = 16
+_CHEB_Z = np.cos(math.pi * np.arange(_CHEB_DEG + 1) / _CHEB_DEG)
+_CHEB_CHECK = np.cos(math.pi * (np.array([3, 7, 8, 12]) + 0.5) / _CHEB_DEG)
+
+
+class ChebTable:
+    """f(u) on [edges[0], edges[-1]] as piecewise Chebyshev interpolants of
+    degree 16, refined pass by pass (``bisect_panels``) from the seed
+    panels between consecutive ``edges``.
+
+    A pass calls ``f`` once per pending panel, on the panel's 17 Chebyshev
+    extrema and 4 off-node points (a 1-D array of 21 u), fits all panels
+    with one multi-column ``chebfit`` and checks them at the off-node
+    points at once.  A panel whose interpolant there differs from f by
+    more than ``tol``, or where some value of f is not finite (kept out of
+    the fit, whose lstsq scales every column by the largest value), is
+    halved into the next pass.  A table that would hold more than
+    ``max_panels`` panels, kept and pending, raises
+    QuadratureError("<what> above budget").  The kept panels run from left
+    to right: ``lo``, ``hi`` and ``coef``, one row per degree.
+
+    Calling the table clamps u to [lo[0], hi[-1]] and runs numpy's
+    ``chebval`` Clenshaw recurrence one degree at a time on each point's
+    coefficient, with the bits of ``chebval`` and no (17 x points) gather,
+    so a point's value does not depend on the other points.
+    """
+
+    def __init__(self, f, edges, tol: float, max_panels: int, what: str):
+        # imported here, as scipy is: at module level it adds 0.7 MB to
+        # every command, tabulated or not
+        from numpy.polynomial.chebyshev import chebfit, chebval
+        z = np.concatenate([_CHEB_Z, _CHEB_CHECK])
+
+        def check(ua, ub, _):
+            mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+            vals = np.array([f(m + h * z) for m, h in zip(mid, half)]).T
+            broken = ~np.all(np.isfinite(vals), axis=0)
+            vals[:, broken] = 0.0
+            c_k = chebfit(_CHEB_Z, vals[:_CHEB_DEG + 1], _CHEB_DEG)
+            err = np.max(np.abs(chebval(_CHEB_CHECK, c_k)
+                                - vals[_CHEB_DEG + 1:].T), axis=1)
+            err[broken] = np.inf
+            return err <= tol, err, c_k.T
+
+        # one key: the seed panels and their halves run from left to right
+        self.lo, self.hi, _, coef = bisect_panels(
+            edges[:-1], edges[1:], check, np.zeros(edges.size - 1, np.intp),
+            max_panels, what)
+        self.coef = np.ascontiguousarray(coef.T)
+
+    def __call__(self, u):
+        u = np.clip(u, self.lo[0], self.hi[-1])
+        i = np.searchsorted(self.lo, u, side="right") - 1
+        lo, hi = self.lo[i], self.hi[i]
+        z = (2.0 * u - lo - hi) / (hi - lo)
+        # numpy's chebval recurrence (c0, c1 = c_k - c1, c0 + c1 2z), one
+        # degree at a time and in place
+        z2 = 2 * z
+        c0, c1 = self.coef[-2].take(i), self.coef[-1].take(i)
+        for row in self.coef[-3::-1]:
+            c_k = row.take(i)
+            c_k -= c1
+            c1 *= z2
+            c1 += c0
+            c0 = c_k
+        c1 *= z
+        c1 += c0
+        return c1
 
 
 # ---------------------------------------------------------------------------

@@ -330,8 +330,7 @@ def _stable_log_bound(nu: float, s):
 
 def stable_negligible(nu: float, s):
     """True where the bound of ``_stable_log_bound`` puts g_nu(s) below
-    1e-300.  ``stable_density`` returns an exact 0 there (at nu = 1/2 the
-    closed form is below 1e-300 there as well)."""
+    1e-300.  ``stable_density`` returns an exact 0 there."""
     return _stable_log_bound(nu, s) < _LOG_DENSITY_FLOOR
 
 
@@ -430,7 +429,7 @@ def stable_density(params: StableDensityParams, s):
     """Density g_nu(s) of the one-sided nu-stable subordinator, s > 0
     (``DomainError`` names the first s that is not, NaN included).
 
-    Dispatch: closed form at nu = 1/2, the alternating series for
+    Dispatch, the same at every nu: the alternating series for
     s >= stable_series_switch(nu), an exact 0 where the bound
     p B s^{-1/(1-nu)} e^{-B s^{-p}} is below 1e-300 (s < s*(nu): about
     3.5e-4 at nu = 1/2, about 2.5e-2 at nu = 0.7; see
@@ -442,10 +441,6 @@ def stable_density(params: StableDensityParams, s):
         raise DomainError("stable density requires s > 0, got s = "
                           f"{float(s_arr[bad][0])!r}")
     nu = params.nu
-    if nu == 0.5:
-        out = np.exp(-0.25 / s_arr) / (2.0 * math.sqrt(math.pi) * s_arr ** 1.5)
-        return out if out.ndim else float(out)
-
     out = np.zeros_like(s_arr)
     big = s_arr >= stable_series_switch(nu)
     if np.any(big):

@@ -208,11 +208,20 @@ list = A1prime
      "d = -1"),
     ("verify", KERNEL_CFG.format(kernel="kind = euclidean_heat\nd = -1"),
      "d = -1"),
+    ("covering", "[covering]\nwindow = 0..1100\n", "[covering] window"),
+    ("covering", "[covering]\nwindow = 1020..1024\n", "-510..512"),
+    ("covering", "[covering]\nwindow = 511..513\n", "-510..512"),
+    ("covering", "[covering]\nwindow = -1100..0\n", "[covering] window"),
+    ("covering", "[covering]\nfamily = laguerre\nwindow = -1100..-1\n",
+     "-510..512"),
 ], ids=["potential", "n_points", "n_max", "cells", "box_half_width_zero",
         "box_half_width_inf", "atoms_per_cuboid", "tau_zero", "tau_inf",
         "window_reversed", "window_uniform_one_value",
         "window_bessel_one_value", "beta_nan", "beta_inf", "alpha_nan",
-        "subordinate_d_zero", "subordinate_d_negative", "heat_d_negative"])
+        "subordinate_d_zero", "subordinate_d_negative", "heat_d_negative",
+        "window_bessel_overflow", "window_bessel_top",
+        "window_bessel_diameter_overflow", "window_bessel_underflow",
+        "window_laguerre_underflow"])
 def test_bad_config_value_exit_1(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path / "c.cfg", config)
     assert run(["--config", cfg, "--out", tmp_path / "out", command]) == 1

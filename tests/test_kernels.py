@@ -839,6 +839,18 @@ def test_laguerre_step_apply_beyond_cosh_overflow():
             assert abs(vals[i, jx] - exact) <= 1e-14 * g.sup_norm
 
 
+@pytest.mark.parametrize("name", ["bessel", "laguerre"])
+def test_odd_step_apply_near_zero_at_tiny_times(name):
+    # at x -> 0 the odd pairs cancel through erf_window; where b_j/sigma
+    # passes 1e4 (t below about 1e-9 on [1/2, 1]) its e^{-u^2} overflowed
+    # and the value was NaN.  It is an exact 0 there
+    g = make_local_atom(covering_bessel((-1, -1)).cuboids[0], cells=16)
+    t = np.array([[1.2345e-10], [3.3e-11], [1e-300]])
+    vals = GAUSSIAN_STEP[name].step_apply(t, np.array([0.0, 1e-12, 0.75]), g)
+    assert np.all(vals[:, :2] == 0.0)
+    assert_allclose(vals[:, 2], 2.0, rtol=1e-9)
+
+
 def test_step_apply_orders_and_checks():
     g = gate_atom(0, True, 0)
     t = np.array([[0.5]])
@@ -851,6 +863,38 @@ def test_step_apply_orders_and_checks():
             k.step_apply(t, [-1.0, 1.0], g)
         with pytest.raises(DomainError):
             k.step_apply(np.array([[0.0]]), [1.0], g)
+
+
+def test_subordinate_step_apply_against_mpmath():
+    # Bessel(1) is the reflected heat kernel, so at nu = 1/2 the
+    # subordinated kernel is the reflected Poisson kernel
+    # P_r(x - y) - P_r(x + y), r = sqrt t, P_r(u) = r/(pi (r^2 + u^2)).
+    # At t = (h/2)^2 on a 64-cell local atom of [1/2, 1], where a midpoint
+    # sum over the cells is off by 11 % of the largest value, the rule over
+    # Bessel(1)'s exact step_apply meets the integral within 3 times its
+    # 1e-6 budget
+    g = make_local_atom(covering_bessel((-1, -1)).cuboids[0], cells=64)
+    k = K.SubordinateKernel(K.BesselKernel(1.0), 0.5)
+    t = (g.cell_width / 2.0) ** 2
+    x = np.concatenate([np.linspace(0.0, 2.0, 41),
+                        0.5 + g.cell_width * np.array([-0.5, 0.5, 1.5])])
+    got = k.step_apply(np.array([[t]]), x, g)[0]
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(mpmath.mpf(t))
+
+        def poisson(u):
+            return r / (mpmath.pi * (r * r + u * u))
+
+        exact = np.array([float(2 * mpmath.quad(
+            lambda y: poisson(xi - y) - poisson(xi + y),
+            sorted({0.5, 1.0, min(max(xi, 0.5), 1.0)}))) for xi in x])
+    assert np.max(np.abs(got - exact)) <= 3e-6 * np.max(np.abs(exact))
+    # a column of times gives the bits of one time per point
+    ts = np.array([t, 1e-2, 1.0])
+    column = k.step_apply(ts[:, None], x, g)
+    for i, ti in enumerate(ts):
+        per_point = k.step_apply(np.full((1, x.size), ti), x, g)[0]
+        assert column[i].tobytes() == per_point.tobytes()
 
 
 # ---------------------------------------------------------------------------

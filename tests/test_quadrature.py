@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from hardykit import quadrature as q
+from hardykit import specfun
 from hardykit.errors import QuadratureError
 from hardykit.verifier import VerifierSettings
 
@@ -205,6 +207,46 @@ def test_integrate_keyed_budget_per_key():
         q.integrate_keyed(f, np.zeros(10), np.ones(10), np.arange(10),
                           rtol=1e-10, max_panels=50)
     assert max(sizes) <= 15 * 32
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, 2.5])
+def test_cheb_table_log_bessel_i_scaled(tau):
+    # log(e^{-z} I_tau(z)) in u = log z, a second function besides the
+    # radial profile: off-node against 40-digit mpmath to 2e-15 of
+    # max(1, |f|), which runs from about -47 (tau = 2.5, z = e^-18) to 0
+    table = q.ChebTable(lambda u: specfun.log_bessel_i_scaled(tau, u),
+                        np.linspace(-18.0, 12.0, 61), 1e-13, 240,
+                        "log bessel table")
+    assert table.lo[0] == -18.0 and table.hi[-1] == 12.0
+    assert table.coef.shape == (17, table.lo.size)
+    u = np.random.default_rng(0).uniform(-18.0, 12.0, 200)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.log(
+            mpmath.besseli(tau, z) * mpmath.exp(-z)))
+            for z in (mpmath.exp(mpmath.mpf(x)) for x in u)])
+    err = np.abs(table(u) - ref) / np.maximum(1.0, np.abs(ref))
+    assert np.max(err) <= 2e-15
+    # the table clamps u to its ends
+    assert_array_equal(table(np.array([-30.0, 20.0])),
+                       table(np.array([-18.0, 12.0])))
+
+
+@pytest.mark.parametrize("f", [
+    lambda u: np.full(u.shape, np.nan),
+    lambda u: np.where(u < 1.0 / 3.0, 0.0, 1.0),
+], ids=["nan", "jump"])
+def test_cheb_table_unresolvable_raises(f):
+    # two seed panels against a budget of 8: an f that no panel width
+    # resolves raises after at most 2 + 4 + 8 calls
+    calls = []
+
+    def counted(u):
+        calls.append(u.size)
+        return f(u)
+
+    with pytest.raises(QuadratureError, match="test table above budget"):
+        q.ChebTable(counted, np.array([0.0, 1.0, 2.0]), 1e-12, 8, "test table")
+    assert len(calls) <= 14 and set(calls) == {21}
 
 
 def test_gauss_kronrod_constants_full_precision():

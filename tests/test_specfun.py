@@ -314,10 +314,16 @@ def test_params_invariants():
 
 def test_density_half_closed_form():
     p = sf.StableDensityParams(0.5)
-    # g_{1/2}(s) = (2 sqrt(pi))^{-1} s^{-3/2} exp(-1/(4s))
+    # g_{1/2}(s) = (2 sqrt(pi))^{-1} s^{-3/2} exp(-1/(4s)), against the
+    # series at s = 1 and Kanter's integral below the switch at 0.7
     assert_allclose(sf.stable_density(p, 1.0),
                     math.exp(-0.25) / (2.0 * math.sqrt(math.pi)), rtol=1e-14)
     assert_allclose(sf.stable_density(p, 1.0), 0.2196956447, rtol=1e-9)
+    s = np.array([0.3, 0.35, 0.4, 0.45, 0.5])
+    assert np.all(s < sf.stable_series_switch(0.5))
+    assert_allclose(sf.stable_density(p, s),
+                    np.exp(-0.25 / s) / (2.0 * math.sqrt(math.pi) * s ** 1.5),
+                    rtol=1e-14)
 
 
 def test_density_vanishes_at_zero():
@@ -335,8 +341,8 @@ def _zero_threshold(nu):
 
 
 def test_zero_branch_at_half_matches_closed_form():
-    # the closed form runs first at nu = 1/2; wherever the zero branch
-    # would apply, the closed form is below 1e-300 as well
+    # wherever the zero branch applies at nu = 1/2, the closed form is
+    # below 1e-300 as well
     s = np.geomspace(1e-12, 1.0, 2001)
     zeroed = sf._stable_log_bound(0.5, s) < math.log(1e-300)
     assert 0 < zeroed.sum() < len(s)
