@@ -116,6 +116,16 @@ class AdmissibleCovering:
 # the diameters 2 sqrt(sum r^2) need
 _DYADIC_RANGE = (-510, 512)
 
+# The most cuboids one covering holds: about 250 bytes each, 65 MB in all
+_MAX_CUBOIDS = 2 ** 18
+
+
+def _check_cuboid_count(count, window: str) -> None:
+    """ValueError naming the window above ``_MAX_CUBOIDS`` (inf or NaN too)."""
+    if not count <= _MAX_CUBOIDS:
+        raise ValueError(f"[covering] window = {window} asks for more than "
+                         f"{_MAX_CUBOIDS} cuboids, the most one covering holds")
+
 
 def _dyadic_window(window) -> tuple[int, int]:
     """The window's (n_lo, n_hi), or ValueError naming it when an end lies
@@ -156,6 +166,9 @@ def covering_laguerre(window: tuple[int, int],
     (refinement toward large x).
     """
     n_lo, n_hi = _dyadic_window(window)
+    _check_cuboid_count(max(0, min(n_hi, -1) - n_lo + 1) + sum(
+        2 ** (2 * n + 1) for n in range(max(n_lo, 0), n_hi + 1)),
+        f"{n_lo}..{n_hi}")
     dom = half_line()
     cuboids: list[Cuboid] = []
     for m in range(n_lo, min(n_hi, -1) + 1):
@@ -186,8 +199,10 @@ def covering_uniform(domain: DomainSpec, tau: float,
     if not np.all((-math.inf < lo) & (lo < hi) & (hi < math.inf)):
         raise ValueError(f"covering window {lo.tolist()}..{hi.tolist()} "
                          "is not finite with lo < hi on every axis")
-    counts = [max(1, int(math.ceil((hi[j] - lo[j]) / side - 1e-9)))
-              for j in range(d)]
+    with np.errstate(over="ignore"):      # a count of inf fails the check
+        counts = np.maximum(1.0, np.ceil((hi - lo) / side - 1e-9))
+    _check_cuboid_count(math.prod(counts.tolist()),
+                        f"{lo.tolist()}..{hi.tolist()} at tau = {tau:g}")
     axes = [lo[j] + side * (np.arange(counts[j]) + 0.5) for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in mesh], axis=-1)

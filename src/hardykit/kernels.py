@@ -182,7 +182,7 @@ class KernelFamily:
     midpoint sum over its cells, one kernel evaluation per time; heat
     (d = 1), Bessel(beta = 1) and Laguerre(alpha = 1/2) are Gaussian in y
     and override it with the exact integral over its runs, and a
-    subordinated kernel off the heat profile subordinates its base's.
+    subordinated kernel subordinates its base's.
     """
 
     domain: DomainSpec
@@ -203,14 +203,7 @@ class KernelFamily:
         The midpoint sum over g's cells: one (points x cells) evaluation
         and matvec per row of t.  Its cell sum aliases where the kernel is
         as narrow as a cell, by about 2 e^{-4 pi^2 t/h^2} relative for the
-        heat kernel, so it is an estimate, not the integral.  A subordinated
-        heat kernel mixes in heat kernels narrower than any cell, so the
-        sum is biased at the smallest times, which shrink with the cells:
-        the maximal norm of the local atom of [-1, 0] (uniform tau = 1
-        covering of -1..1) is 2.5097 +- 0.0107 at nu = 1/2 and
-        1.9975 +- 0.0111 at nu = 0.3 through ``SubordinateKernel``'s exact
-        rule path over a heat subclass, and the midpoint sum reads 2.5277
-        and 2.0537 at 64 cells, 2.5341 and 2.0703 at 256.
+        heat kernel, so it is an estimate, not the integral.
         """
         x = np.asarray(x, dtype=float)
         centers = g.centers
@@ -648,7 +641,7 @@ class SubordinateKernel(KernelFamily):
     calls for every shape of t (and a short series where
     |x - y|/sqrt t > rho_max).  Every other base, subclasses of the heat
     kernel included, runs ``SubordinationRule.apply`` one row of t at a
-    time.
+    time, as ``step_apply`` does over every base.
     """
 
     def __init__(self, base: KernelFamily, nu: float):
@@ -678,11 +671,8 @@ class SubordinateKernel(KernelFamily):
         integral T_{ts} g(x) g_nu(s) ds by ``SubordinationRule.apply``, one
         row of t at a time, each with its own K15/G7 check and a (nodes x
         points) temporary whatever the number of cells.  Exact to the
-        rule's budget over heat (d = 1, a subclass), Bessel(1) and
-        Laguerre(1/2) bases; other bases sum their midpoint rules at every
-        node.  A heat base reads the profile through the midpoint sum."""
-        if self.profile is not None:
-            return super().step_apply(t, x, g)
+        rule's budget over heat (d = 1), Bessel(1) and Laguerre(1/2)
+        bases; other bases sum their midpoint rules at every node."""
         return _per_time_row(lambda tr: self.rule.apply(
             lambda ts, xs, _: self.base.step_apply(ts, xs, g), tr, x, 0.0),
             t, x, 0.0)

@@ -825,26 +825,20 @@ def maximal_norm(k: KernelFamily, atom: Atom,
 
     T_t a is the kernel's ``step_apply``: exact for heat, Bessel(1) and
     Laguerre(1/2) (erfc at the atom's run boundaries, one call for a whole
-    t-grid chunk) and for subordinated kernels over them other than the
-    heat profile (the subordination rule over the base's ``step_apply``,
-    one time row at a time), a midpoint sum over the cells, one kernel
-    evaluation per time, for every other kernel.  The time grid (10 points per
-    decade, each maximum refined by 4 Brent-style ``golden_refine`` steps)
-    starts at the square of half an atom cell, a start for kernels of
-    width about sqrt(t), as every kernel here is at small t; below that
-    the small-time end is realized by the |a(x)| floor (the t -> 0
-    limit).  One ``sup_over_t`` per atom covers both rules, the box
-    around the atom and its complement in the window, at both Richardson
-    levels.  For the heat kernel the midpoint sum aliases there, by about
-    2 e^{-4 pi^2 t/h^2} relative at t = (h/2)^2, and so sits about 1.7e-5
-    relative above the exact norm at any number of cells; over a
-    subordinated heat kernel it sits 0.7 % (nu = 1/2) to 2.8 % (nu = 0.3)
-    above, more than the error column, and more cells do not close the
-    gap (``KernelFamily.step_apply``).  The error,
-    the coarse-fine difference of both rules, is judged by ``hardykit
-    maximal``, not here.  Atoms are
-    1-D: a kernel or a host cuboid of another dimension is a ValueError.
-    A norm that is not finite raises QuadratureError.
+    t-grid chunk) and for subordinated kernels over them (the
+    subordination rule over the base's ``step_apply``, one time row at a
+    time), a midpoint sum over the cells, one kernel evaluation per time,
+    for every other kernel.  The time grid (10 points per decade, each
+    maximum refined by 4 Brent-style ``golden_refine`` steps) starts at
+    the square of half an atom cell, a start for kernels of width about
+    sqrt(t), as every kernel here is at small t; below that the
+    small-time end is realized by the |a(x)| floor (the t -> 0 limit).
+    One ``sup_over_t`` per atom covers both rules, the box around the
+    atom and its complement in the window, at both Richardson levels.
+    The error, the coarse-fine difference of both rules, is judged by
+    ``hardykit maximal``, not here.  Atoms are 1-D: a kernel or a host
+    cuboid of another dimension is a ValueError.  A norm that is not
+    finite raises QuadratureError.
     """
     q = atom.host
     if k.dimension != 1 or q.dimension != 1:

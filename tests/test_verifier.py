@@ -509,6 +509,7 @@ def test_subordinate_propagation():
     assert subr.sup_constant <= base.sup_constant + 0.05 * base.sup_constant
 
 
+@pytest.mark.slow
 def test_subordination_domination():
     # P_t = integral T_s eta_t(s) ds with eta_t a probability density, so
     # sup_t |P_t f| <= sup_s |T_s f| at every point: each A1' constant and

@@ -19,10 +19,11 @@ a zero-padded copy of the eigenvectors.
 
 One time row of a subordinated Bessel(1) kernel's ``step_apply``, as
 ``maximal`` takes it (1,080 rule nodes at nu = 1/2 and 1,080 points),
-measures 13.1 MB: the (nodes x points) values of the base's exact
-``step_apply``, whatever the number of cells.  Its bound sits below the
-597 MB the row held at 16 cells (2.4 GB at 256) when it took the midpoint
-sum, a (nodes x points x cells) array.
+measures 13.1 MB, and 11.4 MB over the heat base: the (nodes x points)
+values of the base's exact ``step_apply``, whatever the number of cells.
+Its bound sits below the 597 MB the Bessel(1) row held at 16 cells
+(2.4 GB at 256) when it took the midpoint sum, a (nodes x points x cells)
+array.
 
 One 2^15-point call of the ``spectral`` benchmark's nu = 0.7 radial
 profile measures 2.7 MB: a few point-sized arrays, as its Clenshaw
@@ -130,10 +131,12 @@ def test_radial_profile_call_working_set():
 @pytest.mark.parametrize("cells", [16, 256])
 def test_subordinate_step_apply_working_set(cells):
     # one t-grid row of ``maximal`` on a local atom of covering_bessel((-1,
-    # 1)): the (1,080 x 1,080) values are 9.3 MB at any number of cells
-    k = SubordinateKernel(BesselKernel(1.0), 0.5)
+    # 1)): the (1,080 x 1,080) values are 9.3 MB at any number of cells,
+    # over the Bessel(1) base and over the heat base alike
     atom = at.make_local_atom(cov.covering_bessel((-1, 1)).cuboids[0], cells)
     x = np.linspace(0.0, 25.75, 1080)
     t = np.array([[(atom.cell_width / 2.0) ** 2]])
-    assert k.rule.nodes.size == 1080
-    assert _peak_mb(k.step_apply, t, x, atom) <= 2.0 * 1080 * 1080 * 8 / MB
+    for base in (BesselKernel(1.0), EuclideanHeat(1)):
+        k = SubordinateKernel(base, 0.5)
+        assert k.rule.nodes.size == 1080
+        assert _peak_mb(k.step_apply, t, x, atom) <= 2.0 * 1080 * 1080 * 8 / MB
